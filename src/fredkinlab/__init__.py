@@ -44,7 +44,6 @@ from .engine import (
     PostSelectionRule,
     apply_unitary,
     measure_and_feedforward,
-    post_select,
     post_select_any,
     ryser_permanent,
     transition_amplitude_oracle,

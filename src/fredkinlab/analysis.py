@@ -29,8 +29,11 @@ from .circuits import (
     build_ralph_cnot,
     build_simplified_cnot,
     run,
+    simplified_mesh_sectors,
     SIMPLIFIED_PARAM_BOUNDS,
 )
+# unused here; perfbench/test_perfbench.py asserts this alias of the traced compose
+from .elements import compose as _compose  # noqa: F401
 from .fock import (
     LogicalAmplitudes,
     Occupation,
@@ -422,49 +425,19 @@ DEFAULT_PENALTY = 1e3
 FEASIBILITY_TOL = 1e-8
 
 
-from .circuits import simplified_mesh_elements
-from .elements import compose as _compose
-from .fock import register_modes as _register_modes
-
-_MESH_REG = _register_modes(("c", "t", "ds"))
-_MESH_IDX = (
-    _MESH_REG.index("c", Polarization.H),
-    _MESH_REG.index("c", Polarization.V),
-    _MESH_REG.index("t", Polarization.V),
-    _MESH_REG.index("t", Polarization.H),
-)
-
-
 def _evaluate_known_target_params(params: np.ndarray) -> tuple[float, float]:
-    """Closed-form mesh figures from two-photon permanents of the compiled matrix.
+    """The known-target figures of `evaluate_known_target`, from the mesh's
+    closed-form sector matrices (`simplified_mesh_sectors`).
 
-    Algebraically identical to running the circuit (`evaluate_known_target`
-    re-verifies optimizer outcomes through that independent path), but cheap
-    enough for the inner loop.
+    Cheap enough for the optimizer's inner loop.  `evaluate_known_target` runs
+    the circuit through the state-evolution engine instead, and
+    `reverify_outcome` uses it to cross-check every optimizer outcome.
     """
-    u = _compose(_MESH_REG, simplified_mesh_elements("c", "t", "ds", params)).matrix
-    m1, m2, m3, m4 = _MESH_IDX
-
-    def pair(i, j, k, l):  # <i,j|U|k,l> for distinct modes
-        return u[i, k] * u[j, l] + u[i, l] * u[j, k]
-
-    k2 = np.array([
-        [pair(m1, m3, m1, m3), pair(m1, m3, m2, m3)],
-        [pair(m1, m4, m1, m3), pair(m1, m4, m2, m3)],
-        [pair(m2, m3, m1, m3), pair(m2, m3, m2, m3)],
-        [pair(m2, m4, m1, m3), pair(m2, m4, m2, m3)],
-    ])
-    ideal2 = np.zeros((4, 2))
-    ideal2[0, 0] = 1.0  # control H keeps the V target
-    ideal2[3, 1] = 1.0  # control V flips it to H
-    kv = np.array([[u[m1, m1], u[m1, m2]], [u[m2, m1], u[m2, m2]]])
-    f2 = _sector_fidelity(k2, ideal2)
-    fv = _sector_fidelity(kv, np.eye(2))
-    probs = [float(np.sum(np.abs(k2[:, 0]) ** 2)),
-             float(np.sum(np.abs(kv[:, 0]) ** 2)),
-             float(np.sum(np.abs(k2[:, 1]) ** 2)),
-             float(np.sum(np.abs(kv[:, 1]) ** 2))]
-    return min(probs), min(f2, fv)
+    k2, kv = simplified_mesh_sectors(params)
+    f2 = _sector_fidelity(k2, KNOWN_TARGET_IDEAL[:4, [0, 2]])
+    fv = _sector_fidelity(kv, KNOWN_TARGET_IDEAL[4:, [1, 3]])
+    p = min(np.min(np.sum(k2 ** 2, axis=0)), np.min(np.sum(kv ** 2, axis=0)))
+    return float(p), min(f2, fv)
 
 
 def _mesh_logic_residuals(params: np.ndarray) -> np.ndarray:
@@ -474,17 +447,12 @@ def _mesh_logic_residuals(params: np.ndarray) -> np.ndarray:
     completely, so a least-squares root polish lands the otherwise
     simplex-accurate optimum at machine precision.
     """
-    u = _compose(_MESH_REG, simplified_mesh_elements("c", "t", "ds", params)).matrix.real
-    m1, m2, m3, m4 = _MESH_IDX
-
-    def pair(i, j, k, l):
-        return u[i, k] * u[j, l] + u[i, l] * u[j, k]
-
+    k2, kv = simplified_mesh_sectors(params)
     return np.array([
-        u[m2, m2] - u[m1, m1],                       # equal control transmissions
-        pair(m1, m4, m1, m3),                        # H control must not flip the target
-        pair(m2, m3, m2, m3),                        # V control must flip it
-        pair(m1, m3, m1, m3) - pair(m2, m4, m2, m3),  # equal success amplitudes
+        kv[1, 1] - kv[0, 0],    # equal control transmissions
+        k2[1, 0],               # H control must not flip the target
+        k2[2, 1],               # V control must flip it
+        k2[0, 0] - k2[3, 1],    # equal success amplitudes
     ])
 
 

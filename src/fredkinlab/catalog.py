@@ -63,10 +63,6 @@ def ideal_cnot() -> np.ndarray:
     return k
 
 
-def apply_ideal(ideal: np.ndarray, values: Sequence[complex]) -> np.ndarray:
-    return ideal @ np.asarray(values, dtype=complex)
-
-
 def _pol(bit: int) -> Polarization:
     return Polarization.V if bit else Polarization.H
 

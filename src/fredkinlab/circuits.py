@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
+import numpy as np
+
 from .elements import (
     Bs,
     DelayToL,
@@ -48,6 +50,7 @@ from .engine import (
     apply_unitary,
     measure_and_feedforward,
     post_select_any,
+    swap_hv,
 )
 from .fock import (
     LogicalAmplitudes,
@@ -259,10 +262,7 @@ def _apply_controlled_flip(state: PhotonicState, control: str, target: str) -> P
             raise ControlFlipError(
                 f"control beam {control!r} carries {nh + nv} photons, needs exactly 1")
         if nv == 1:
-            lst = list(occ)
-            for hm, vm in zip(tgt_h, tgt_v):  # bins pair up in canonical order
-                lst[hm], lst[vm] = lst[vm], lst[hm]
-            occ = tuple(lst)
+            occ = swap_hv(occ, tgt_h, tgt_v)
         out[occ] = out.get(occ, 0.0) + a
     return PhotonicState(reg, out, prune_eps=state.prune_eps, validate=False)
 
@@ -391,19 +391,45 @@ def simplified_mesh_elements(control: str, target: str, dump: str,
     )
 
 
+def _givens3(theta: float, i: int, j: int) -> np.ndarray:
+    """3x3 form of `Rot(theta, i, j)` (columns = inputs)."""
+    c, s = math.cos(theta), math.sin(theta)
+    g = np.eye(3)
+    g[i, i] = g[j, j] = c
+    g[i, j], g[j, i] = -s, s
+    return g
+
+
+def simplified_mesh_sectors(params: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Sector transfer matrices of the mesh, in closed form of its four angles.
+
+    ``k2`` (4x2) takes the target-present inputs {H,V; V,V} (control, target)
+    to the outputs {H,V; H,H; V,V; V,H}; ``kv`` (2x2) takes the vacuum-target
+    inputs {H,vac; V,vac} to the outputs {H,vac; V,vac}.  The three Givens
+    rotations act on the (control H, target V, target H) block ``g`` and the
+    attenuator transmits control V with cos(alpha), so each nonzero amplitude
+    is a 2x2 permanent of ``g`` or a single entry of it times cos(alpha).  The
+    same amplitudes sit in the matrix of `analysis.evaluate_known_target`,
+    which runs the circuit instead.
+    """
+    a, b, c, alpha = params
+    g = _givens3(a, 0, 1) @ (_givens3(b, 0, 2) @ _givens3(c, 1, 2))
+    t = math.cos(alpha)
+    k2 = np.zeros((4, 2))
+    k2[0, 0] = g[0, 0] * g[1, 1] + g[0, 1] * g[1, 0]
+    k2[1, 0] = g[0, 0] * g[2, 1] + g[0, 1] * g[2, 0]
+    k2[2, 1] = t * g[1, 1]
+    k2[3, 1] = t * g[2, 1]
+    return k2, np.diag([g[0, 0], t])
+
+
 def simplified_mesh_amplitudes(params: Sequence[float]) -> tuple[float, float]:
     """(vacuum-sector, target-present) transmission amplitudes of the mesh."""
-    reg = register_modes(["c", "t", "d"])
-    u = compose(reg, simplified_mesh_elements("c", "t", "d", params)).matrix
-    m1 = reg.index("c", Polarization.H)
-    m2 = reg.index("c", Polarization.V)
-    m3 = reg.index("t", Polarization.V)
-    lam_v = u[m1, m1].real
-    lam_2 = (u[m1, m1] * u[m3, m3] + u[m1, m3] * u[m3, m1]).real
-    mismatch = abs(u[m2, m2].real - lam_v)
+    k2, kv = simplified_mesh_sectors(params)
+    mismatch = abs(kv[1, 1] - kv[0, 0])
     if mismatch > 1e-9:
         raise CircuitError(f"mesh control transmissions are unbalanced by {mismatch:.1e}")
-    return lam_v, lam_2
+    return kv[0, 0], k2[0, 0]
 
 
 # -- builders ------------------------------------------------------------------------

@@ -207,6 +207,12 @@ def cmd_optimize(args, cfg: LabConfig) -> int:
 # -- entry point ---------------------------------------------------------------------
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fredkinlab",
@@ -218,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a gate against its registered numbers")
     p_verify.add_argument("gate", help=f"gate name ({', '.join(gate_names())}) or circuit file")
     p_verify.add_argument("--input", help="JSON amplitudes for a single-input check")
-    p_verify.add_argument("--sweep", type=int, default=0,
+    p_verify.add_argument("--sweep", type=_non_negative_int, default=0,
                           help="probe N random inputs instead of the basis set")
     p_verify.add_argument("--tolerance", type=float, default=None)
     p_verify.add_argument("--format", choices=("table", "json"), default="table")
@@ -226,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="propagate an input through a circuit file")
     p_sim.add_argument("gate_or_file", help="gate name or circuit file")
     p_sim.add_argument("--input", required=True, help="JSON amplitudes")
-    p_sim.add_argument("--dump-state", action="store_true",
-                       help="list surviving basis states (default on)")
     p_sim.add_argument("--through-label", default=None,
                        help="stop after the stage with this label")
     p_sim.add_argument("--format", choices=("table", "json"), default="table")

@@ -170,27 +170,16 @@ class PostSelectionRule:
         return cls(cons, renormalize=renormalize)
 
 
-def post_select(state: PhotonicState, rule: PostSelectionRule) -> tuple[PhotonicState, float]:
-    """Keep matching occupation states.
+def post_select_any(state: PhotonicState,
+                    rules: Sequence[PostSelectionRule]) -> tuple[PhotonicState, float]:
+    """Keep the occupation states matched by a union of disjoint conjunctive
+    rules (e.g. equal-time-bin coincidence); a single rule is a 1-tuple.
 
     Returns the surviving state and its probability (squared surviving norm
     relative to the input norm).  A zero survivor is an empty state with
-    probability 0, not an error.
+    probability 0, not an error.  The survivor is renormalized when every
+    rule asks for it.
     """
-    kept = {occ: a for occ, a in state.amps.items() if rule.matches(occ)}
-    survived = PhotonicState(state.registry, kept, prune_eps=state.prune_eps, validate=False)
-    n_in = state.norm_sq()
-    if n_in <= 0.0:
-        return survived, 0.0
-    prob = survived.norm_sq() / n_in
-    if rule.renormalize and prob > 0.0:
-        survived = survived.normalized()
-    return survived, prob
-
-
-def post_select_any(state: PhotonicState,
-                    rules: Sequence[PostSelectionRule]) -> tuple[PhotonicState, float]:
-    """Union of disjoint conjunctive rules (e.g. equal-time-bin coincidence)."""
     kept: dict[Occupation, complex] = {}
     for occ, a in state.amps.items():
         n_hit = sum(1 for r in rules if r.matches(occ))
@@ -266,6 +255,14 @@ class BranchRecord:
     action: str  # "accept" or "reject"
 
 
+def swap_hv(occ: Occupation, h_modes: Sequence[int], v_modes: Sequence[int]) -> Occupation:
+    """Polarization flip: exchange paired H and V occupations (bins pair in canonical order)."""
+    lst = list(occ)
+    for hm, vm in zip(h_modes, v_modes):
+        lst[hm], lst[vm] = lst[vm], lst[hm]
+    return tuple(lst)
+
+
 def _apply_correction(state: PhotonicState, beam: str, kind: str) -> PhotonicState:
     reg = state.registry
     h_modes = reg.modes_where(beams=[beam], pol=Polarization.H)
@@ -277,10 +274,7 @@ def _apply_correction(state: PhotonicState, beam: str, kind: str) -> PhotonicSta
             if nv % 2:
                 a = -a
         if kind in ("flip", "flip_sign"):
-            lst = list(occ)
-            for hm, vm in zip(h_modes, v_modes):
-                lst[hm], lst[vm] = lst[vm], lst[hm]
-            occ = tuple(lst)
+            occ = swap_hv(occ, h_modes, v_modes)
         out[occ] = out.get(occ, 0.0) + a
     return PhotonicState(reg, out, prune_eps=state.prune_eps, validate=False)
 

@@ -225,24 +225,6 @@ class PhotonicState:
                         amplitude: complex = 1.0) -> "PhotonicState":
         return cls(registry, {tuple(occ): amplitude})
 
-    @classmethod
-    def from_beam_content(cls, registry: ModeRegistry,
-                          content: Mapping[str, tuple],
-                          amplitude: complex = 1.0) -> "PhotonicState":
-        """Single basis state with one photon per listed beam.
-
-        `content` maps beam -> (pol,) or (pol, bin).
-        """
-        occ = [0] * registry.size
-        for beam, spec in content.items():
-            if registry.time_resolved:
-                pol, tbin = spec if len(spec) == 2 else (spec[0], TimeBin.S)
-                occ[registry.index(beam, pol, tbin)] += 1
-            else:
-                (pol,) = spec if isinstance(spec, tuple) else (spec,)
-                occ[registry.index(beam, pol)] += 1
-        return cls(registry, {tuple(occ): amplitude})
-
     # -- algebra -----------------------------------------------------------
 
     def norm_sq(self) -> float:

@@ -19,9 +19,11 @@ from fredkinlab.analysis import (
 )
 from fredkinlab.catalog import get_gate, ideal_cnot, ideal_fredkin
 from fredkinlab.circuits import (
+    SIMPLIFIED_PARAM_BOUNDS,
     Circuit,
     Linear,
     build_simplified_cnot,
+    simplified_mesh_sectors,
 )
 from fredkinlab.elements import Hwp
 from fredkinlab.fock import register_modes
@@ -151,6 +153,24 @@ def test_known_target_error_amplitudes_vanish():
     # within the coincidence-legal output space, only the ideal entries survive
     mask = KNOWN_TARGET_IDEAL == 0
     assert np.max(np.abs(k[mask])) < 1e-12
+
+
+def test_mesh_closed_form_matches_engine_run(rng):
+    # the optimizer scores the mesh in closed form; the engine runs the circuit
+    problem = PROBLEMS["simplified-cnot"]
+    lo, hi = np.array(SIMPLIFIED_PARAM_BOUNDS).T
+    for _ in range(60):
+        x = lo + (hi - lo) * rng.random(4)
+        ev = evaluate_known_target(build_simplified_cnot(x))
+        k = ev.matrix
+        k2, kv = simplified_mesh_sectors(x)
+        assert np.max(np.abs(k[:4, [0, 2]] - k2)) <= 1e-12
+        assert np.max(np.abs(k[4:, [1, 3]] - kv)) <= 1e-12
+        p, fid = problem.evaluate(x)
+        assert abs(p - ev.p_min) <= 1e-12
+        assert abs(fid - ev.fidelity) <= 1e-12
+        engine_residuals = [k[5, 3] - k[4, 1], k[1, 0], k[2, 2], k[0, 0] - k[3, 2]]
+        assert np.max(np.abs(problem.residuals(x) - engine_residuals)) <= 1e-12
 
 
 # -- optimizer ----------------------------------------------------------------------------

@@ -56,6 +56,15 @@ def test_verify_sweep_uniform():
     assert all(abs(p - 0.25) < 1e-10 for p in probs)
 
 
+def test_verify_negative_sweep_is_usage_error():
+    code, out, err = run_cli(["verify", "cnot-ralph", "--sweep", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(
+        "error: argument --sweep: must be a non-negative integer, got '-1'")
+
+
 def test_verify_single_input():
     code, out, err = run_cli(["verify", "cnot-ralph", "--input", "[1, 0, 0, 0]"])
     assert code == 0

@@ -16,7 +16,6 @@ from fredkinlab import (
     PostSelectionRule,
     apply_unitary,
     measure_and_feedforward,
-    post_select,
     post_select_any,
     register_modes,
     ryser_permanent,
@@ -143,7 +142,7 @@ def test_post_select_single_mode():
     reg = register_modes(["a"])
     s = PhotonicState(reg, {(1, 0): S2, (0, 1): S2})
     rule = PostSelectionRule.mode_counts(reg, [((0,), 1)])
-    kept, p = post_select(s, rule)
+    kept, p = post_select_any(s, (rule,))
     assert p == pytest.approx(0.5)
     assert kept.amps.keys() == {(1, 0)}
 
@@ -152,7 +151,7 @@ def test_post_select_impossible_count_gives_zero():
     reg = register_modes(["a"])
     s = PhotonicState.from_occupation(reg, (1, 0))
     rule = PostSelectionRule.mode_counts(reg, [((0,), 2)])
-    kept, p = post_select(s, rule)
+    kept, p = post_select_any(s, (rule,))
     assert p == 0.0
     assert len(kept) == 0
 
@@ -161,7 +160,7 @@ def test_post_select_renormalize_flag():
     reg = register_modes(["a"])
     s = PhotonicState(reg, {(1, 0): S2, (0, 1): S2})
     rule = PostSelectionRule.mode_counts(reg, [((0,), 1)], renormalize=True)
-    kept, p = post_select(s, rule)
+    kept, p = post_select_any(s, (rule,))
     assert p == pytest.approx(0.5)
     assert abs(kept.norm_sq() - 1.0) < 1e-12
 
@@ -175,9 +174,9 @@ def test_post_select_composition_equals_conjunction(rng):
     rule_a = PostSelectionRule.mode_counts(reg, [((0,), 1)])
     rule_b = PostSelectionRule.mode_counts(reg, [((2,), 0)])
     rule_ab = PostSelectionRule.mode_counts(reg, [((0,), 1), ((2,), 0)])
-    s1, p1 = post_select(s, rule_a)
-    s2, p2 = post_select(s1, rule_b)
-    s12, p12 = post_select(s, rule_ab)
+    s1, p1 = post_select_any(s, (rule_a,))
+    s2, p2 = post_select_any(s1, (rule_b,))
+    s12, p12 = post_select_any(s, (rule_ab,))
     assert p1 * p2 == pytest.approx(p12, abs=1e-12)
     assert s2.amps.keys() == s12.amps.keys()
     for k in s2.amps:
@@ -208,8 +207,8 @@ def test_pruning_soundness():
                           prune_eps=0.0)
     pruned = PhotonicState(reg, dict(exact.amps), prune_eps=eps)
     rule = PostSelectionRule.mode_counts(reg, [((0,), 1)])
-    _, p_exact = post_select(exact, rule)
-    _, p_pruned = post_select(pruned, rule)
+    _, p_exact = post_select_any(exact, (rule,))
+    _, p_pruned = post_select_any(pruned, (rule,))
     assert abs(p_exact - p_pruned) < 10 * eps
 
 

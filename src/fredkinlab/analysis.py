@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import optimize as sp_optimize
 
-from .catalog import GateInfo, conventions_hash, get_gate, ideal_cnot
+from .catalog import GateInfo, conventions_hash, get_gate, ideal_cnot, qubit_output_kets
 from .circuits import (
     Circuit,
     RunResult,
@@ -38,7 +38,6 @@ from .fock import (
     LogicalAmplitudes,
     Occupation,
     PhotonicState,
-    Polarization,
 )
 
 LEAKAGE_TOL = 1e-9
@@ -165,34 +164,18 @@ def evaluate_known_target(circuit: Circuit) -> KnownTargetEvaluation:
     beam's count.
     """
     reg = circuit.registry
-    ctrl, tgt = "c", "t"
-    kets_2 = [  # (control pol, target pol) with both photons present
-        _two_photon_ket(reg, ctrl, tgt, Polarization.H, Polarization.V),
-        _two_photon_ket(reg, ctrl, tgt, Polarization.H, Polarization.H),
-        _two_photon_ket(reg, ctrl, tgt, Polarization.V, Polarization.V),
-        _two_photon_ket(reg, ctrl, tgt, Polarization.V, Polarization.H),
-    ]
-    kets_1 = [
-        _one_photon_ket(reg, ctrl, Polarization.H),
-        _one_photon_ket(reg, ctrl, Polarization.V),
-    ]
+    q = qubit_output_kets(reg, ("c", "t"), False)  # (control, target) HH, HV, VH, VV
+    kets_2 = [q[1], q[0], q[3], q[2]]  # in KNOWN_TARGET_OUTPUT_LABELS order
+    kets_1 = list(qubit_output_kets(reg, ("c",), False))  # control H, V; no target
     k = np.zeros((6, 4), dtype=complex)
     p_by_input = {}
-    for idx, (label, cpol, present) in enumerate((
-            ("H,V", Polarization.H, True),
-            ("H,vac", Polarization.H, False),
-            ("V,V", Polarization.V, True),
-            ("V,vac", Polarization.V, False))):
-        occ = [0] * reg.size
-        occ[reg.index(ctrl, cpol)] = 1
-        if present:
-            occ[reg.index(tgt, Polarization.V)] = 1
-        state = PhotonicState.from_occupation(reg, tuple(occ))
-        res = run(circuit, state, expected_photons=2 if present else 1)
-        out = res.state
+    inputs = (q[1], kets_1[0], q[3], kets_1[1])  # in KNOWN_TARGET_INPUT_LABELS order
+    for idx, (label, occ) in enumerate(zip(KNOWN_TARGET_INPUT_LABELS, inputs)):
+        n = sum(occ)  # 2 with the target photon present, 1 without
+        out = run(circuit, PhotonicState.from_occupation(reg, occ), expected_photons=n).state
         col = np.array([out.amps.get(kk, 0.0) for kk in kets_2 + kets_1], dtype=complex)
         k[:, idx] = col
-        legal = kets_2 if present else kets_1
+        legal = kets_2 if n == 2 else kets_1
         p_by_input[label] = float(sum(abs(out.amps.get(kk, 0.0)) ** 2 for kk in legal))
     f2 = _sector_fidelity(k[:4, [0, 2]], KNOWN_TARGET_IDEAL[:4, [0, 2]])
     fvac = _sector_fidelity(k[4:, [1, 3]], KNOWN_TARGET_IDEAL[4:, [1, 3]])
@@ -211,19 +194,6 @@ def _sector_fidelity(k: np.ndarray, ideal: np.ndarray) -> float:
         return 0.0
     overlap = complex(np.sum(ideal.conj() * k))
     return float(abs(overlap) ** 2 / (d * total))
-
-
-def _two_photon_ket(reg, ctrl, tgt, cpol, tpol) -> Occupation:
-    occ = [0] * reg.size
-    occ[reg.index(ctrl, cpol)] += 1
-    occ[reg.index(tgt, tpol)] += 1
-    return tuple(occ)
-
-
-def _one_photon_ket(reg, ctrl, cpol) -> Occupation:
-    occ = [0] * reg.size
-    occ[reg.index(ctrl, cpol)] = 1
-    return tuple(occ)
 
 
 # -- gate reports -----------------------------------------------------------------
@@ -500,8 +470,7 @@ PROBLEMS: dict[str, OptimizationProblem] = {
 def optimize_gate(problem: OptimizationProblem | str,
                   seed: int = 0,
                   restarts: int = DEFAULT_RESTARTS,
-                  penalty: float = DEFAULT_PENALTY,
-                  feasibility_tol: float = FEASIBILITY_TOL) -> OptimizeOutcome:
+                  penalty: float = DEFAULT_PENALTY) -> OptimizeOutcome:
     """Multi-start Nelder-Mead on -p + penalty*(1 - fidelity).
 
     The penalty is raised in stages from `penalty` to 1e9 while re-descending
@@ -511,10 +480,10 @@ def optimize_gate(problem: OptimizationProblem | str,
     For a problem with `residuals`, a least-squares root polish follows.  It
     is accepted when the residual norm does not increase and p drops by at
     most 1e-6; the outcome is feasible when that norm is within
-    `feasibility_tol`.  Both figures are linear in the logic error, whereas
+    `FEASIBILITY_TOL`.  Both figures are linear in the logic error, whereas
     1 - fidelity is quadratic in it and saturates at 1.0 in floating point.
     Problems without `residuals` are feasible when 1 - fidelity is within
-    `feasibility_tol`.
+    `FEASIBILITY_TOL`.
     """
     if isinstance(problem, str):
         try:
@@ -578,7 +547,7 @@ def optimize_gate(problem: OptimizationProblem | str,
         seed=seed,
         residual_norm=residual_norm,
     )
-    outcome.feasible = outcome.logic_error[1] <= feasibility_tol
+    outcome.feasible = outcome.logic_error[1] <= FEASIBILITY_TOL
     return outcome
 
 

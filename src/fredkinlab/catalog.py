@@ -67,8 +67,8 @@ def _pol(bit: int) -> Polarization:
     return Polarization.V if bit else Polarization.H
 
 
-def _qubit_output_kets(registry: ModeRegistry, beams: Sequence[str],
-                       bin_from_first: bool) -> tuple[Occupation, ...]:
+def qubit_output_kets(registry: ModeRegistry, beams: Sequence[str],
+                      bin_from_first: bool) -> tuple[Occupation, ...]:
     """Computational-basis occupation states on the output beams.
 
     In time-resolved circuits the accepted outputs share one bin fixed by the
@@ -103,8 +103,8 @@ class GateInfo:
     kind: str = "qubit"  # "qubit" or "known_target"
 
     def output_kets(self, circuit: Circuit) -> tuple[Occupation, ...]:
-        return _qubit_output_kets(circuit.registry, circuit.output_beams,
-                                  bin_from_first=True)
+        return qubit_output_kets(circuit.registry, circuit.output_beams,
+                                 bin_from_first=True)
 
 
 CATALOG: dict[str, GateInfo] = {}

@@ -36,6 +36,7 @@ from .elements import (
     DelayToL,
     Element,
     Hwp,
+    ModeUnitary,
     Pbs,
     Rot,
     Rpbs,
@@ -206,6 +207,8 @@ class Circuit:
     stages: tuple[Stage, ...]
     ancillae: tuple[AncillaPrep, ...] = ()
     time_bin_config: TimeBinConfig | None = None
+    #: composed unitary of each stage (None for stages that are not `Linear`)
+    unitaries: tuple[ModeUnitary | None, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.stages:
@@ -214,18 +217,21 @@ class Circuit:
             if beam not in self.registry.beams:
                 raise CircuitError(f"beam {beam!r} not registered")
         seen_postselect = False
+        unitaries = []
         for st in self.stages:
             if isinstance(st, PostSelect):
                 seen_postselect = True
             elif seen_postselect:
                 raise CircuitError("post-selection must be the terminal stage chain")
-            if isinstance(st, Linear):
-                compose(self.registry, st.elements)  # validates beams and unitarity
-            elif isinstance(st, ControlledFlip):
+            # the one compile of a linear stage; it also validates beams and unitarity
+            unitaries.append(compose(self.registry, st.elements)
+                             if isinstance(st, Linear) else None)
+            if isinstance(st, ControlledFlip):
                 self.registry.beam_modes(st.control)
                 self.registry.beam_modes(st.target)
             elif isinstance(st, Measure):
                 self.registry.beam_modes(st.detector.beam)
+        object.__setattr__(self, "unitaries", tuple(unitaries))
 
     def stage_prefix(self, label: str) -> int:
         """Number of stages up to and including the first stage so labeled."""
@@ -275,7 +281,8 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
     the final squared norm relative to the input is the acceptance
     probability; it is also returned explicitly.  `expected_photons` overrides
     the circuit's declared count for inputs that legitimately differ (the
-    known-target gate accepts a present or absent target photon).
+    known-target gate accepts a present or absent target photon).  Linear
+    stages apply the unitaries the circuit composed when it was built.
     """
     if isinstance(inp, LogicalAmplitudes):
         state = circuit.prepare_input(inp)
@@ -292,11 +299,10 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
             f"input carries photon numbers {sorted(state.photon_numbers())}, "
             f"declared {declared}")
 
-    stages = circuit.stages if upto is None else circuit.stages[:upto]
     log: list[BranchRecord] = []
-    for st in stages:
+    for st, u in zip(circuit.stages[:upto], circuit.unitaries):
         if isinstance(st, Linear):
-            state = apply_unitary(state, compose(circuit.registry, st.elements))
+            state = apply_unitary(state, u)
         elif isinstance(st, ControlledFlip):
             state = _apply_controlled_flip(state, st.control, st.target)
         elif isinstance(st, Measure):

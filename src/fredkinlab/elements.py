@@ -120,19 +120,20 @@ Element = Union[Hwp, Pbs, Bs, Rpbs, HvSwap, Route, DelayToL, Phase, Rot]
 class ModeUnitary:
     """An M x M complex unitary tied to its registry."""
 
-    __slots__ = ("registry", "matrix")
+    __slots__ = ("registry", "matrix", "_columns")
 
     def __init__(self, registry: ModeRegistry, matrix: np.ndarray, check: bool = True):
         matrix = np.asarray(matrix, dtype=complex)
         m = registry.size
         if matrix.shape != (m, m):
             raise ElementError(f"matrix shape {matrix.shape} != ({m}, {m})")
-        if check:
-            dev = np.max(np.abs(matrix.conj().T @ matrix - np.eye(m)))
-            if dev > UNITARITY_TOL:
-                raise ElementError(f"matrix is not unitary (deviation {dev:.3e})")
         self.registry = registry
         self.matrix = matrix
+        self._columns = None
+        if check:
+            dev = self.unitarity_deviation()
+            if not dev <= UNITARITY_TOL:  # a NaN deviation fails too
+                raise ElementError(f"matrix is not unitary (deviation {dev:.3e})")
 
     @classmethod
     def identity(cls, registry: ModeRegistry) -> "ModeUnitary":
@@ -147,6 +148,16 @@ class ModeUnitary:
     def unitarity_deviation(self) -> float:
         m = self.registry.size
         return float(np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(m))))
+
+    @property
+    def columns(self) -> tuple[tuple[tuple[int, complex], ...], ...]:
+        """Sparse column view, built once on first use (`matrix` is never modified):
+        mode i -> ((j, U[j,i]) for nonzero U[j,i])."""
+        if self._columns is None:
+            mat, m = self.matrix, self.registry.size
+            self._columns = tuple(tuple((j, mat[j, i]) for j in range(m) if mat[j, i] != 0.0)
+                                  for i in range(m))
+        return self._columns
 
 
 def hwp_matrix(theta_deg: float) -> np.ndarray:
@@ -326,7 +337,4 @@ def compose(registry: ModeRegistry, elements: Sequence[Element]) -> ModeUnitary:
     u = ModeUnitary.identity(registry)
     for el in elements:
         u = u.then(compile_element(registry, el))
-    dev = u.unitarity_deviation()
-    if dev > UNITARITY_TOL:
-        raise ElementError(f"composed matrix not unitary (deviation {dev:.3e})")
-    return u
+    return ModeUnitary(registry, u.matrix)  # checks unitarity

@@ -48,11 +48,7 @@ def apply_unitary(state: PhotonicState, u: ModeUnitary) -> PhotonicState:
     if u.registry != state.registry:
         raise EngineError("unitary acts on a different registry")
     m = state.registry.size
-    mat = u.matrix
-    # sparse column view: mode i -> [(j, U[j,i]) for nonzero U[j,i]]
-    cols: list[list[tuple[int, complex]]] = [
-        [(j, mat[j, i]) for j in range(m) if mat[j, i] != 0.0] for i in range(m)
-    ]
+    cols = u.columns
     out: dict[Occupation, complex] = {}
     for occ, amp in state.amps.items():
         # monomial coefficient of prod_i (a+_i)^n_i
@@ -284,12 +280,12 @@ FEEDFORWARD_CONSISTENCY_TOL = 1e-9
 
 def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
                             table: FeedForwardTable,
-                            consistency_tol: float = FEEDFORWARD_CONSISTENCY_TOL,
                             ) -> tuple[PhotonicState, float, list[BranchRecord]]:
     """Measure one beam, apply outcome-conditioned corrections, pool branches.
 
     Detected photons are consumed (the beam's modes are zeroed downstream).
-    Corrected accepted branches must agree as states; they are combined with
+    Corrected accepted branches must agree as states (to within
+    `FEEDFORWARD_CONSISTENCY_TOL`); they are combined with
     their outcome probabilities into a single sub-normalized conditional state
     whose squared norm is the total acceptance probability times the incoming
     weight.
@@ -341,7 +337,7 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
     pooled_state = PhotonicState(reg, pooled, prune_eps=state.prune_eps, validate=False)
     # equal corrected branches <=> pooled norm equals sum of branch weights
     pooled_norm = math.sqrt(pooled_state.norm_sq())
-    if abs(pooled_norm - p_total) > consistency_tol * max(p_total, 1.0):
+    if abs(pooled_norm - p_total) > FEEDFORWARD_CONSISTENCY_TOL * max(p_total, 1.0):
         raise FeedForwardError(
             "corrected branches disagree; feed-forward table does not make the "
             f"gate deterministic (pooled norm {pooled_norm:.6g} vs {p_total:.6g})")

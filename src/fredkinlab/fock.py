@@ -230,9 +230,6 @@ class PhotonicState:
     def norm_sq(self) -> float:
         return float(sum((a.real * a.real + a.imag * a.imag) for a in self.amps.values()))
 
-    def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
-
     def normalized(self) -> "PhotonicState":
         n2 = self.norm_sq()
         if n2 <= 0.0:

@@ -241,11 +241,25 @@ def circuit_to_dict(circuit: Circuit) -> dict:
 
 
 def circuit_from_dict(obj: dict, path: str = "") -> Circuit:
+    """Parse a circuit document; a malformed one raises a one-line `CircuitFileError`."""
     if not isinstance(obj, dict):
         raise CircuitFileError("circuit file must hold a JSON object", path)
     version = obj.get("version")
     if version != FORMAT_VERSION:
         raise CircuitFileError(f"unsupported version {version!r}", path)
+    try:
+        return _circuit_from_dict(obj, path)
+    except CircuitFileError:
+        raise
+    except KeyError as exc:
+        raise CircuitFileError(f"missing key {exc}", path) from exc
+    except (TypeError, AttributeError) as exc:
+        raise CircuitFileError(f"malformed document: {exc}", path) from exc
+    except ValueError as exc:
+        raise CircuitFileError(str(exc), path) from exc
+
+
+def _circuit_from_dict(obj: dict, path: str) -> Circuit:
     try:
         registry = register_modes(obj["beams"], bool(obj.get("time_resolved", False)))
     except (KeyError, ValueError) as exc:
@@ -269,19 +283,16 @@ def circuit_from_dict(obj: dict, path: str = "") -> Circuit:
     stages = []
     for i, st in enumerate(obj.get("stages", [])):
         stages.append(_stage_from_json(registry, st, f"{path}:stages[{i}]"))
-    try:
-        return Circuit(
-            name=obj.get("name", path or "circuit"),
-            registry=registry,
-            photons=int(obj.get("photons", len(obj.get("qubits", [])))),
-            qubit_beams=tuple(obj.get("qubits", [])),
-            output_beams=tuple(obj.get("outputs", obj.get("qubits", []))),
-            stages=tuple(stages),
-            ancillae=tuple(ancillae),
-            time_bin_config=tbc,
-        )
-    except ValueError as exc:
-        raise CircuitFileError(str(exc), path) from exc
+    return Circuit(
+        name=obj.get("name", path or "circuit"),
+        registry=registry,
+        photons=int(obj.get("photons", len(obj.get("qubits", [])))),
+        qubit_beams=tuple(obj.get("qubits", [])),
+        output_beams=tuple(obj.get("outputs", obj.get("qubits", []))),
+        stages=tuple(stages),
+        ancillae=tuple(ancillae),
+        time_bin_config=tbc,
+    )
 
 
 def dumps_circuit(circuit: Circuit) -> str:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fredkinlab import LogicalAmplitudes, Polarization, TimeBin, state_fidelity
+from fredkinlab.catalog import CATALOG, get_gate
 from fredkinlab.circuits import (
     BellPair,
     Circuit,
@@ -419,3 +420,25 @@ def test_bell_pair_states():
     assert phi.amps[(0, 1, 0, 1)] == pytest.approx(S2)
     with pytest.raises(CircuitError):
         BellPair("a", "b", "nope").state(reg)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_run_composes_nothing(name, monkeypatch):
+    from fredkinlab import circuits, elements
+
+    circuit = get_gate(name).build()
+    n = len(circuit.qubit_beams)
+    inputs = [LogicalAmplitudes.basis(n, (1 << n) - 1),
+              LogicalAmplitudes.random(n, np.random.default_rng(5))]
+    expected = [run(circuit, amps) for amps in inputs]
+
+    def refuse(*args):
+        raise AssertionError("run() compiled a linear stage again")
+
+    monkeypatch.setattr(circuits, "compose", refuse)
+    monkeypatch.setattr(elements, "compose", refuse)
+    monkeypatch.setattr(elements, "compile_element", refuse)
+    for amps, want in zip(inputs, expected):
+        got = run(circuit, amps)
+        assert got.state.amps == want.state.amps
+        assert got.probability == want.probability

@@ -114,6 +114,21 @@ def test_simulate_parse_error_exit_2(tmp_path):
     assert "line" in err
 
 
+def test_verify_nan_angle_file_exit_2(tmp_path, monkeypatch, capsys):
+    from fredkinlab.cli import main
+    from fredkinlab.serialize import circuit_to_dict
+
+    obj = circuit_to_dict(get_gate("cnot-ralph").build())
+    obj["stages"][2]["elements"][0]["theta"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))  # Python's json writes and reads NaN
+    monkeypatch.delenv("PHOTONIC_LAB_CONFIG", raising=False)
+    assert main(["verify", str(path), "--input", "[1,0,0,0]"]) == 2
+    err = capsys.readouterr().err
+    assert "matrix is not unitary (deviation nan)" in err
+    assert err.count("\n") == 1
+
+
 def test_optimize_identity_fast():
     code, out, err = run_cli(["optimize", "identity", "--seed", "4", "--restarts", "2"])
     assert code == 0

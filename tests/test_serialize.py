@@ -61,3 +61,41 @@ def test_serialized_form_is_json_and_versioned():
     assert obj["version"] == 1
     assert obj["time_resolved"] is True
     assert "time_bin_config" in obj
+
+
+def _drop_control(obj):
+    flip = next(st for st in obj["stages"] if st["type"] == "controlled_flip")
+    del flip["control"]
+
+
+def _list_stage(obj):
+    obj["stages"][0] = ["linear"]
+
+
+def _photon_without_beam(obj):
+    obj["ancillae"] = [{"kind": "photon"}]
+
+
+def _config_without_l_spdc(obj):
+    del obj["time_bin_config"]["l_spdc"]
+
+
+def _nan_angle(obj):
+    obj["stages"][2]["elements"][0]["theta"] = float("nan")
+
+
+@pytest.mark.parametrize("gate, mutate, message", [
+    ("fredkin-postselected", _drop_control, "missing key 'control'"),
+    ("fredkin-postselected", _list_stage, "malformed document"),
+    ("fredkin-postselected", _photon_without_beam, "missing key 'beam'"),
+    ("cnot-sanaka", _config_without_l_spdc, "missing key 'l_spdc'"),
+    ("cnot-ralph", _nan_angle, "matrix is not unitary (deviation nan)"),
+])
+def test_malformed_document_is_one_line_circuit_file_error(gate, mutate, message):
+    obj = circuit_to_dict(get_gate(gate).build())
+    mutate(obj)
+    with pytest.raises(CircuitFileError) as err:
+        circuit_from_dict(obj, "bad.json")
+    text = str(err.value)
+    assert text.startswith("bad.json: ") and message in text
+    assert "\n" not in text

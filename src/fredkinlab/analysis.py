@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from .catalog import GateInfo, conventions_hash, get_gate, ideal_cnot, qubit_output_kets
 from .circuits import (
@@ -485,6 +484,8 @@ def optimize_gate(problem: OptimizationProblem | str,
     Problems without `residuals` are feasible when 1 - fidelity is within
     `FEASIBILITY_TOL`.
     """
+    from scipy import optimize as sp_optimize  # here, not at import: only this needs it
+
     if isinstance(problem, str):
         try:
             problem = PROBLEMS[problem]

@@ -207,7 +207,8 @@ class Circuit:
     stages: tuple[Stage, ...]
     ancillae: tuple[AncillaPrep, ...] = ()
     time_bin_config: TimeBinConfig | None = None
-    #: composed unitary of each stage (None for stages that are not `Linear`)
+    #: composed unitary of each `Linear` stage and detector rotation of each
+    #: +/- basis `Measure` stage; None for every other stage
     unitaries: tuple[ModeUnitary | None, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -223,14 +224,17 @@ class Circuit:
                 seen_postselect = True
             elif seen_postselect:
                 raise CircuitError("post-selection must be the terminal stage chain")
-            # the one compile of a linear stage; it also validates beams and unitarity
-            unitaries.append(compose(self.registry, st.elements)
-                             if isinstance(st, Linear) else None)
-            if isinstance(st, ControlledFlip):
+            u = None
+            if isinstance(st, Linear):
+                # the one compile of a linear stage; it also validates beams and unitarity
+                u = compose(self.registry, st.elements)
+            elif isinstance(st, ControlledFlip):
                 self.registry.beam_modes(st.control)
                 self.registry.beam_modes(st.target)
             elif isinstance(st, Measure):
                 self.registry.beam_modes(st.detector.beam)
+                u = st.detector.rotation(self.registry)
+            unitaries.append(u)
         object.__setattr__(self, "unitaries", tuple(unitaries))
 
     def stage_prefix(self, label: str) -> int:
@@ -282,7 +286,8 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
     probability; it is also returned explicitly.  `expected_photons` overrides
     the circuit's declared count for inputs that legitimately differ (the
     known-target gate accepts a present or absent target photon).  Linear
-    stages apply the unitaries the circuit composed when it was built.
+    stages and +/- detectors apply the unitaries the circuit compiled when it
+    was built.
     """
     if isinstance(inp, LogicalAmplitudes):
         state = circuit.prepare_input(inp)
@@ -306,7 +311,7 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
         elif isinstance(st, ControlledFlip):
             state = _apply_controlled_flip(state, st.control, st.target)
         elif isinstance(st, Measure):
-            state, _, records = measure_and_feedforward(state, st.detector, st.table)
+            state, _, records = measure_and_feedforward(state, st.detector, st.table, u)
             log.extend(records)
         elif isinstance(st, PostSelect):
             state, _ = post_select_any(state, st.rules)

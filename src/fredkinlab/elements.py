@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -117,10 +117,22 @@ class Rot:
 Element = Union[Hwp, Pbs, Bs, Rpbs, HvSwap, Route, DelayToL, Phase, Rot]
 
 
+class ModePlan(NamedTuple):
+    """The modes a unitary moves, and its sparse columns over them.
+
+    `modes` (ascending) are the modes whose column is not exactly the unit
+    vector e_i, plus any mode those columns write to; every other mode passes
+    through unchanged.  `columns[p]` is ``((q, U[modes[q], modes[p]]), ...)``
+    over the nonzero entries, q ascending.
+    """
+    modes: tuple[int, ...]
+    columns: tuple[tuple[tuple[int, complex], ...], ...]
+
+
 class ModeUnitary:
     """An M x M complex unitary tied to its registry."""
 
-    __slots__ = ("registry", "matrix", "_columns")
+    __slots__ = ("registry", "matrix", "_plan")
 
     def __init__(self, registry: ModeRegistry, matrix: np.ndarray, check: bool = True):
         matrix = np.asarray(matrix, dtype=complex)
@@ -129,7 +141,7 @@ class ModeUnitary:
             raise ElementError(f"matrix shape {matrix.shape} != ({m}, {m})")
         self.registry = registry
         self.matrix = matrix
-        self._columns = None
+        self._plan = None
         if check:
             dev = self.unitarity_deviation()
             if not dev <= UNITARITY_TOL:  # a NaN deviation fails too
@@ -150,14 +162,18 @@ class ModeUnitary:
         return float(np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(m))))
 
     @property
-    def columns(self) -> tuple[tuple[tuple[int, complex], ...], ...]:
-        """Sparse column view, built once on first use (`matrix` is never modified):
-        mode i -> ((j, U[j,i]) for nonzero U[j,i])."""
-        if self._columns is None:
-            mat, m = self.matrix, self.registry.size
-            self._columns = tuple(tuple((j, mat[j, i]) for j in range(m) if mat[j, i] != 0.0)
-                                  for i in range(m))
-        return self._columns
+    def plan(self) -> ModePlan:
+        """Active modes and sparse columns, built once on first use (`matrix` is
+        never modified)."""
+        if self._plan is None:
+            mat = self.matrix
+            moved = (mat != np.eye(self.registry.size)).any(axis=0)
+            reached = (mat[:, moved] != 0.0).any(axis=1)
+            modes = tuple(np.flatnonzero(moved | reached).tolist())
+            self._plan = ModePlan(modes, tuple(
+                tuple((q, complex(mat[j, i])) for q, j in enumerate(modes) if mat[j, i] != 0.0)
+                for i in modes))
+        return self._plan
 
 
 def hwp_matrix(theta_deg: float) -> np.ndarray:

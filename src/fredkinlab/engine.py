@@ -1,20 +1,22 @@
 """State evolution: unitaries, post-selection, measurement with feed-forward.
 
 ``apply_unitary`` performs the bosonic substitution a+_i -> sum_j U[j,i] a+_j
-on every stored occupation monomial.  ``transition_amplitude_oracle`` computes
+on every stored occupation monomial, over the modes the unitary moves.  ``transition_amplitude_oracle`` computes
 the same amplitudes independently from a matrix permanent (Ryser's formula
 over the row/column-repeated submatrix); the two routes cross-check each other
 and must never be merged.
 
 Measurement enumerates detector outcome branches exactly.  Feed-forward
 corrections are applied per branch; after correction all accepted branches of
-the gates in scope carry the same conditional state, which the pooling step
-verifies before combining them with their outcome probabilities.
+the gates in scope carry the same conditional state, which is checked
+amplitude by amplitude before they are pooled with their outcome
+probabilities.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -44,38 +46,53 @@ class FeedForwardError(EngineError):
 
 
 def apply_unitary(state: PhotonicState, u: ModeUnitary) -> PhotonicState:
-    """Evolve a state through a mode unitary; preserves the norm."""
+    """Evolve a state through a mode unitary; preserves the norm.
+
+    Only the photons in the plan's active modes are expanded, over keys of the
+    active length; the passive modes of each input key pass through.
+    """
     if u.registry != state.registry:
         raise EngineError("unitary acts on a different registry")
+    modes, cols = u.plan
     m = state.registry.size
-    cols = u.columns
+    # splice(occ + active_key) is occ with active_key written over the active modes
+    src = list(range(m))
+    for p, i in enumerate(modes):
+        src[i] = m + p
+    splice = operator.itemgetter(*src)
+    vacuum = (0,) * len(modes)
     out: dict[Occupation, complex] = {}
     for occ, amp in state.amps.items():
-        # monomial coefficient of prod_i (a+_i)^n_i
-        poly: dict[Occupation, complex] = {(0,) * m: amp / _occ_norm(occ)}
-        for i, n in enumerate(occ):
-            col = cols[i]
+        active_in = tuple(occ[i] for i in modes)
+        p_in = _factorial_product(occ)
+        p_pass = p_in // _factorial_product(active_in)
+        # monomial coefficient of prod_i (a+_i)^n_i; passive factors are exactly 1
+        poly: dict[Occupation, complex] = {vacuum: amp / math.sqrt(p_in)}
+        for p, n in enumerate(active_in):
+            col = cols[p]
             for _ in range(n):
                 nxt: dict[Occupation, complex] = {}
                 for key, c in poly.items():
-                    for j, uji in col:
+                    for q, uqp in col:
                         k2 = list(key)
-                        k2[j] += 1
+                        k2[q] += 1
                         k2t = tuple(k2)
-                        nxt[k2t] = nxt.get(k2t, 0.0) + c * uji
+                        nxt[k2t] = nxt.get(k2t, 0.0) + c * uqp
                 poly = nxt
         for key, c in poly.items():
-            out[key] = out.get(key, 0.0) + c * _occ_norm(key)
+            full = splice(occ + key)
+            out[full] = out.get(full, 0.0) + c * math.sqrt(p_pass * _factorial_product(key))
     return PhotonicState(state.registry, out, prune_eps=state.prune_eps, validate=False)
 
 
-def _occ_norm(occ: Occupation) -> float:
-    """sqrt(prod n_i!) linking monomial coefficients to state amplitudes."""
+def _factorial_product(occ: Occupation) -> int:
+    """prod n_i!, the exact square of the norm linking monomial coefficients to
+    state amplitudes."""
     p = 1
     for n in occ:
         if n > 1:
             p *= _FACTORIALS[n]
-    return math.sqrt(p)
+    return p
 
 
 def ryser_permanent(a: np.ndarray) -> complex:
@@ -211,6 +228,16 @@ class DetectorSpec:
     beam: str
     basis: str = DetectorBasis.HV
 
+    def __post_init__(self):
+        if self.basis not in (DetectorBasis.HV, DetectorBasis.PLUS_MINUS):
+            raise EngineError(f"unknown detector basis {self.basis!r}")
+
+    def rotation(self, registry: ModeRegistry) -> ModeUnitary | None:
+        """The plate that turns +/- counting into H/V counting (None for H/V)."""
+        if self.basis == DetectorBasis.PLUS_MINUS:
+            return hwp_unitary(registry, self.beam, 22.5)
+        return None
+
 
 REJECT = "reject"
 
@@ -279,23 +306,22 @@ FEEDFORWARD_CONSISTENCY_TOL = 1e-9
 
 
 def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
-                            table: FeedForwardTable,
+                            table: FeedForwardTable, rotation: ModeUnitary | None,
                             ) -> tuple[PhotonicState, float, list[BranchRecord]]:
     """Measure one beam, apply outcome-conditioned corrections, pool branches.
 
-    Detected photons are consumed (the beam's modes are zeroed downstream).
-    Corrected accepted branches must agree as states (to within
-    `FEEDFORWARD_CONSISTENCY_TOL`); they are combined with
-    their outcome probabilities into a single sub-normalized conditional state
-    whose squared norm is the total acceptance probability times the incoming
-    weight.
+    `rotation` is the detector's `DetectorSpec.rotation`, compiled once by the
+    caller (a `Circuit` does it when it is built).  Detected photons are
+    consumed (the beam's modes are zeroed downstream).  Corrected accepted
+    branches, normalized, must agree amplitude by amplitude (to within
+    `FEEDFORWARD_CONSISTENCY_TOL`); they are combined with their outcome
+    probabilities into a single sub-normalized conditional state whose squared
+    norm is the total acceptance probability times the incoming weight.
     """
     reg = state.registry
-    working = state
-    if detector.basis == DetectorBasis.PLUS_MINUS:
-        working = apply_unitary(working, hwp_unitary(reg, detector.beam, 22.5))
-    elif detector.basis != DetectorBasis.HV:
-        raise EngineError(f"unknown detector basis {detector.basis!r}")
+    if (rotation is None) != (detector.basis == DetectorBasis.HV):
+        raise EngineError(f"detector rotation does not match basis {detector.basis!r}")
+    working = state if rotation is None else apply_unitary(state, rotation)
 
     det_modes = reg.beam_modes(detector.beam)
     n_in = working.norm_sq()
@@ -328,6 +354,15 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
     if not accepted:
         return PhotonicState(reg, {}, validate=False), 0.0, records
 
+    # linear in any disagreement, unlike comparing the pooled norm with p_total
+    units = [sub.normalized().amps for _, sub in accepted]
+    deviation = max((abs(u.get(occ, 0.0) - units[0].get(occ, 0.0))
+                     for u in units[1:] for occ in u.keys() | units[0].keys()), default=0.0)
+    if deviation > FEEDFORWARD_CONSISTENCY_TOL:
+        raise FeedForwardError(
+            "corrected branches disagree; feed-forward table does not make the "
+            f"gate deterministic (amplitudes differ by {deviation:.3g})")
+
     p_total = sum(p for p, _ in accepted)
     pooled: dict[Occupation, complex] = {}
     for p_branch, sub in accepted:
@@ -335,11 +370,6 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
         for occ, a in sub.amps.items():
             pooled[occ] = pooled.get(occ, 0.0) + w * a
     pooled_state = PhotonicState(reg, pooled, prune_eps=state.prune_eps, validate=False)
-    # equal corrected branches <=> pooled norm equals sum of branch weights
     pooled_norm = math.sqrt(pooled_state.norm_sq())
-    if abs(pooled_norm - p_total) > FEEDFORWARD_CONSISTENCY_TOL * max(p_total, 1.0):
-        raise FeedForwardError(
-            "corrected branches disagree; feed-forward table does not make the "
-            f"gate deterministic (pooled norm {pooled_norm:.6g} vs {p_total:.6g})")
     scale = math.sqrt(p_total * n_in) / pooled_norm
     return pooled_state.scaled(scale), p_total, records

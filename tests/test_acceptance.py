@@ -273,7 +273,7 @@ def test_criterion_09_oracle_equivalence():
             amps[occ] = rng.normal() + 1j * rng.normal()
         state = PhotonicState(reg, amps).normalized()
         _, _, log = measure_and_feedforward(
-            state, DetectorSpec("a", DetectorBasis.HV), FeedForwardTable.build({}))
+            state, DetectorSpec("a", DetectorBasis.HV), FeedForwardTable.build({}), None)
         if abs(sum(r.probability for r in log) - 1.0) >= 1e-12:
             ok = False
     report(9, "engine amplitudes match the permanent oracle; norms and branch "

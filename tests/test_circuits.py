@@ -424,7 +424,7 @@ def test_bell_pair_states():
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_run_composes_nothing(name, monkeypatch):
-    from fredkinlab import circuits, elements
+    from fredkinlab import circuits, elements, engine
 
     circuit = get_gate(name).build()
     n = len(circuit.qubit_beams)
@@ -433,11 +433,14 @@ def test_run_composes_nothing(name, monkeypatch):
     expected = [run(circuit, amps) for amps in inputs]
 
     def refuse(*args):
-        raise AssertionError("run() compiled a linear stage again")
+        raise AssertionError("run() compiled a stage again")
 
     monkeypatch.setattr(circuits, "compose", refuse)
     monkeypatch.setattr(elements, "compose", refuse)
     monkeypatch.setattr(elements, "compile_element", refuse)
+    # the +/- detector rotation too is compiled once, with the circuit
+    monkeypatch.setattr(elements, "hwp_unitary", refuse)
+    monkeypatch.setattr(engine, "hwp_unitary", refuse)
     for amps, want in zip(inputs, expected):
         got = run(circuit, amps)
         assert got.state.amps == want.state.amps

@@ -114,6 +114,35 @@ def test_simulate_parse_error_exit_2(tmp_path):
     assert "line" in err
 
 
+def test_simulate_unknown_detector_basis_exit_2(tmp_path, monkeypatch, capsys):
+    from fredkinlab.cli import main
+    from fredkinlab.serialize import circuit_to_dict
+
+    obj = circuit_to_dict(get_gate("cnot-pittman").build())
+    for stage in obj["stages"]:
+        if stage["type"] == "measure":
+            stage["basis"] = "XY"
+    path = tmp_path / "xy.json"
+    path.write_text(json.dumps(obj))
+    monkeypatch.delenv("PHOTONIC_LAB_CONFIG", raising=False)
+    # the run would stop before the measurement; the file is refused at load
+    assert main(["simulate", str(path), "--input", "[1,0,0,0]",
+                 "--through-label", "parity-pbs"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown detector basis 'XY'" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only `optimize` needs scipy.optimize; every other command skips its import
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fredkinlab.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_verify_nan_angle_file_exit_2(tmp_path, monkeypatch, capsys):
     from fredkinlab.cli import main
     from fredkinlab.serialize import circuit_to_dict

@@ -9,9 +9,11 @@ from fredkinlab import (
     ElementError,
     Hwp,
     HvSwap,
+    ModeUnitary,
     Pbs,
     Phase,
     PhotonicState,
+    Polarization,
     Rot,
     Route,
     Rpbs,
@@ -283,3 +285,23 @@ def test_compositions_are_unitary(elements):
     reg = register_modes(["a", "b"])
     u = compose(reg, elements)
     assert u.unitarity_deviation() < 1e-12
+
+
+# -- active-mode plan -----------------------------------------------------------
+
+def test_plan_lists_only_moved_modes():
+    reg = register_modes(["a", "b", "c"])
+    assert ModeUnitary.identity(reg).plan.modes == ()
+    plan = pbs_unitary(reg, "a", "c").plan
+    assert plan.modes == (reg.index("a", Polarization.V), reg.index("c", Polarization.V))
+    # the two V modes swap with amplitude 1; columns are indexed by plan position
+    assert plan.columns == (((1, 1.0),), ((0, 1.0),))
+
+
+def test_plan_includes_modes_an_active_column_writes_to():
+    reg = register_modes(["a", "b"])
+    mat = np.eye(4, dtype=complex)
+    mat[2, 0] = 1e-17  # column 0 leaks into mode 2, whose own column is e_2
+    plan = ModeUnitary(reg, mat, check=False).plan
+    assert plan.modes == (0, 2)
+    assert plan.columns == (((0, 1.0), (1, 1e-17)), ((1, 1.0),))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fredkinlab import (
     DetectorBasis,
@@ -21,6 +22,7 @@ from fredkinlab import (
     ryser_permanent,
     transition_amplitude_oracle,
 )
+from fredkinlab.catalog import CATALOG, get_gate
 from conftest import haar_unitary
 
 S2 = 1 / math.sqrt(2)
@@ -95,6 +97,91 @@ def test_apply_unitary_matches_oracle_random(rng):
         for occ_out, amp in out.items():
             oracle = transition_amplitude_oracle(mu, state_occ(occ_in, reg.size), occ_out)
             assert amp == pytest.approx(oracle, abs=1e-10)
+
+
+@st.composite
+def subset_unitary_and_state(draw):
+    """A Haar unitary on a random subset of modes (identity elsewhere) and a
+    multi-term input of at most 4 photons per term over at most 8 modes; the
+    first term bunches two photons in a mode the unitary does not touch."""
+    reg = register_modes([f"b{i}" for i in range(draw(st.integers(1, 4)))])
+    m = reg.size
+    active = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m - 1)))
+    passive = [i for i in range(m) if i not in active]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    full = np.eye(m, dtype=complex)
+    full[np.ix_(active, active)] = haar_unitary(len(active), rng)
+    modes = st.integers(0, m - 1)
+    terms = [[draw(st.sampled_from(passive))] * 2 + draw(st.lists(modes, max_size=2))]
+    terms += draw(st.lists(st.lists(modes, min_size=1, max_size=4), max_size=3))
+    amps = {}
+    for photons in terms:
+        occ = [0] * m
+        for i in photons:
+            occ[i] += 1
+        amps[tuple(occ)] = complex(rng.normal(), rng.normal())
+    return ModeUnitary(reg, full), active, PhotonicState(reg, amps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subset_unitary_and_state())
+def test_apply_unitary_matches_oracle_on_mode_subsets(case):
+    # every output occupation, present or not, against the permanent route
+    mu, active, state = case
+    assert mu.plan.modes == tuple(active)
+    m = state.registry.size
+    out = apply_unitary(state, mu)
+    for n in {sum(occ) for occ in state.amps}:
+        for photons in itertools.combinations_with_replacement(range(m), n):
+            occ_out = tuple(photons.count(i) for i in range(m))
+            want = sum(a * transition_amplitude_oracle(mu, occ_in, occ_out)
+                       for occ_in, a in state.amps.items())
+            assert abs(out.amps.get(occ_out, 0.0) - want) <= 1e-10
+
+
+def full_length_expansion(state, u):
+    """The expansion over every mode's column, passive ones included: the
+    reference that the active-mode engine must equal bit for bit."""
+    m = state.registry.size
+    mat = u.matrix
+
+    def norm(occ):
+        return math.sqrt(math.prod(math.factorial(n) for n in occ))
+
+    out = {}
+    for occ, amp in state.amps.items():
+        poly = {(0,) * m: amp / norm(occ)}
+        for i, n in enumerate(occ):
+            col = [(j, complex(mat[j, i])) for j in range(m) if mat[j, i] != 0.0]
+            for _ in range(n):
+                nxt = {}
+                for key, c in poly.items():
+                    for j, uji in col:
+                        k2 = list(key)
+                        k2[j] += 1
+                        k2 = tuple(k2)
+                        nxt[k2] = nxt.get(k2, 0.0) + c * uji
+                poly = nxt
+        for key, c in poly.items():
+            out[key] = out.get(key, 0.0) + c * norm(key)
+    return PhotonicState(state.registry, out, prune_eps=state.prune_eps, validate=False)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_apply_unitary_equals_full_length_expansion_exactly(name, rng):
+    # same terms, same order, same floats, on every compiled stage of the gate
+    circuit = get_gate(name).build()
+    m = circuit.registry.size
+    for u in filter(None, circuit.unitaries):
+        amps = {}
+        for _ in range(4):
+            occ = [0] * m
+            for i in rng.integers(0, m, size=rng.integers(1, 5)):
+                occ[i] += 1
+            amps[tuple(occ)] = complex(rng.normal(), rng.normal())
+        state = PhotonicState(circuit.registry, amps)
+        got = apply_unitary(state, u)
+        assert list(got.amps.items()) == list(full_length_expansion(state, u).amps.items())
 
 
 def state_occ(occ, size):
@@ -219,7 +306,7 @@ def test_measure_bell_pair_hv():
     bell = PhotonicState(reg, {(1, 0, 1, 0): S2, (0, 1, 0, 1): S2})
     det = DetectorSpec("a", DetectorBasis.HV)
     table = FeedForwardTable.build({(1, 0): [], (0, 1): [("b", "flip")]})
-    out, p, log = measure_and_feedforward(bell, det, table)
+    out, p, log = measure_and_feedforward(bell, det, table, det.rotation(reg))
     assert p == pytest.approx(1.0)
     # H outcome leaves H_b, V outcome flips V_b to H_b: branches agree
     assert out.amps.keys() == {(0, 0, 1, 0)}
@@ -235,7 +322,7 @@ def test_measure_branch_probabilities_sum_to_one(rng):
     s = PhotonicState(reg, amps).normalized()
     det = DetectorSpec("a", DetectorBasis.HV)
     table = FeedForwardTable.build({})  # reject everything
-    out, p, log = measure_and_feedforward(s, det, table)
+    out, p, log = measure_and_feedforward(s, det, table, det.rotation(reg))
     assert p == 0.0
     assert sum(r.probability for r in log) == pytest.approx(1.0, abs=1e-12)
 
@@ -246,8 +333,22 @@ def test_measure_plus_minus_basis():
     plus = PhotonicState(reg, {(1, 0): S2, (0, 1): S2})
     det = DetectorSpec("a", DetectorBasis.PLUS_MINUS)
     table = FeedForwardTable.build({(1, 0): []})
-    out, p, _ = measure_and_feedforward(plus, det, table)
+    out, p, _ = measure_and_feedforward(plus, det, table, det.rotation(reg))
     assert p == pytest.approx(1.0)
+
+
+def test_detector_basis_checked_at_construction():
+    with pytest.raises(EngineError, match="unknown detector basis 'XY'"):
+        DetectorSpec("a", "XY")
+
+
+def test_measure_needs_the_rotation_of_its_basis():
+    reg = register_modes(["a"])
+    plus = PhotonicState(reg, {(1, 0): S2, (0, 1): S2})
+    det = DetectorSpec("a", DetectorBasis.PLUS_MINUS)
+    table = FeedForwardTable.build({(1, 0): []})
+    with pytest.raises(EngineError):
+        measure_and_feedforward(plus, det, table, None)
 
 
 def test_measure_rejected_outcomes_excluded():
@@ -255,7 +356,7 @@ def test_measure_rejected_outcomes_excluded():
     s = PhotonicState(reg, {(1, 0, 1, 0): S2, (0, 0, 1, 1): S2})  # second: nothing at a
     det = DetectorSpec("a", DetectorBasis.HV)
     table = FeedForwardTable.build({(1, 0): []})  # the (0,0) branch rejected by default
-    out, p, _ = measure_and_feedforward(s, det, table)
+    out, p, _ = measure_and_feedforward(s, det, table, det.rotation(reg))
     assert p == pytest.approx(0.5)
 
 
@@ -265,7 +366,7 @@ def test_measure_missing_outcome_without_default_raises():
     det = DetectorSpec("a", DetectorBasis.HV)
     table = FeedForwardTable(entries=(), default_reject=False)
     with pytest.raises(FeedForwardError):
-        measure_and_feedforward(s, det, table)
+        measure_and_feedforward(s, det, table, det.rotation(reg))
 
 
 def test_measure_inconsistent_corrections_raise():
@@ -275,7 +376,7 @@ def test_measure_inconsistent_corrections_raise():
     det = DetectorSpec("a", DetectorBasis.HV)
     table = FeedForwardTable.build({(1, 0): [], (0, 1): []})  # no flip: H_b vs V_b
     with pytest.raises(FeedForwardError):
-        measure_and_feedforward(bell, det, table)
+        measure_and_feedforward(bell, det, table, det.rotation(reg))
 
 
 def test_measure_consumes_detected_photons():
@@ -283,5 +384,18 @@ def test_measure_consumes_detected_photons():
     s = PhotonicState.from_occupation(reg, (1, 0, 1, 0))
     det = DetectorSpec("a", DetectorBasis.HV)
     table = FeedForwardTable.build({(1, 0): []})
-    out, p, _ = measure_and_feedforward(s, det, table)
+    out, p, _ = measure_and_feedforward(s, det, table, det.rotation(reg))
     assert out.photon_numbers() == {1}
+
+
+def test_measure_branches_a_small_rotation_apart_raise():
+    # after correction the branches differ by a 1e-6 rotation of beam b; the
+    # pooled norm differs from the sum of branch weights only by ~1e-13
+    reg = register_modes(["a", "b"])
+    d = 1e-6
+    s = PhotonicState(reg, {(1, 0, 1, 0): S2 * math.cos(d), (1, 0, 0, 1): S2 * math.sin(d),
+                            (0, 1, 0, 1): S2})
+    det = DetectorSpec("a", DetectorBasis.HV)
+    table = FeedForwardTable.build({(1, 0): [], (0, 1): [("b", "flip")]})
+    with pytest.raises(FeedForwardError, match="differ by 1e-06"):
+        measure_and_feedforward(s, det, table, det.rotation(reg))

@@ -18,7 +18,14 @@ import numpy as np
 from . import analysis
 from .catalog import CATALOG, gate_names, get_gate
 from .circuits import Circuit, run
-from .config import ENV_VAR, LabConfig, load_config
+from .config import (
+    ENV_VAR,
+    LabConfig,
+    load_config,
+    non_negative_int,
+    positive_float,
+    positive_int,
+)
 from .fock import FockError, LogicalAmplitudes, occupation_str
 from .serialize import CircuitFileError, load_circuit
 
@@ -207,10 +214,14 @@ def cmd_optimize(args, cfg: LabConfig) -> int:
 # -- entry point ---------------------------------------------------------------------
 
 
-def _non_negative_int(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
+def _checked(parse):
+    """An argparse type from a config parser, keeping its error text."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,9 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a gate against its registered numbers")
     p_verify.add_argument("gate", help=f"gate name ({', '.join(gate_names())}) or circuit file")
     p_verify.add_argument("--input", help="JSON amplitudes for a single-input check")
-    p_verify.add_argument("--sweep", type=_non_negative_int, default=0,
+    p_verify.add_argument("--sweep", type=_checked(non_negative_int), default=0,
                           help="probe N random inputs instead of the basis set")
-    p_verify.add_argument("--tolerance", type=float, default=None)
+    p_verify.add_argument("--tolerance", type=_checked(positive_float), default=None)
     p_verify.add_argument("--format", choices=("table", "json"), default="table")
 
     p_sim = sub.add_parser("simulate", help="propagate an input through a circuit file")
@@ -239,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="optimize a parametrized gate family")
     p_opt.add_argument("problem", help=f"one of: {', '.join(sorted(analysis.PROBLEMS))}")
     p_opt.add_argument("--seed", type=int, default=None)
-    p_opt.add_argument("--restarts", type=int, default=None)
+    p_opt.add_argument("--restarts", type=_checked(positive_int), default=None)
     p_opt.add_argument("--out", help="write the outcome JSON here")
     p_opt.add_argument("--format", choices=("table", "json"), default="table")
     return parser

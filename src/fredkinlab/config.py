@@ -7,6 +7,7 @@ Precedence: command-line flags > the JSON file named by the
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -22,6 +23,35 @@ class LabConfig:
     sweep_seed: int = 20260811
 
 
+def positive_float(value) -> float:
+    """A finite number > 0, such as a tolerance."""
+    x = math.nan if isinstance(value, bool) else float(value)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"must be a positive finite number, got {value!r}")
+    return x
+
+
+def _integer(value, least: int, what: str) -> int:
+    text = str(value)
+    if isinstance(value, bool) or not text.isdecimal() or int(text) < least:
+        raise ValueError(f"must be a {what} integer, got {value!r}")
+    return int(text)
+
+
+def non_negative_int(value) -> int:
+    """An integer >= 0, such as a count of random inputs."""
+    return _integer(value, 0, "non-negative")
+
+
+def positive_int(value) -> int:
+    """An integer > 0, such as a count of restarts."""
+    return _integer(value, 1, "positive")
+
+
+#: checked keys; every other key is converted to the type of its default
+_PARSERS = {"verify_tolerance": positive_float, "optimizer_restarts": positive_int}
+
+
 def load_config(path: str | None = None) -> LabConfig:
     """Defaults overlaid with the config file, if one is configured."""
     cfg = LabConfig()
@@ -34,5 +64,9 @@ def load_config(path: str | None = None) -> LabConfig:
     for key, value in data.items():
         if key not in known:
             raise ValueError(f"unknown config key {key!r} in {path}")
-        setattr(cfg, key, type(getattr(cfg, key))(value))
+        parse = _PARSERS.get(key, type(getattr(cfg, key)))
+        try:
+            setattr(cfg, key, parse(value))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config key {key!r} in {path}: {exc}") from None
     return cfg

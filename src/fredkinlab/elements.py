@@ -118,15 +118,19 @@ Element = Union[Hwp, Pbs, Bs, Rpbs, HvSwap, Route, DelayToL, Phase, Rot]
 
 
 class ModePlan(NamedTuple):
-    """The modes a unitary moves, and its sparse columns over them.
+    """The modes a unitary moves, its sparse columns over them, and its
+    transfer rows.
 
     `modes` (ascending) are the modes whose column is not exactly the unit
     vector e_i, plus any mode those columns write to; every other mode passes
     through unchanged.  `columns[p]` is ``((q, U[modes[q], modes[p]]), ...)``
-    over the nonzero entries, q ascending.
+    over the nonzero entries, q ascending.  `rows` maps an occupation of the
+    active modes to its transfer row ``((out, <out|U|in>), ...)``; it starts
+    empty and `engine.apply_unitary` fills it, one row per occupation it meets.
     """
     modes: tuple[int, ...]
     columns: tuple[tuple[tuple[int, complex], ...], ...]
+    rows: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], complex], ...]]
 
 
 class ModeUnitary:
@@ -164,7 +168,7 @@ class ModeUnitary:
     @property
     def plan(self) -> ModePlan:
         """Active modes and sparse columns, built once on first use (`matrix` is
-        never modified)."""
+        never modified), with an empty row cache."""
         if self._plan is None:
             mat = self.matrix
             moved = (mat != np.eye(self.registry.size)).any(axis=0)
@@ -172,7 +176,7 @@ class ModeUnitary:
             modes = tuple(np.flatnonzero(moved | reached).tolist())
             self._plan = ModePlan(modes, tuple(
                 tuple((q, complex(mat[j, i])) for q, j in enumerate(modes) if mat[j, i] != 0.0)
-                for i in modes))
+                for i in modes), {})
         return self._plan
 
 

@@ -1,7 +1,10 @@
 """State evolution: unitaries, post-selection, measurement with feed-forward.
 
-``apply_unitary`` performs the bosonic substitution a+_i -> sum_j U[j,i] a+_j
-on every stored occupation monomial, over the modes the unitary moves.  ``transition_amplitude_oracle`` computes
+``apply_unitary`` evolves a state over the modes the unitary moves.  The
+bosonic substitution a+_i -> sum_j U[j,i] a+_j is expanded once per distinct
+occupation of those modes into a transfer row of output amplitudes, cached on
+the unitary; each stored term is then its amplitude times that row, spliced
+back into the term's passive modes.  ``transition_amplitude_oracle`` computes
 the same amplitudes independently from a matrix permanent (Ryser's formula
 over the row/column-repeated submatrix); the two routes cross-check each other
 and must never be merged.
@@ -48,41 +51,62 @@ class FeedForwardError(EngineError):
 def apply_unitary(state: PhotonicState, u: ModeUnitary) -> PhotonicState:
     """Evolve a state through a mode unitary; preserves the norm.
 
-    Only the photons in the plan's active modes are expanded, over keys of the
-    active length; the passive modes of each input key pass through.
+    Each term is multiplied into the transfer row of its active-mode
+    occupation, built on first use and kept on the unitary's plan; the
+    passive modes of each input key pass through.
     """
     if u.registry != state.registry:
         raise EngineError("unitary acts on a different registry")
-    modes, cols = u.plan
+    modes, cols, rows = u.plan
     m = state.registry.size
     # splice(occ + active_key) is occ with active_key written over the active modes
     src = list(range(m))
     for p, i in enumerate(modes):
         src[i] = m + p
     splice = operator.itemgetter(*src)
-    vacuum = (0,) * len(modes)
+    take = _tuple_getter(modes)
     out: dict[Occupation, complex] = {}
+    get = out.get
     for occ, amp in state.amps.items():
-        active_in = tuple(occ[i] for i in modes)
-        p_in = _factorial_product(occ)
-        p_pass = p_in // _factorial_product(active_in)
-        # monomial coefficient of prod_i (a+_i)^n_i; passive factors are exactly 1
-        poly: dict[Occupation, complex] = {vacuum: amp / math.sqrt(p_in)}
-        for p, n in enumerate(active_in):
-            col = cols[p]
-            for _ in range(n):
-                nxt: dict[Occupation, complex] = {}
-                for key, c in poly.items():
-                    for q, uqp in col:
-                        k2 = list(key)
-                        k2[q] += 1
-                        k2t = tuple(k2)
-                        nxt[k2t] = nxt.get(k2t, 0.0) + c * uqp
-                poly = nxt
-        for key, c in poly.items():
+        active_in = take(occ)
+        row = rows.get(active_in)
+        if row is None:
+            row = rows[active_in] = _transfer_row(cols, active_in)
+        for key, t in row:
             full = splice(occ + key)
-            out[full] = out.get(full, 0.0) + c * math.sqrt(p_pass * _factorial_product(key))
+            out[full] = get(full, 0.0) + amp * t
     return PhotonicState(state.registry, out, prune_eps=state.prune_eps, validate=False)
+
+
+def _tuple_getter(idx: tuple[int, ...]):
+    """`operator.itemgetter(*idx)`, returning a tuple for any length of `idx`."""
+    if len(idx) > 1:
+        return operator.itemgetter(*idx)
+    return lambda seq: tuple(seq[i] for i in idx)
+
+
+def _transfer_row(cols, active_in: Occupation):
+    """<out|U|in> for every active output `out` reached from `active_in`.
+
+    Expands prod_p (a+_p)^n_p by a+_p -> sum_q U[q,p] a+_q; the monomial
+    coefficient of `out` times sqrt(P(out) / P(in)) is the amplitude (the
+    passive modes' factorials cancel).
+    """
+    poly: dict[Occupation, complex] = {(0,) * len(active_in): 1.0}
+    for p, n in enumerate(active_in):
+        col = cols[p]
+        for _ in range(n):
+            nxt: dict[Occupation, complex] = {}
+            for key, c in poly.items():
+                for q, uqp in col:
+                    k2 = list(key)
+                    k2[q] += 1
+                    k2t = tuple(k2)
+                    nxt[k2t] = nxt.get(k2t, 0.0) + c * uqp
+            poly = nxt
+    p_in = _factorial_product(active_in)
+    return tuple((key, c * math.sqrt(_factorial_product(key) / p_in))
+                 for key, c in poly.items())
 
 
 def _factorial_product(occ: Occupation) -> int:

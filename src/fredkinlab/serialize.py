@@ -255,7 +255,7 @@ def circuit_from_dict(obj: dict, path: str = "") -> Circuit:
         raise CircuitFileError(f"missing key {exc}", path) from exc
     except (TypeError, AttributeError) as exc:
         raise CircuitFileError(f"malformed document: {exc}", path) from exc
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # int(inf) overflows
         raise CircuitFileError(str(exc), path) from exc
 
 

@@ -445,3 +445,27 @@ def test_run_composes_nothing(name, monkeypatch):
         got = run(circuit, amps)
         assert got.state.amps == want.state.amps
         assert got.probability == want.probability
+
+
+@pytest.mark.parametrize("name", ["cnot-ralph", "cnot-sanaka", "fredkin-timebin"])
+def test_pure_linear_gate_matches_permanent_route(name):
+    # second route: one permanent per amplitude through the product of the
+    # compiled stage unitaries, post-selection being a projection
+    from fredkinlab.engine import transition_amplitude_oracle
+
+    info = get_gate(name)
+    circuit = info.build()
+    assert all(isinstance(st, (Linear, PostSelect)) for st in circuit.stages)
+    assert not any(rule.renormalize for st in circuit.stages
+                   if isinstance(st, PostSelect) for rule in st.rules)
+    total = np.eye(circuit.registry.size, dtype=complex)
+    for u in filter(None, circuit.unitaries):
+        total = u.matrix @ total
+    kets = info.output_kets(circuit)
+    for i in range(1 << info.n_qubits):
+        basis = LogicalAmplitudes.basis(info.n_qubits, i)
+        got = run(circuit, basis).state.amps
+        terms = circuit.prepare_input(basis).amps.items()
+        for ket in set(kets) | got.keys():
+            want = sum(a * transition_amplitude_oracle(total, occ, ket) for occ, a in terms)
+            assert abs(got.get(ket, 0.0) - want) <= 1e-12

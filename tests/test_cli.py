@@ -65,6 +65,36 @@ def test_verify_negative_sweep_is_usage_error():
         "error: argument --sweep: must be a non-negative integer, got '-1'")
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_verify_bad_tolerance_is_usage_error(value):
+    code, out, err = run_cli(["verify", "cnot-ralph", "--tolerance", value])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(
+        f"error: argument --tolerance: must be a positive finite number, got '{value}'")
+
+
+def test_config_bad_tolerance_is_usage_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verify_tolerance": -1}))
+    code, out, err = run_cli(["verify", "cnot-ralph"],
+                             env_extra={"PHOTONIC_LAB_CONFIG": str(cfg)})
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: bad config: config key 'verify_tolerance' in {cfg}: "
+                   "must be a positive finite number, got -1\n")
+
+
+def test_optimize_negative_restarts_is_usage_error():
+    code, out, err = run_cli(["optimize", "identity", "--restarts", "-5"])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(
+        "error: argument --restarts: must be a positive integer, got '-5'")
+
+
 def test_verify_single_input():
     code, out, err = run_cli(["verify", "cnot-ralph", "--input", "[1, 0, 0, 0]"])
     assert code == 0

@@ -140,8 +140,8 @@ def test_apply_unitary_matches_oracle_on_mode_subsets(case):
 
 
 def full_length_expansion(state, u):
-    """The expansion over every mode's column, passive ones included: the
-    reference that the active-mode engine must equal bit for bit."""
+    """The expansion over every mode's column, passive ones included, term by
+    term: the reference for the engine's cached transfer rows."""
     m = state.registry.size
     mat = u.matrix
 
@@ -167,21 +167,41 @@ def full_length_expansion(state, u):
     return PhotonicState(state.registry, out, prune_eps=state.prune_eps, validate=False)
 
 
+def random_terms(registry, rng):
+    """Four random terms of 1-4 photons anywhere in the registry."""
+    m = registry.size
+    amps = {}
+    for _ in range(4):
+        occ = [0] * m
+        for i in rng.integers(0, m, size=rng.integers(1, 5)):
+            occ[i] += 1
+        amps[tuple(occ)] = complex(rng.normal(), rng.normal())
+    return PhotonicState(registry, amps)
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG))
-def test_apply_unitary_equals_full_length_expansion_exactly(name, rng):
-    # same terms, same order, same floats, on every compiled stage of the gate
+def test_apply_unitary_equals_full_length_expansion(name, rng):
+    # same terms in the same order; amplitudes to rounding, since a row is
+    # expanded once at unit amplitude and then scaled by each term's amplitude
     circuit = get_gate(name).build()
-    m = circuit.registry.size
     for u in filter(None, circuit.unitaries):
-        amps = {}
-        for _ in range(4):
-            occ = [0] * m
-            for i in rng.integers(0, m, size=rng.integers(1, 5)):
-                occ[i] += 1
-            amps[tuple(occ)] = complex(rng.normal(), rng.normal())
-        state = PhotonicState(circuit.registry, amps)
-        got = apply_unitary(state, u)
-        assert list(got.amps.items()) == list(full_length_expansion(state, u).amps.items())
+        state = random_terms(circuit.registry, rng)
+        got = list(apply_unitary(state, u).amps.items())
+        want = list(full_length_expansion(state, u).amps.items())
+        assert [k for k, _ in got] == [k for k, _ in want]
+        assert max(abs(a - b) for (_, a), (_, b) in zip(got, want)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_apply_unitary_cold_and_warm_rows_agree_exactly(name, rng):
+    # rows cached by earlier calls, on other terms, give what fresh rows give
+    circuit = get_gate(name).build()
+    for u in filter(None, circuit.unitaries):
+        state = random_terms(circuit.registry, rng)
+        cold = apply_unitary(state, ModeUnitary(circuit.registry, u.matrix, check=False))
+        apply_unitary(random_terms(circuit.registry, rng), u)
+        for _ in range(2):
+            assert list(apply_unitary(state, u).amps.items()) == list(cold.amps.items())
 
 
 def state_occ(occ, size):

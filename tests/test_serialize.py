@@ -1,6 +1,8 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fredkinlab.catalog import CATALOG, get_gate
 from fredkinlab.serialize import (
@@ -84,12 +86,17 @@ def _nan_angle(obj):
     obj["stages"][2]["elements"][0]["theta"] = float("nan")
 
 
+def _infinite_photon_count(obj):
+    obj["photons"] = float("inf")
+
+
 @pytest.mark.parametrize("gate, mutate, message", [
     ("fredkin-postselected", _drop_control, "missing key 'control'"),
     ("fredkin-postselected", _list_stage, "malformed document"),
     ("fredkin-postselected", _photon_without_beam, "missing key 'beam'"),
     ("cnot-sanaka", _config_without_l_spdc, "missing key 'l_spdc'"),
     ("cnot-ralph", _nan_angle, "matrix is not unitary (deviation nan)"),
+    ("cnot-ralph", _infinite_photon_count, "cannot convert float infinity to integer"),
 ])
 def test_malformed_document_is_one_line_circuit_file_error(gate, mutate, message):
     obj = circuit_to_dict(get_gate(gate).build())
@@ -99,3 +106,69 @@ def test_malformed_document_is_one_line_circuit_file_error(gate, mutate, message
     text = str(err.value)
     assert text.startswith("bad.json: ") and message in text
     assert "\n" not in text
+
+
+# -- fuzzing -----------------------------------------------------------------------
+
+_DOCUMENTS = {}
+
+
+def _document(name):
+    if name not in _DOCUMENTS:
+        _DOCUMENTS[name] = json.dumps(circuit_to_dict(get_gate(name).build()))
+    return json.loads(_DOCUMENTS[name])
+
+
+def _paths(node, prefix=()):
+    """Every (container, key) location in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+_ODD_VALUES = [None, True, False, 0, -1, 2, 10 ** 30, 0.5, -1e300, float("nan"),
+               float("inf"), "", "x", "H", "c", [], {}, [1, 2], ["c", "H"],
+               {"kind": "hwp"}]
+
+
+def _perturbed(value, draw):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return draw(st.sampled_from([value + 1, value - 1, -value, value * 1e20, value / 3]))
+    if isinstance(value, str):
+        return draw(st.sampled_from([value + "x", value[:-1], value.upper(), "t" + value]))
+    if isinstance(value, list) and value:
+        return value[::-1] if len(value) > 1 else value * 2
+    return value
+
+
+@st.composite
+def mutated_documents(draw):
+    """A catalog circuit document with 1-3 fields dropped, retyped or perturbed."""
+    obj = _document(draw(st.sampled_from(sorted(CATALOG))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        op = draw(st.sampled_from(["drop", "retype", "perturb"]))
+        if op == "drop":
+            del parent[key]
+        elif op == "retype":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+        else:
+            parent[key] = copy.deepcopy(_perturbed(parent[key], draw))
+    return json.dumps(obj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_mutated_document_raises_only_circuit_file_error(text):
+    try:
+        loads_circuit(text, "fuzz.json")
+    except CircuitFileError as exc:
+        assert "\n" not in str(exc)

@@ -207,9 +207,12 @@ class Circuit:
     stages: tuple[Stage, ...]
     ancillae: tuple[AncillaPrep, ...] = ()
     time_bin_config: TimeBinConfig | None = None
-    #: composed unitary of each `Linear` stage and detector rotation of each
-    #: +/- basis `Measure` stage; None for every other stage
+    #: for a `Linear` stage, the product of its run of consecutive `Linear`
+    #: stages from the run's first stage through this one; for a +/- basis
+    #: `Measure` stage, its detector rotation; None for every other stage
     unitaries: tuple[ModeUnitary | None, ...] = field(init=False, compare=False, repr=False)
+    #: the product state of all ancillae, or None without any
+    ancilla_state: PhotonicState | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.stages:
@@ -219,6 +222,7 @@ class Circuit:
                 raise CircuitError(f"beam {beam!r} not registered")
         seen_postselect = False
         unitaries = []
+        prev = None  # product of the current run of Linear stages so far
         for st in self.stages:
             if isinstance(st, PostSelect):
                 seen_postselect = True
@@ -228,14 +232,22 @@ class Circuit:
             if isinstance(st, Linear):
                 # the one compile of a linear stage; it also validates beams and unitarity
                 u = compose(self.registry, st.elements)
+                if prev is not None:
+                    u = prev.then(u)
             elif isinstance(st, ControlledFlip):
                 self.registry.beam_modes(st.control)
                 self.registry.beam_modes(st.target)
             elif isinstance(st, Measure):
                 self.registry.beam_modes(st.detector.beam)
                 u = st.detector.rotation(self.registry)
+            prev = u if isinstance(st, Linear) else None
             unitaries.append(u)
         object.__setattr__(self, "unitaries", tuple(unitaries))
+        ancilla_state = None
+        for anc in self.ancillae:
+            s = anc.state(self.registry)
+            ancilla_state = s if ancilla_state is None else tensor(ancilla_state, s)
+        object.__setattr__(self, "ancilla_state", ancilla_state)
 
     def stage_prefix(self, label: str) -> int:
         """Number of stages up to and including the first stage so labeled."""
@@ -246,8 +258,8 @@ class Circuit:
 
     def prepare_input(self, amplitudes: LogicalAmplitudes) -> PhotonicState:
         state = prepare_logical_input(self.registry, amplitudes, self.qubit_beams)
-        for anc in self.ancillae:
-            state = tensor(state, anc.state(self.registry))
+        if self.ancilla_state is not None:
+            state = tensor(state, self.ancilla_state)
         return state
 
 
@@ -287,7 +299,9 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
     the circuit's declared count for inputs that legitimately differ (the
     known-target gate accepts a present or absent target photon).  Linear
     stages and +/- detectors apply the unitaries the circuit compiled when it
-    was built.
+    was built: each run of consecutive `Linear` stages is applied once, as
+    the product stored at its last stage inside ``stages[:upto]``, so a cut
+    inside a run applies that stage's prefix product.
     """
     if isinstance(inp, LogicalAmplitudes):
         state = circuit.prepare_input(inp)
@@ -305,9 +319,11 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
             f"declared {declared}")
 
     log: list[BranchRecord] = []
-    for st, u in zip(circuit.stages[:upto], circuit.unitaries):
+    stages = circuit.stages[:upto]
+    for i, (st, u) in enumerate(zip(stages, circuit.unitaries)):
         if isinstance(st, Linear):
-            state = apply_unitary(state, u)
+            if i + 1 == len(stages) or not isinstance(stages[i + 1], Linear):
+                state = apply_unitary(state, u)
         elif isinstance(st, ControlledFlip):
             state = _apply_controlled_flip(state, st.control, st.target)
         elif isinstance(st, Measure):

@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="optimize a parametrized gate family")
     p_opt.add_argument("problem", help=f"one of: {', '.join(sorted(analysis.PROBLEMS))}")
-    p_opt.add_argument("--seed", type=int, default=None)
+    p_opt.add_argument("--seed", type=_checked(non_negative_int), default=None)
     p_opt.add_argument("--restarts", type=_checked(positive_int), default=None)
     p_opt.add_argument("--out", help="write the outcome JSON here")
     p_opt.add_argument("--format", choices=("table", "json"), default="table")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 ENV_VAR = "PHOTONIC_LAB_CONFIG"
 
@@ -48,8 +48,14 @@ def positive_int(value) -> int:
     return _integer(value, 1, "positive")
 
 
-#: checked keys; every other key is converted to the type of its default
-_PARSERS = {"verify_tolerance": positive_float, "optimizer_restarts": positive_int}
+#: the parser of every config key
+_PARSERS = {
+    "verify_tolerance": positive_float,
+    "optimizer_restarts": positive_int,
+    "optimizer_penalty": positive_float,
+    "optimizer_seed": non_negative_int,
+    "sweep_seed": non_negative_int,
+}
 
 
 def load_config(path: str | None = None) -> LabConfig:
@@ -60,13 +66,13 @@ def load_config(path: str | None = None) -> LabConfig:
         return cfg
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    known = {f.name: f.type for f in fields(LabConfig)}
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object")
     for key, value in data.items():
-        if key not in known:
+        if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r} in {path}")
-        parse = _PARSERS.get(key, type(getattr(cfg, key)))
         try:
-            setattr(cfg, key, parse(value))
+            setattr(cfg, key, _PARSERS[key](value))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config key {key!r} in {path}: {exc}") from None
     return cfg

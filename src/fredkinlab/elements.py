@@ -21,8 +21,9 @@ parametrized with.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -118,8 +119,8 @@ Element = Union[Hwp, Pbs, Bs, Rpbs, HvSwap, Route, DelayToL, Phase, Rot]
 
 
 class ModePlan(NamedTuple):
-    """The modes a unitary moves, its sparse columns over them, and its
-    transfer rows.
+    """The modes a unitary moves, its sparse columns over them, its transfer
+    rows, and the getters that cut and splice occupations.
 
     `modes` (ascending) are the modes whose column is not exactly the unit
     vector e_i, plus any mode those columns write to; every other mode passes
@@ -127,10 +128,21 @@ class ModePlan(NamedTuple):
     over the nonzero entries, q ascending.  `rows` maps an occupation of the
     active modes to its transfer row ``((out, <out|U|in>), ...)``; it starts
     empty and `engine.apply_unitary` fills it, one row per occupation it meets.
+    ``take(occ)`` is the occupation of the active modes, and
+    ``splice(occ + active)`` is `occ` with `active` written over them.
     """
     modes: tuple[int, ...]
     columns: tuple[tuple[tuple[int, complex], ...], ...]
     rows: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], complex], ...]]
+    take: Callable[[tuple[int, ...]], tuple[int, ...]]
+    splice: Callable[[tuple[int, ...]], tuple[int, ...]]
+
+
+def _tuple_getter(idx: Sequence[int]):
+    """`operator.itemgetter(*idx)`, returning a tuple for any length of `idx`."""
+    if len(idx) > 1:
+        return operator.itemgetter(*idx)
+    return lambda seq: tuple(seq[i] for i in idx)
 
 
 class ModeUnitary:
@@ -167,16 +179,20 @@ class ModeUnitary:
 
     @property
     def plan(self) -> ModePlan:
-        """Active modes and sparse columns, built once on first use (`matrix` is
-        never modified), with an empty row cache."""
+        """Active modes, sparse columns and getters, built once on first use
+        (`matrix` is never modified), with an empty row cache."""
         if self._plan is None:
             mat = self.matrix
-            moved = (mat != np.eye(self.registry.size)).any(axis=0)
+            m = self.registry.size
+            moved = (mat != np.eye(m)).any(axis=0)
             reached = (mat[:, moved] != 0.0).any(axis=1)
             modes = tuple(np.flatnonzero(moved | reached).tolist())
+            src = list(range(m))
+            for p, i in enumerate(modes):
+                src[i] = m + p
             self._plan = ModePlan(modes, tuple(
                 tuple((q, complex(mat[j, i])) for q, j in enumerate(modes) if mat[j, i] != 0.0)
-                for i in modes), {})
+                for i in modes), {}, _tuple_getter(modes), _tuple_getter(src))
         return self._plan
 
 

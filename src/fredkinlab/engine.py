@@ -19,7 +19,6 @@ probabilities.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -57,14 +56,7 @@ def apply_unitary(state: PhotonicState, u: ModeUnitary) -> PhotonicState:
     """
     if u.registry != state.registry:
         raise EngineError("unitary acts on a different registry")
-    modes, cols, rows = u.plan
-    m = state.registry.size
-    # splice(occ + active_key) is occ with active_key written over the active modes
-    src = list(range(m))
-    for p, i in enumerate(modes):
-        src[i] = m + p
-    splice = operator.itemgetter(*src)
-    take = _tuple_getter(modes)
+    _, cols, rows, take, splice = u.plan
     out: dict[Occupation, complex] = {}
     get = out.get
     for occ, amp in state.amps.items():
@@ -76,13 +68,6 @@ def apply_unitary(state: PhotonicState, u: ModeUnitary) -> PhotonicState:
             full = splice(occ + key)
             out[full] = get(full, 0.0) + amp * t
     return PhotonicState(state.registry, out, prune_eps=state.prune_eps, validate=False)
-
-
-def _tuple_getter(idx: tuple[int, ...]):
-    """`operator.itemgetter(*idx)`, returning a tuple for any length of `idx`."""
-    if len(idx) > 1:
-        return operator.itemgetter(*idx)
-    return lambda seq: tuple(seq[i] for i in idx)
 
 
 def _transfer_row(cols, active_in: Occupation):

@@ -201,19 +201,23 @@ class PhotonicState:
                  amplitudes: Mapping[Occupation, complex],
                  prune_eps: float = DEFAULT_PRUNE_EPS,
                  validate: bool = True):
-        amps: dict[Occupation, complex] = {}
-        m = registry.size
-        for occ, a in amplitudes.items():
-            a = complex(a)
-            if abs(a) < prune_eps:
-                continue
-            if validate:
+        if validate:
+            amps: dict[Occupation, complex] = {}
+            m = registry.size
+            for occ, a in amplitudes.items():
+                a = complex(a)
+                if abs(a) < prune_eps:
+                    continue
                 occ = tuple(int(n) for n in occ)
                 if len(occ) != m:
                     raise FockError(f"occupation length {len(occ)} != {m} modes")
                 if any(n < 0 for n in occ):
                     raise FockError(f"negative occupation in {occ}")
-            amps[occ] = a
+                amps[occ] = a
+        else:
+            # the caller passes complex amplitudes on well-formed keys; the
+            # pruning test is the one above, so a NaN amplitude stays visible
+            amps = {occ: a for occ, a in amplitudes.items() if not abs(a) < prune_eps}
         self.registry = registry
         self.amps = amps
         self.prune_eps = prune_eps

@@ -45,7 +45,7 @@ def state_from_terms(registry: ModeRegistry, terms) -> PhotonicState:
                 occ[registry.index(beam, spec)] += 1
         key = tuple(occ)
         amps[key] = amps.get(key, 0.0) + amplitude
-    return PhotonicState(registry, amps, validate=False)
+    return PhotonicState(registry, amps)
 
 
 def qubit_ket(registry: ModeRegistry, beams, bits, tbin=None) -> Occupation:

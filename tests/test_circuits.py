@@ -12,6 +12,7 @@ from fredkinlab.circuits import (
     ControlFlipError,
     ControlledFlip,
     Linear,
+    Measure,
     PostSelect,
     SIMPLIFIED_CNOT_PARAMS,
     TimeBinConfig,
@@ -23,12 +24,18 @@ from fredkinlab.circuits import (
     build_ralph_cnot,
     build_sanaka_cnot,
     build_simplified_cnot,
+    _apply_controlled_flip,
     run,
     simplified_mesh_amplitudes,
 )
-from fredkinlab.elements import Hwp
-from fredkinlab.engine import PostSelectionRule
-from fredkinlab.fock import PhotonicState, prepare_logical_input, register_modes
+from fredkinlab.elements import Hwp, compose
+from fredkinlab.engine import (
+    PostSelectionRule,
+    apply_unitary,
+    measure_and_feedforward,
+    post_select_any,
+)
+from fredkinlab.fock import PhotonicState, prepare_logical_input, register_modes, tensor
 
 from helpers import (
     assert_states_close,
@@ -450,7 +457,7 @@ def test_run_composes_nothing(name, monkeypatch):
 @pytest.mark.parametrize("name", ["cnot-ralph", "cnot-sanaka", "fredkin-timebin"])
 def test_pure_linear_gate_matches_permanent_route(name):
     # second route: one permanent per amplitude through the product of the
-    # compiled stage unitaries, post-selection being a projection
+    # stage unitaries, post-selection being a projection
     from fredkinlab.engine import transition_amplitude_oracle
 
     info = get_gate(name)
@@ -458,9 +465,11 @@ def test_pure_linear_gate_matches_permanent_route(name):
     assert all(isinstance(st, (Linear, PostSelect)) for st in circuit.stages)
     assert not any(rule.renormalize for st in circuit.stages
                    if isinstance(st, PostSelect) for rule in st.rules)
+    # composed here per stage, independent of the runs `Circuit` fuses
     total = np.eye(circuit.registry.size, dtype=complex)
-    for u in filter(None, circuit.unitaries):
-        total = u.matrix @ total
+    for st in circuit.stages:
+        if isinstance(st, Linear):
+            total = compose(circuit.registry, st.elements).matrix @ total
     kets = info.output_kets(circuit)
     for i in range(1 << info.n_qubits):
         basis = LogicalAmplitudes.basis(info.n_qubits, i)
@@ -469,3 +478,70 @@ def test_pure_linear_gate_matches_permanent_route(name):
         for ket in set(kets) | got.keys():
             want = sum(a * transition_amplitude_oracle(total, occ, ket) for occ, a in terms)
             assert abs(got.get(ket, 0.0) - want) <= 1e-12
+
+
+def stage_by_stage(circuit, amps):
+    """(state, branch log) after each stage of a run that composes and applies
+    every stage on its own: the reference for the fused runs of `run`."""
+    reg = circuit.registry
+    state = prepare_logical_input(reg, amps, circuit.qubit_beams)
+    for anc in circuit.ancillae:
+        state = tensor(state, anc.state(reg))
+    log = []
+    trail = []
+    for st in circuit.stages:
+        if isinstance(st, Linear):
+            state = apply_unitary(state, compose(reg, st.elements))
+        elif isinstance(st, ControlledFlip):
+            state = _apply_controlled_flip(state, st.control, st.target)
+        elif isinstance(st, Measure):
+            det = st.detector
+            state, _, records = measure_and_feedforward(state, det, st.table, det.rotation(reg))
+            log = log + records
+        else:
+            state, _ = post_select_any(state, st.rules)
+        trail.append((state, log))
+    return trail
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_run_prefix_matches_stage_by_stage(name):
+    # every cut, inside a fused run or between runs, against the reference;
+    # the engine's stored amplitudes stay complex on every path
+    circuit = get_gate(name).build()
+    amps = LogicalAmplitudes.random(len(circuit.qubit_beams), np.random.default_rng(11))
+    trail = stage_by_stage(circuit, amps)
+    for upto, (want, want_log) in enumerate(trail, start=1):
+        got = run(circuit, amps, upto=upto)
+        for occ in got.state.amps.keys() | want.amps.keys():
+            assert abs(got.state.amps.get(occ, 0.0) - want.amps.get(occ, 0.0)) <= 1e-12
+        assert ([(r.pattern, r.action) for r in got.branch_log]
+                == [(r.pattern, r.action) for r in want_log])
+        assert all(type(a) is complex for a in got.state.amps.values())
+
+
+def test_run_applies_one_unitary_per_linear_run(monkeypatch):
+    from fredkinlab import circuits
+
+    applied = []
+
+    def counting(state, u):
+        applied.append(u)
+        return apply_unitary(state, u)
+
+    monkeypatch.setattr(circuits, "apply_unitary", counting)
+    for name in sorted(CATALOG):
+        circuit = get_gate(name).build()
+        linear = [isinstance(st, Linear) for st in circuit.stages]
+        ends = [i for i, k in enumerate(linear) if k and (i + 1 == len(linear) or not linear[i + 1])]
+        amps = LogicalAmplitudes.basis(len(circuit.qubit_beams), 0)
+        applied.clear()
+        run(circuit, amps)
+        assert applied == [circuit.unitaries[i] for i in ends], name
+        # a cut inside a run applies the prefix product of the cut stage
+        inside = next((i for i in ends if i > 0 and linear[i - 1]), None)
+        if inside is not None:
+            applied.clear()
+            run(circuit, amps, upto=inside)
+            assert applied[-1] is circuit.unitaries[inside - 1], name
+            assert len(applied) == sum(1 for i in ends if i < inside) + 1, name

@@ -95,6 +95,48 @@ def test_optimize_negative_restarts_is_usage_error():
         "error: argument --restarts: must be a positive integer, got '-5'")
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("verify", "sweep_seed", 1.7, "must be a non-negative integer, got 1.7"),
+    ("optimize", "optimizer_seed", -1, "must be a non-negative integer, got -1"),
+    ("optimize", "optimizer_penalty", 0, "must be a positive finite number, got 0"),
+])
+def test_config_bad_seed_or_penalty_is_usage_error(tmp_path, command, key, value, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    args = ["verify", "cnot-ralph"] if command == "verify" else ["optimize", "identity"]
+    code, out, err = run_cli(args, env_extra={"PHOTONIC_LAB_CONFIG": str(cfg)})
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad config: config key {key!r} in {cfg}: {message}\n"
+
+
+def test_config_must_be_an_object(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1]")
+    code, out, err = run_cli(["verify", "cnot-ralph"],
+                             env_extra={"PHOTONIC_LAB_CONFIG": str(cfg)})
+    assert code == 2
+    assert err == f"error: bad config: {cfg} must hold a JSON object\n"
+
+
+def test_every_config_key_has_a_checked_parser():
+    from dataclasses import fields
+
+    from fredkinlab import config
+
+    assert set(config._PARSERS) == {f.name for f in fields(config.LabConfig)}
+
+
+@pytest.mark.parametrize("value", ["-1", "1.5"])
+def test_optimize_bad_seed_is_usage_error(value):
+    code, out, err = run_cli(["optimize", "identity", "--seed", value])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(
+        f"error: argument --seed: must be a non-negative integer, got '{value}'")
+
+
 def test_verify_single_input():
     code, out, err = run_cli(["verify", "cnot-ralph", "--input", "[1, 0, 0, 0]"])
     assert code == 0

@@ -292,10 +292,15 @@ def test_compositions_are_unitary(elements):
 def test_plan_lists_only_moved_modes():
     reg = register_modes(["a", "b", "c"])
     assert ModeUnitary.identity(reg).plan.modes == ()
-    plan = pbs_unitary(reg, "a", "c").plan
+    u = pbs_unitary(reg, "a", "c")
+    plan = u.plan
+    assert u.plan is plan  # built once, getters included
     assert plan.modes == (reg.index("a", Polarization.V), reg.index("c", Polarization.V))
     # the two V modes swap with amplitude 1; columns are indexed by plan position
     assert plan.columns == (((1, 1.0),), ((0, 1.0),))
+    occ = (1, 2, 3, 4, 5, 6)
+    assert plan.take(occ) == (2, 6)
+    assert plan.splice(occ + (7, 8)) == (1, 7, 3, 4, 5, 8)
 
 
 def test_plan_includes_modes_an_active_column_writes_to():

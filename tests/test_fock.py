@@ -104,6 +104,15 @@ def test_pruning_drops_tiny_amplitudes():
     assert (0, 1) not in s.amps
 
 
+def test_unvalidated_state_prunes_alike():
+    reg = register_modes(["a", "b"])
+    amps = {(1, 0, 0, 0): 1j, (0, 1, 0, 0): 1e-16 + 0j, (0, 0, 1, 0): complex("nan"),
+            (0, 0, 0, 1): 1e-14 + 0j}
+    checked = PhotonicState(reg, amps).amps
+    fast = PhotonicState(reg, amps, validate=False).amps
+    assert list(fast) == list(checked) == [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
+
 def test_occupation_str():
     reg = register_modes(["c", "t1"])
     assert occupation_str(reg, (1, 0, 0, 1)) == "|H_c V_t1>"

@@ -90,6 +90,10 @@ def _infinite_photon_count(obj):
     obj["photons"] = float("inf")
 
 
+def _unknown_bell_state(obj):
+    obj["ancillae"][0]["state"] = "psi_minus"
+
+
 @pytest.mark.parametrize("gate, mutate, message", [
     ("fredkin-postselected", _drop_control, "missing key 'control'"),
     ("fredkin-postselected", _list_stage, "malformed document"),
@@ -97,6 +101,7 @@ def _infinite_photon_count(obj):
     ("cnot-sanaka", _config_without_l_spdc, "missing key 'l_spdc'"),
     ("cnot-ralph", _nan_angle, "matrix is not unitary (deviation nan)"),
     ("cnot-ralph", _infinite_photon_count, "cannot convert float infinity to integer"),
+    ("cnot-pittman", _unknown_bell_state, "unknown Bell state 'psi_minus'"),
 ])
 def test_malformed_document_is_one_line_circuit_file_error(gate, mutate, message):
     obj = circuit_to_dict(get_gate(gate).build())

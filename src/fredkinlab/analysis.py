@@ -482,8 +482,11 @@ def optimize_gate(problem: OptimizationProblem | str,
     `FEASIBILITY_TOL`.  Both figures are linear in the logic error, whereas
     1 - fidelity is quadratic in it and saturates at 1.0 in floating point.
     Problems without `residuals` are feasible when 1 - fidelity is within
-    `FEASIBILITY_TOL`.
+    `FEASIBILITY_TOL`.  A penalty that is not positive and finite is an
+    `AnalysisError`: the continuation could never raise it to 1e9.
     """
+    if not (math.isfinite(penalty) and penalty > 0.0):
+        raise AnalysisError(f"penalty must be a positive finite number, got {penalty!r}")
     from scipy import optimize as sp_optimize  # here, not at import: only this needs it
 
     if isinstance(problem, str):

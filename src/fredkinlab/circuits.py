@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .engine import (
     DetectorSpec,
     FeedForwardTable,
     PostSelectionRule,
+    REJECT,
     apply_unitary,
     measure_and_feedforward,
     post_select_any,
@@ -197,6 +198,51 @@ AncillaPrep = Union[BellPair, SinglePhoton]
 # -- circuit -------------------------------------------------------------------
 
 
+class Step(NamedTuple):
+    """One step of a run: a stage (for a fused run of `Linear` stages, its
+    last stage inside the cut), the unitary the circuit compiled for it (or
+    None), and the product of the ancillae tensored in just before it (or
+    None)."""
+    stage: Stage
+    unitary: ModeUnitary | None
+    ancillae: PhotonicState | None
+
+
+class Program(NamedTuple):
+    """How `run` carries a logical input through ``stages[:n]``.
+
+    `first` is the product of the ancillae that the first step of a full run
+    touches; `Circuit.prepare_input` tensors it in.  Each step tensors in the
+    ancillae it is the first to touch, and `rest`, the ancillae no step
+    touches, goes in before `run` returns.  `late` is the photon number and
+    the squared norm of all ancillae but `first`.  None means no ancilla.
+    """
+    steps: tuple[Step, ...]
+    first: PhotonicState | None
+    rest: PhotonicState | None
+    late: tuple[int, float]
+
+
+def _touched_modes(registry: ModeRegistry, step: Stage, u: ModeUnitary | None) -> set[int]:
+    """The modes a step acts on: the active modes of its unitary, the beams
+    of a flip, a detector's beam and the beams its table corrects, or the
+    modes of a post-selection's rules."""
+    if isinstance(step, Linear):
+        return set(u.plan.modes)
+    if isinstance(step, ControlledFlip):
+        beams = [step.control, step.target]
+    elif isinstance(step, Measure):
+        beams = [step.detector.beam]
+        for _, action in step.table.entries:
+            if action != REJECT:
+                beams.extend(beam for beam, _ in action)
+    elif isinstance(step, PostSelect):
+        return {m for rule in step.rules for modes, _ in rule.constraints for m in modes}
+    else:
+        raise CircuitError(f"unknown stage {step!r}")
+    return {m for beam in beams for m in registry.beam_modes(beam)}
+
+
 @dataclass(frozen=True)
 class Circuit:
     name: str
@@ -211,8 +257,12 @@ class Circuit:
     #: stages from the run's first stage through this one; for a +/- basis
     #: `Measure` stage, its detector rotation; None for every other stage
     unitaries: tuple[ModeUnitary | None, ...] = field(init=False, compare=False, repr=False)
-    #: the product state of all ancillae, or None without any
-    ancilla_state: PhotonicState | None = field(init=False, compare=False, repr=False)
+    #: each ancilla's state, built once, with the modes it occupies
+    prepared_ancillae: tuple[tuple[PhotonicState, frozenset[int]], ...] = field(
+        init=False, compare=False, repr=False)
+    #: `program(n)` by cut n, each worked out on first use
+    _programs: dict[int, Program] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.stages:
@@ -243,11 +293,22 @@ class Circuit:
             prev = u if isinstance(st, Linear) else None
             unitaries.append(u)
         object.__setattr__(self, "unitaries", tuple(unitaries))
-        ancilla_state = None
+        labels = self.registry.labels
+        prepared = []
+        taken: set[int] = set()
         for anc in self.ancillae:
             s = anc.state(self.registry)
-            ancilla_state = s if ancilla_state is None else tensor(ancilla_state, s)
-        object.__setattr__(self, "ancilla_state", ancilla_state)
+            modes = frozenset(m for occ in s.amps for m, n in enumerate(occ) if n)
+            beams = list(dict.fromkeys(labels[m].beam for m in sorted(modes)))
+            where = " and ".join(map(repr, beams))
+            for beam in beams:
+                if beam in self.qubit_beams:
+                    raise CircuitError(f"ancilla on beams {where} sits on qubit beam {beam!r}")
+            if not taken.isdisjoint(modes):
+                raise CircuitError(f"ancilla on beams {where} overlaps another ancilla")
+            taken |= modes
+            prepared.append((s, modes))
+        object.__setattr__(self, "prepared_ancillae", tuple(prepared))
 
     def stage_prefix(self, label: str) -> int:
         """Number of stages up to and including the first stage so labeled."""
@@ -257,10 +318,61 @@ class Circuit:
         raise CircuitError(f"no stage labeled {label!r} in {self.name}")
 
     def prepare_input(self, amplitudes: LogicalAmplitudes) -> PhotonicState:
+        """The logical input with the ancillae the first step of a run
+        touches; `run` tensors in every other ancilla later."""
         state = prepare_logical_input(self.registry, amplitudes, self.qubit_beams)
-        if self.ancilla_state is not None:
-            state = tensor(state, self.ancilla_state)
+        first = self.program(len(self.stages)).first
+        if first is not None:
+            state = tensor(state, first)
         return state
+
+    def program(self, n: int) -> Program:
+        """The `Program` of a run through ``stages[:n]``, worked out on first
+        use and kept."""
+        prog = self._programs.get(n)
+        if prog is None:
+            prog = self._programs[n] = self._compile_program(n)
+        return prog
+
+    def _untouched(self, ancillae: Sequence[int], st: Stage, u: ModeUnitary | None) -> list[int]:
+        """The ancillae (indices into `ancillae`) whose modes a step leaves alone."""
+        touched = _touched_modes(self.registry, st, u)
+        return [k for k in ancillae if touched.isdisjoint(self.prepared_ancillae[k][1])]
+
+    def _product(self, ancillae: Sequence[int]) -> PhotonicState | None:
+        state = None
+        for k in ancillae:
+            s = self.prepared_ancillae[k][0]
+            state = s if state is None else tensor(state, s)
+        return state
+
+    def _compile_program(self, n: int) -> Program:
+        stages = self.stages[:n]
+        everything = range(len(self.ancillae))
+        full = len(stages) == len(self.stages)
+        if full:
+            pending = everything
+        else:  # `prepare_input` has tensored in what the full run's first step touches
+            full_program = self.program(len(self.stages))
+            head = full_program.steps[0]
+            pending = self._untouched(everything, head.stage, head.unitary)
+        applied, entering = [], []
+        for i, (st, u) in enumerate(zip(stages, self.unitaries)):
+            if isinstance(st, Linear) and i + 1 < len(stages) and isinstance(stages[i + 1], Linear):
+                continue  # applied with its run's product at the run's last stage
+            # a `Linear` step reads the plan of the unitary it applies
+            left = self._untouched(pending, st, u) if pending else pending
+            applied.append((st, u))
+            entering.append([k for k in pending if k not in left])
+            pending = left
+        if full:  # `prepare_input` tensors in what the first step touches
+            late = self._product([k for k in everything if k not in entering[0]])
+            first, entering[0] = self._product(entering[0]), []
+            late_info = (0, 1.0) if late is None else (late.photon_numbers().pop(), late.norm_sq())
+        else:
+            first, late_info = full_program.first, full_program.late
+        steps = tuple(Step(st, u, self._product(group)) for (st, u), group in zip(applied, entering))
+        return Program(steps, first, self._product(pending), late_info)
 
 
 @dataclass
@@ -302,28 +414,40 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
     was built: each run of consecutive `Linear` stages is applied once, as
     the product stored at its last stage inside ``stages[:upto]``, so a cut
     inside a run applies that stage's prefix product.
+
+    A logical input comes from `Circuit.prepare_input`, with the ancillae the
+    first step touches.  Each other ancilla is tensored in just before the
+    first step that touches its modes, or, if no step of ``stages[:upto]``
+    does, just before the run returns, so the result equals that of an input
+    prepared with every ancilla.  The photon-number check and the input norm
+    refer to that fully prepared input.  A `PhotonicState` input gets no
+    ancilla.
     """
-    if isinstance(inp, LogicalAmplitudes):
+    prog = circuit.program(len(circuit.stages[:upto]))
+    declared = circuit.photons if expected_photons is None else expected_photons
+    logical = isinstance(inp, LogicalAmplitudes)
+    if logical:
         state = circuit.prepare_input(inp)
+        late_photons, late_norm_sq = prog.late
     else:
         if inp.registry != circuit.registry:
             raise CircuitError("input state lives on a different registry")
         state = inp
-    n0 = state.norm_sq()
+        late_photons, late_norm_sq = 0, 1.0
+    n0 = state.norm_sq() * late_norm_sq
     if n0 <= 0:
         raise CircuitError("input state has zero norm")
-    declared = circuit.photons if expected_photons is None else expected_photons
-    if state.photon_numbers() != {declared}:
+    if state.photon_numbers() != {declared - late_photons}:
         raise CircuitError(
-            f"input carries photon numbers {sorted(state.photon_numbers())}, "
-            f"declared {declared}")
+            f"input carries photon numbers "
+            f"{sorted(n + late_photons for n in state.photon_numbers())}, declared {declared}")
 
     log: list[BranchRecord] = []
-    stages = circuit.stages[:upto]
-    for i, (st, u) in enumerate(zip(stages, circuit.unitaries)):
+    for st, u, ancillae in prog.steps:
+        if ancillae is not None and logical:
+            state = tensor(state, ancillae)
         if isinstance(st, Linear):
-            if i + 1 == len(stages) or not isinstance(stages[i + 1], Linear):
-                state = apply_unitary(state, u)
+            state = apply_unitary(state, u)
         elif isinstance(st, ControlledFlip):
             state = _apply_controlled_flip(state, st.control, st.target)
         elif isinstance(st, Measure):
@@ -333,6 +457,8 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
             state, _ = post_select_any(state, st.rules)
         else:
             raise CircuitError(f"unknown stage {st!r}")
+    if prog.rest is not None and logical:
+        state = tensor(state, prog.rest)
     return RunResult(state=state, probability=state.norm_sq() / n0, branch_log=log)
 
 

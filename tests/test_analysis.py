@@ -187,6 +187,17 @@ def test_optimizer_unknown_problem():
         optimize_gate("nope", seed=0)
 
 
+@pytest.mark.parametrize("penalty", [0.0, -1.0, float("nan"), float("inf")])
+def test_optimizer_rejects_bad_penalty_before_evaluating(penalty):
+    # the continuation multiplies the penalty up to 1e9: from 0 it never gets there
+    def evaluate(x):
+        raise AssertionError("evaluated with a bad penalty")
+
+    problem = OptimizationProblem(name="never", bounds=((0.0, 1.0),), evaluate=evaluate)
+    with pytest.raises(AnalysisError, match="penalty must be a positive finite number"):
+        optimize_gate(problem, seed=0, restarts=1, penalty=penalty)
+
+
 def test_optimizer_ralph_topology_converges_to_one_third():
     out = optimize_gate("ralph-topology", seed=0, restarts=6)
     assert out.feasible

@@ -7,6 +7,7 @@ from fredkinlab import LogicalAmplitudes, Polarization, TimeBin, state_fidelity
 from fredkinlab.catalog import CATALOG, get_gate
 from fredkinlab.circuits import (
     BellPair,
+    SinglePhoton,
     Circuit,
     CircuitError,
     ControlFlipError,
@@ -168,15 +169,16 @@ def test_heralded_pittman_output_matches_ideal_action(rng):
 
 
 def test_heralded_loses_photons_only_at_measurements(rng):
+    # every cut holds all 11 photons but those detected so far, one per measurement
     circ = build_fredkin_heralded("pittman")
     amps = random_amplitudes(3, rng)
-    state = circ.prepare_input(amps)
     count = 11
-    for n_stages in range(1, len(circ.stages) + 1):
+    for n_stages, st in enumerate(circ.stages, start=1):
+        if isinstance(st, Measure):
+            count -= 1
         res = run(circ, amps, upto=n_stages)
-        nums = res.state.photon_numbers()
-        assert len(nums) == 1
-        assert nums.pop() <= count
+        assert res.state.photon_numbers() == {count}, st.label
+    assert count == 3
 
 
 # -- post-selected Fredkin ------------------------------------------------------------------
@@ -545,3 +547,58 @@ def test_run_applies_one_unitary_per_linear_run(monkeypatch):
             run(circuit, amps, upto=inside)
             assert applied[-1] is circuit.unitaries[inside - 1], name
             assert len(applied) == sum(1 for i in ends if i < inside) + 1, name
+
+
+def test_run_injects_each_ancilla_at_first_use(monkeypatch):
+    # gadget k of the heralded gate sees its own Bell pair only: the earlier
+    # pairs are detected and the later ones not yet injected
+    from fredkinlab import circuits
+
+    entering = []
+
+    def counting(state, u):
+        entering.append(state.photon_numbers())
+        return apply_unitary(state, u)
+
+    monkeypatch.setattr(circuits, "apply_unitary", counting)
+    circuit = get_gate("fredkin-heralded").build()
+    res = run(circuit, LogicalAmplitudes.basis(3, 0b101))
+    assert entering == [{5}, {4}] * 4 + [{3}]
+    assert res.probability == pytest.approx(0.25**5, abs=1e-15)
+
+
+def test_run_keeps_an_ancilla_no_stage_touches():
+    # a qubit, a plate on it and a photon on a beam no stage touches
+    reg = register_modes(["c", "idle"])
+    circuit = Circuit("idle-ancilla", reg, 2, ("c",), ("c",),
+                      (Linear((Hwp("c", 22.5),), label="plate"),
+                       PostSelect((PostSelectionRule.beam_counts(reg, {"c": 1}),),
+                                  label="keep")),
+                      ancillae=(SinglePhoton("idle", Polarization.H),))
+    amps = LogicalAmplitudes((0.6, 0.8))
+    assert circuit.prepare_input(amps).photon_numbers() == {1}
+    trail = stage_by_stage(circuit, amps)
+    for upto, (want, _) in enumerate(trail, start=1):
+        got = run(circuit, amps, upto=upto)
+        assert got.state.photon_numbers() == {2}
+        assert got.state.amps.keys() == want.amps.keys()
+        for occ, a in want.amps.items():
+            assert abs(got.state.amps[occ] - a) <= 1e-15
+        assert got.probability == pytest.approx(1.0, abs=1e-15)
+
+
+def test_photonic_state_input_gets_no_ancilla():
+    circuit = get_gate("fredkin-heralded").build()
+    amps = LogicalAmplitudes.basis(3, 0b101)
+    bare = prepare_logical_input(circuit.registry, amps, circuit.qubit_beams)
+    assert run(circuit, bare, upto=1, expected_photons=3).state.photon_numbers() == {3}
+    # an input prepared with every ancilla runs as the logical one does; an
+    # ancilla injected on top of it would overlap its own modes
+    full = bare
+    for anc in circuit.ancillae:
+        full = tensor(full, anc.state(circuit.registry))
+    for upto in (1, 4, circuit.stage_prefix("cnot-2-parity-pbs"), None):
+        got = run(circuit, full, upto=upto).state.amps
+        want = run(circuit, amps, upto=upto).state.amps
+        assert got.keys() == want.keys()
+        assert max(abs(got[occ] - want[occ]) for occ in want) <= 1e-15

@@ -205,6 +205,22 @@ def test_simulate_unknown_detector_basis_exit_2(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_simulate_ancilla_on_qubit_beam_exit_2(tmp_path, monkeypatch, capsys):
+    from fredkinlab.cli import main
+    from fredkinlab.serialize import circuit_to_dict
+
+    obj = circuit_to_dict(get_gate("cnot-pittman").build())
+    obj["ancillae"][0]["beam_a"] = "c"
+    path = tmp_path / "anc.json"
+    path.write_text(json.dumps(obj))
+    monkeypatch.delenv("PHOTONIC_LAB_CONFIG", raising=False)
+    assert main(["simulate", str(path), "--input", "[1,0,0,0]"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "ancilla on beams 'c' and 'a2' sits on qubit beam 'c'" in err
+    assert err.count("\n") == 1
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # only `optimize` needs scipy.optimize; every other command skips its import
     proc = subprocess.run(

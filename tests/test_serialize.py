@@ -94,6 +94,14 @@ def _unknown_bell_state(obj):
     obj["ancillae"][0]["state"] = "psi_minus"
 
 
+def _ancilla_on_qubit_beam(obj):
+    obj["ancillae"][0]["beam_a"] = "c"
+
+
+def _ancillae_share_a_beam(obj):
+    obj["ancillae"][1]["beam_a"] = "a1"
+
+
 @pytest.mark.parametrize("gate, mutate, message", [
     ("fredkin-postselected", _drop_control, "missing key 'control'"),
     ("fredkin-postselected", _list_stage, "malformed document"),
@@ -102,6 +110,10 @@ def _unknown_bell_state(obj):
     ("cnot-ralph", _nan_angle, "matrix is not unitary (deviation nan)"),
     ("cnot-ralph", _infinite_photon_count, "cannot convert float infinity to integer"),
     ("cnot-pittman", _unknown_bell_state, "unknown Bell state 'psi_minus'"),
+    ("cnot-pittman", _ancilla_on_qubit_beam,
+     "ancilla on beams 'c' and 'a2' sits on qubit beam 'c'"),
+    ("fredkin-heralded", _ancillae_share_a_beam,
+     "ancilla on beams 'a1' and 'a4' overlaps another ancilla"),
 ])
 def test_malformed_document_is_one_line_circuit_file_error(gate, mutate, message):
     obj = circuit_to_dict(get_gate(gate).build())

@@ -47,6 +47,7 @@ from .engine import (
     DetectorBasis,
     DetectorSpec,
     FeedForwardTable,
+    MeasureTable,
     PostSelectionRule,
     REJECT,
     apply_unitary,
@@ -55,6 +56,8 @@ from .engine import (
     swap_hv,
 )
 from .fock import (
+    DEFAULT_PRUNE_EPS,
+    FockError,
     LogicalAmplitudes,
     ModeRegistry,
     Occupation,
@@ -201,10 +204,12 @@ AncillaPrep = Union[BellPair, SinglePhoton]
 class Step(NamedTuple):
     """One step of a run: a stage (for a fused run of `Linear` stages, its
     last stage inside the cut), the unitary the circuit compiled for it (or
-    None), and the product of the ancillae tensored in just before it (or
-    None)."""
+    None), the stage's occupation table (None for a `Linear` stage, whose
+    table is on its unitary's plan), and the product of the ancillae
+    tensored in just before it (or None)."""
     stage: Stage
     unitary: ModeUnitary | None
+    table: MeasureTable | dict | None
     ancillae: PhotonicState | None
 
 
@@ -257,11 +262,20 @@ class Circuit:
     #: stages from the run's first stage through this one; for a +/- basis
     #: `Measure` stage, its detector rotation; None for every other stage
     unitaries: tuple[ModeUnitary | None, ...] = field(init=False, compare=False, repr=False)
+    #: each stage's occupation table (see `engine`), filled by its runs: a
+    #: `MeasureTable`, a dict for a `ControlledFlip` or `PostSelect`, or None
+    #: for a `Linear` stage, whose table is on its unitary's plan
+    occupation_tables: tuple[MeasureTable | dict | None, ...] = field(
+        init=False, compare=False, repr=False)
     #: each ancilla's state, built once, with the modes it occupies
     prepared_ancillae: tuple[tuple[PhotonicState, frozenset[int]], ...] = field(
         init=False, compare=False, repr=False)
     #: `program(n)` by cut n, each worked out on first use
     _programs: dict[int, Program] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+    #: the input table of `prepare_input`: basis index i to the terms of
+    #: |i> with the first step's ancillae
+    _input_rows: dict[int, Occupation | tuple[tuple[Occupation, complex], ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -271,7 +285,7 @@ class Circuit:
             if beam not in self.registry.beams:
                 raise CircuitError(f"beam {beam!r} not registered")
         seen_postselect = False
-        unitaries = []
+        unitaries, tables = [], []
         prev = None  # product of the current run of Linear stages so far
         for st in self.stages:
             if isinstance(st, PostSelect):
@@ -292,7 +306,10 @@ class Circuit:
                 u = st.detector.rotation(self.registry)
             prev = u if isinstance(st, Linear) else None
             unitaries.append(u)
+            tables.append(MeasureTable() if isinstance(st, Measure)
+                          else None if isinstance(st, Linear) else {})
         object.__setattr__(self, "unitaries", tuple(unitaries))
+        object.__setattr__(self, "occupation_tables", tuple(tables))
         labels = self.registry.labels
         prepared = []
         taken: set[int] = set()
@@ -319,12 +336,37 @@ class Circuit:
 
     def prepare_input(self, amplitudes: LogicalAmplitudes) -> PhotonicState:
         """The logical input with the ancillae the first step of a run
-        touches; `run` tensors in every other ancilla later."""
-        state = prepare_logical_input(self.registry, amplitudes, self.qubit_beams)
+        touches; `run` tensors in every other ancilla later.  Each basis
+        state's terms come from the circuit's input table."""
+        n = len(self.qubit_beams)
+        if amplitudes.n_qubits != n:
+            raise FockError(f"{n} beams for {amplitudes.n_qubits} qubits")
         first = self.program(len(self.stages)).first
-        if first is not None:
-            state = tensor(state, first)
-        return state
+        rows = self._input_rows
+        amps: dict[Occupation, complex] = {}
+        for i, a in enumerate(amplitudes.values):
+            if abs(a) < DEFAULT_PRUNE_EPS:  # as `prepare_logical_input` drops it
+                continue
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = self._input_row(i, first)
+            if first is None:  # `a` itself, as `prepare_logical_input` stores it
+                amps[row] = a
+            else:
+                for key, t in row:
+                    amps[key] = amps.get(key, 0.0) + a * t
+        return PhotonicState(self.registry, amps, validate=False)
+
+    def _input_row(self, i: int, first: PhotonicState | None):
+        """The occupation of basis state |i>, or with `first` the terms
+        ``((key, amplitude), ...)`` of |i> tensored with it."""
+        basis = prepare_logical_input(self.registry, LogicalAmplitudes.basis(
+            len(self.qubit_beams), i), self.qubit_beams)
+        if first is None:
+            (occ,) = basis.amps
+            return occ
+        # `tensor` keeps the order of `first`'s terms; their amplitudes are the factors
+        return tuple(zip(tensor(basis, first).amps, first.amps.values()))
 
     def program(self, n: int) -> Program:
         """The `Program` of a run through ``stages[:n]``, worked out on first
@@ -357,12 +399,12 @@ class Circuit:
             head = full_program.steps[0]
             pending = self._untouched(everything, head.stage, head.unitary)
         applied, entering = [], []
-        for i, (st, u) in enumerate(zip(stages, self.unitaries)):
+        for i, (st, u, table) in enumerate(zip(stages, self.unitaries, self.occupation_tables)):
             if isinstance(st, Linear) and i + 1 < len(stages) and isinstance(stages[i + 1], Linear):
                 continue  # applied with its run's product at the run's last stage
             # a `Linear` step reads the plan of the unitary it applies
             left = self._untouched(pending, st, u) if pending else pending
-            applied.append((st, u))
+            applied.append((st, u, table))
             entering.append([k for k in pending if k not in left])
             pending = left
         if full:  # `prepare_input` tensors in what the first step touches
@@ -371,7 +413,7 @@ class Circuit:
             late_info = (0, 1.0) if late is None else (late.photon_numbers().pop(), late.norm_sq())
         else:
             first, late_info = full_program.first, full_program.late
-        steps = tuple(Step(st, u, self._product(group)) for (st, u), group in zip(applied, entering))
+        steps = tuple(Step(*step, self._product(group)) for step, group in zip(applied, entering))
         return Program(steps, first, self._product(pending), late_info)
 
 
@@ -382,7 +424,12 @@ class RunResult:
     branch_log: list[BranchRecord] = field(default_factory=list)
 
 
-def _apply_controlled_flip(state: PhotonicState, control: str, target: str) -> PhotonicState:
+def _apply_controlled_flip(state: PhotonicState, control: str, target: str,
+                           occupations: dict[Occupation, Occupation] | None = None,
+                           ) -> PhotonicState:
+    """The ideal flip; `occupations`, the step's occupation table, maps an
+    occupation to the flipped one."""
+    occupations = {} if occupations is None else occupations
     reg = state.registry
     ctrl_h = reg.modes_where(beams=[control], pol=Polarization.H)
     ctrl_v = reg.modes_where(beams=[control], pol=Polarization.V)
@@ -390,14 +437,15 @@ def _apply_controlled_flip(state: PhotonicState, control: str, target: str) -> P
     tgt_v = reg.modes_where(beams=[target], pol=Polarization.V)
     out: dict[Occupation, complex] = {}
     for occ, a in state.amps.items():
-        nh = sum(occ[m] for m in ctrl_h)
-        nv = sum(occ[m] for m in ctrl_v)
-        if nh + nv != 1:
-            raise ControlFlipError(
-                f"control beam {control!r} carries {nh + nv} photons, needs exactly 1")
-        if nv == 1:
-            occ = swap_hv(occ, tgt_h, tgt_v)
-        out[occ] = out.get(occ, 0.0) + a
+        flipped = occupations.get(occ)
+        if flipped is None:
+            nh = sum(occ[m] for m in ctrl_h)
+            nv = sum(occ[m] for m in ctrl_v)
+            if nh + nv != 1:
+                raise ControlFlipError(
+                    f"control beam {control!r} carries {nh + nv} photons, needs exactly 1")
+            flipped = occupations[occ] = swap_hv(occ, tgt_h, tgt_v) if nv == 1 else occ
+        out[flipped] = out.get(flipped, 0.0) + a
     return PhotonicState(reg, out, prune_eps=state.prune_eps, validate=False)
 
 
@@ -421,7 +469,8 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
     does, just before the run returns, so the result equals that of an input
     prepared with every ancilla.  The photon-number check and the input norm
     refer to that fully prepared input.  A `PhotonicState` input gets no
-    ancilla.
+    ancilla.  Each step looks its action on an occupation up in the
+    circuit's occupation tables (see `engine`).
     """
     prog = circuit.program(len(circuit.stages[:upto]))
     declared = circuit.photons if expected_photons is None else expected_photons
@@ -443,18 +492,18 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
             f"{sorted(n + late_photons for n in state.photon_numbers())}, declared {declared}")
 
     log: list[BranchRecord] = []
-    for st, u, ancillae in prog.steps:
+    for st, u, table, ancillae in prog.steps:
         if ancillae is not None and logical:
             state = tensor(state, ancillae)
         if isinstance(st, Linear):
             state = apply_unitary(state, u)
         elif isinstance(st, ControlledFlip):
-            state = _apply_controlled_flip(state, st.control, st.target)
+            state = _apply_controlled_flip(state, st.control, st.target, table)
         elif isinstance(st, Measure):
-            state, _, records = measure_and_feedforward(state, st.detector, st.table, u)
+            state, _, records = measure_and_feedforward(state, st.detector, st.table, u, table)
             log.extend(records)
         elif isinstance(st, PostSelect):
-            state, _ = post_select_any(state, st.rules)
+            state, _ = post_select_any(state, st.rules, table)
         else:
             raise CircuitError(f"unknown stage {st!r}")
     if prog.rest is not None and logical:

@@ -96,9 +96,8 @@ def cmd_verify(args, cfg: LabConfig) -> int:
     tol = args.tolerance if args.tolerance is not None else cfg.verify_tolerance
     if args.gate in CATALOG:
         info = get_gate(args.gate)
-        circuit = info.build()
         if args.input is not None:
-            return _verify_single_input(info, circuit, args, tol)
+            return _verify_single_input(info, info.build(), args, tol)
         sweep = args.sweep or 0
         report = analysis.gate_report(info, sweep=sweep, sweep_seed=cfg.sweep_seed)
         _emit({"report": report.to_dict(),

@@ -120,22 +120,27 @@ Element = Union[Hwp, Pbs, Bs, Rpbs, HvSwap, Route, DelayToL, Phase, Rot]
 
 class ModePlan(NamedTuple):
     """The modes a unitary moves, its sparse columns over them, its transfer
-    rows, and the getters that cut and splice occupations.
+    rows, the getters that cut and splice occupations, and its occupation
+    table.
 
     `modes` (ascending) are the modes whose column is not exactly the unit
     vector e_i, plus any mode those columns write to; every other mode passes
     through unchanged.  `columns[p]` is ``((q, U[modes[q], modes[p]]), ...)``
     over the nonzero entries, q ascending.  `rows` maps an occupation of the
-    active modes to its transfer row ``((out, <out|U|in>), ...)``; it starts
-    empty and `engine.apply_unitary` fills it, one row per occupation it meets.
+    active modes to its transfer row ``((out, <out|U|in>), ...)``.
     ``take(occ)`` is the occupation of the active modes, and
     ``splice(occ + active)`` is `occ` with `active` written over them.
+    `full_rows`, the occupation table, maps a full input occupation to its
+    row over full output occupations, ``((splice(occ + out), <out|U|in>),
+    ...)``.  Both tables start empty and `engine.apply_unitary` fills them,
+    one entry per occupation it meets.
     """
     modes: tuple[int, ...]
     columns: tuple[tuple[tuple[int, complex], ...], ...]
     rows: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], complex], ...]]
     take: Callable[[tuple[int, ...]], tuple[int, ...]]
     splice: Callable[[tuple[int, ...]], tuple[int, ...]]
+    full_rows: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], complex], ...]]
 
 
 def _tuple_getter(idx: Sequence[int]):
@@ -180,7 +185,7 @@ class ModeUnitary:
     @property
     def plan(self) -> ModePlan:
         """Active modes, sparse columns and getters, built once on first use
-        (`matrix` is never modified), with an empty row cache."""
+        (`matrix` is never modified), with empty row and occupation tables."""
         if self._plan is None:
             mat = self.matrix
             m = self.registry.size
@@ -192,7 +197,7 @@ class ModeUnitary:
                 src[i] = m + p
             self._plan = ModePlan(modes, tuple(
                 tuple((q, complex(mat[j, i])) for q, j in enumerate(modes) if mat[j, i] != 0.0)
-                for i in modes), {}, _tuple_getter(modes), _tuple_getter(src))
+                for i in modes), {}, _tuple_getter(modes), _tuple_getter(src), {})
         return self._plan
 
 

@@ -14,12 +14,21 @@ corrections are applied per branch; after correction all accepted branches of
 the gates in scope carry the same conditional state, which is checked
 amplitude by amplitude before they are pooled with their outcome
 probabilities.
+
+Each step keeps an occupation table: a dict, filled on first sight, from an
+occupation entering the step to the step's action on it (a unitary's is on
+its plan, a measurement's is a `MeasureTable`).  A `Circuit` keeps its tables
+across runs, so the inputs of a sweep or a process map share per-occupation
+work while each input stays its own run.  A table holds the factors that
+would be worked out again, used in the same order, so results are
+bit-identical.  An occupation whose action raises is never stored.  A step
+called without a table works with a fresh one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -50,22 +59,24 @@ class FeedForwardError(EngineError):
 def apply_unitary(state: PhotonicState, u: ModeUnitary) -> PhotonicState:
     """Evolve a state through a mode unitary; preserves the norm.
 
-    Each term is multiplied into the transfer row of its active-mode
-    occupation, built on first use and kept on the unitary's plan; the
-    passive modes of each input key pass through.
+    Each term is multiplied into its row in the plan's occupation table, which
+    is built on first sight from the transfer row of the term's active-mode
+    occupation, the passive modes of the input key passing through.
     """
     if u.registry != state.registry:
         raise EngineError("unitary acts on a different registry")
-    _, cols, rows, take, splice = u.plan
+    _, cols, rows, take, splice, full_rows = u.plan
     out: dict[Occupation, complex] = {}
     get = out.get
     for occ, amp in state.amps.items():
-        active_in = take(occ)
-        row = rows.get(active_in)
+        row = full_rows.get(occ)
         if row is None:
-            row = rows[active_in] = _transfer_row(cols, active_in)
-        for key, t in row:
-            full = splice(occ + key)
+            active_in = take(occ)
+            active_row = rows.get(active_in)
+            if active_row is None:
+                active_row = rows[active_in] = _transfer_row(cols, active_in)
+            row = full_rows[occ] = tuple((splice(occ + key), t) for key, t in active_row)
+        for full, t in row:
             out[full] = get(full, 0.0) + amp * t
     return PhotonicState(state.registry, out, prune_eps=state.prune_eps, validate=False)
 
@@ -192,21 +203,27 @@ class PostSelectionRule:
         return cls(cons, renormalize=renormalize)
 
 
-def post_select_any(state: PhotonicState,
-                    rules: Sequence[PostSelectionRule]) -> tuple[PhotonicState, float]:
+def post_select_any(state: PhotonicState, rules: Sequence[PostSelectionRule],
+                    occupations: dict[Occupation, int] | None = None,
+                    ) -> tuple[PhotonicState, float]:
     """Keep the occupation states matched by a union of disjoint conjunctive
     rules (e.g. equal-time-bin coincidence); a single rule is a 1-tuple.
 
     Returns the surviving state and its probability (squared surviving norm
     relative to the input norm).  A zero survivor is an empty state with
     probability 0, not an error.  The survivor is renormalized when every
-    rule asks for it.
+    rule asks for it.  `occupations`, the step's occupation table, maps an
+    occupation to the number of rules it matches.
     """
+    occupations = {} if occupations is None else occupations
     kept: dict[Occupation, complex] = {}
     for occ, a in state.amps.items():
-        n_hit = sum(1 for r in rules if r.matches(occ))
-        if n_hit > 1:
-            raise EngineError("post-selection rule union is not disjoint")
+        n_hit = occupations.get(occ)
+        if n_hit is None:
+            n_hit = sum(1 for r in rules if r.matches(occ))
+            if n_hit > 1:
+                raise EngineError("post-selection rule union is not disjoint")
+            occupations[occ] = n_hit
         if n_hit:
             kept[occ] = a
     survived = PhotonicState(state.registry, kept, prune_eps=state.prune_eps, validate=False)
@@ -295,20 +312,46 @@ def swap_hv(occ: Occupation, h_modes: Sequence[int], v_modes: Sequence[int]) -> 
     return tuple(lst)
 
 
-def _apply_correction(state: PhotonicState, beam: str, kind: str) -> PhotonicState:
-    reg = state.registry
-    h_modes = reg.modes_where(beams=[beam], pol=Polarization.H)
-    v_modes = reg.modes_where(beams=[beam], pol=Polarization.V)
+@dataclass
+class MeasureTable:
+    """The occupation tables of one measurement step, filled on first sight.
+
+    `split` maps an occupation (after the detector rotation) to its detector
+    pattern and the occupation with the detector's modes cleared.
+    `corrections` maps each correction ``(beam, kind)`` to the beam's H and V
+    modes, looked up once, and a table from an occupation to its corrected
+    occupation and whether its amplitude changes sign.
+    """
+    split: dict[Occupation, tuple[tuple[int, ...], Occupation]] = field(default_factory=dict)
+    corrections: dict[Correction, tuple[tuple[int, ...], tuple[int, ...],
+                                        dict[Occupation, tuple[Occupation, bool]]]] = field(
+        default_factory=dict)
+
+    def correction(self, registry: ModeRegistry, beam: str, kind: str):
+        """The H modes, V modes and occupation table of one correction."""
+        entry = self.corrections.get((beam, kind))
+        if entry is None:
+            entry = self.corrections[(beam, kind)] = (
+                registry.modes_where(beams=[beam], pol=Polarization.H),
+                registry.modes_where(beams=[beam], pol=Polarization.V), {})
+        return entry
+
+
+def _apply_correction(state: PhotonicState, kind: str, correction) -> PhotonicState:
+    """Apply one correction, given as `MeasureTable.correction` returns it."""
+    h_modes, v_modes, occupations = correction
     out: dict[Occupation, complex] = {}
     for occ, a in state.amps.items():
-        if kind in ("sign", "flip_sign"):
-            nv = sum(occ[m] for m in v_modes)
-            if nv % 2:
-                a = -a
-        if kind in ("flip", "flip_sign"):
-            occ = swap_hv(occ, h_modes, v_modes)
+        hit = occupations.get(occ)
+        if hit is None:
+            negate = kind in ("sign", "flip_sign") and sum(occ[m] for m in v_modes) % 2 == 1
+            flip = kind in ("flip", "flip_sign")
+            hit = occupations[occ] = (swap_hv(occ, h_modes, v_modes) if flip else occ, negate)
+        occ, negate = hit
+        if negate:
+            a = -a
         out[occ] = out.get(occ, 0.0) + a
-    return PhotonicState(reg, out, prune_eps=state.prune_eps, validate=False)
+    return PhotonicState(state.registry, out, prune_eps=state.prune_eps, validate=False)
 
 
 FEEDFORWARD_CONSISTENCY_TOL = 1e-9
@@ -316,11 +359,14 @@ FEEDFORWARD_CONSISTENCY_TOL = 1e-9
 
 def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
                             table: FeedForwardTable, rotation: ModeUnitary | None,
+                            occupations: MeasureTable | None = None,
                             ) -> tuple[PhotonicState, float, list[BranchRecord]]:
     """Measure one beam, apply outcome-conditioned corrections, pool branches.
 
     `rotation` is the detector's `DetectorSpec.rotation`, compiled once by the
-    caller (a `Circuit` does it when it is built).  Detected photons are
+    caller (a `Circuit` does it when it is built), and `occupations` the
+    step's `MeasureTable`.  Each outcome is looked up in `table` on every
+    call, so an unlisted one raises every time.  Detected photons are
     consumed (the beam's modes are zeroed downstream).  Corrected accepted
     branches, normalized, must agree amplitude by amplitude (to within
     `FEEDFORWARD_CONSISTENCY_TOL`); they are combined with their outcome
@@ -337,13 +383,18 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
     if n_in <= 0.0:
         return PhotonicState(reg, {}, validate=False), 0.0, []
 
+    occupations = MeasureTable() if occupations is None else occupations
+    split = occupations.split
     branches: dict[tuple[int, ...], dict[Occupation, complex]] = {}
     for occ, a in working.amps.items():
-        pattern = tuple(occ[m] for m in det_modes)
-        cleared = list(occ)
-        for m in det_modes:
-            cleared[m] = 0
-        branches.setdefault(pattern, {})[tuple(cleared)] = a
+        hit = split.get(occ)
+        if hit is None:
+            cleared = list(occ)
+            for m in det_modes:
+                cleared[m] = 0
+            hit = split[occ] = (tuple(occ[m] for m in det_modes), tuple(cleared))
+        pattern, cleared = hit
+        branches.setdefault(pattern, {})[cleared] = a
 
     records: list[BranchRecord] = []
     accepted: list[tuple[float, PhotonicState]] = []
@@ -356,7 +407,7 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
             records.append(BranchRecord(pattern, p_branch, "reject"))
             continue
         for beam, kind in action:
-            sub = _apply_correction(sub, beam, kind)
+            sub = _apply_correction(sub, kind, occupations.correction(reg, beam, kind))
         records.append(BranchRecord(pattern, p_branch, "accept"))
         accepted.append((p_branch, sub))
 

@@ -15,6 +15,7 @@ accumulated by post-selection and heralding.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -364,14 +365,20 @@ def prepare_logical_input(registry: ModeRegistry, amplitudes: LogicalAmplitudes,
 
 
 def tensor(s1: PhotonicState, s2: PhotonicState) -> PhotonicState:
-    """Product of two states on the same registry occupying disjoint beams."""
+    """Product of two states on the same registry occupying disjoint modes.
+
+    Raises `FockError` if any term of `s1` occupies a mode that any term of
+    `s2` occupies.
+    """
     if s1.registry != s2.registry:
         raise RegistryMismatchError("tensor needs a shared registry")
+    right = s2.amps.items()
+    occupied = {m for occ in s2.amps for m, n in enumerate(occ) if n}
     amps: dict[Occupation, complex] = {}
     for occ1, a1 in s1.amps.items():
-        for occ2, a2 in s2.amps.items():
-            if any(n1 and n2 for n1, n2 in zip(occ1, occ2)):
-                raise FockError("tensor factors overlap on a mode")
-            key = tuple(n1 + n2 for n1, n2 in zip(occ1, occ2))
+        if any(occ1[m] for m in occupied):
+            raise FockError("tensor factors overlap on a mode")
+        for occ2, a2 in right:
+            key = tuple(map(operator.add, occ1, occ2))
             amps[key] = amps.get(key, 0.0) + a1 * a2
     return PhotonicState(s1.registry, amps, prune_eps=s1.prune_eps, validate=False)

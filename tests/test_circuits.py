@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -31,12 +32,23 @@ from fredkinlab.circuits import (
 )
 from fredkinlab.elements import Hwp, compose
 from fredkinlab.engine import (
+    DetectorBasis,
+    DetectorSpec,
+    EngineError,
+    FeedForwardError,
+    FeedForwardTable,
     PostSelectionRule,
     apply_unitary,
     measure_and_feedforward,
     post_select_any,
 )
-from fredkinlab.fock import PhotonicState, prepare_logical_input, register_modes, tensor
+from fredkinlab.fock import (
+    FockError,
+    PhotonicState,
+    prepare_logical_input,
+    register_modes,
+    tensor,
+)
 
 from helpers import (
     assert_states_close,
@@ -602,3 +614,114 @@ def test_photonic_state_input_gets_no_ancilla():
         want = run(circuit, amps, upto=upto).state.amps
         assert got.keys() == want.keys()
         assert max(abs(got[occ] - want[occ]) for occ in want) <= 1e-15
+
+
+# -- occupation tables ---------------------------------------------------------------
+
+
+def map_inputs(n_qubits):
+    """The inputs of `conditional_process_map`: each basis state, then each
+    equal superposition of two of them."""
+    d = 1 << n_qubits
+    inputs = [LogicalAmplitudes.basis(n_qubits, i) for i in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            vals = [0.0] * d
+            vals[i] = vals[j] = S2
+            inputs.append(LogicalAmplitudes(tuple(vals)))
+    return inputs
+
+
+def exact_record(result):
+    """Everything a run returns, in order, for comparison with `==`."""
+    return (list(result.state.amps.items()), result.probability,
+            [(r.pattern, r.probability, r.action) for r in result.branch_log])
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_warm_tables_equal_cold_ones_exactly(name):
+    # a table filled by earlier runs hands out exactly the factors a fresh
+    # circuit works out: the same amplitudes in the same order, bit for bit
+    info = get_gate(name)
+    warm = info.build()
+    n = len(warm.qubit_beams)
+    rng = np.random.default_rng(29)
+    inputs = map_inputs(n) + [LogicalAmplitudes.random(n, rng) for _ in range(20)]
+    first = [exact_record(run(warm, amps)) for amps in inputs]
+    second = [exact_record(run(warm, amps)) for amps in inputs]
+    cold = [exact_record(run(info.build(), amps)) for amps in inputs]
+    assert first == second == cold
+    if info.kind == "known_target":
+        from fredkinlab.analysis import evaluate_known_target
+
+        once = evaluate_known_target(warm).matrix
+        assert np.array_equal(evaluate_known_target(warm).matrix, once)
+        assert np.array_equal(evaluate_known_target(info.build()).matrix, once)
+
+
+def test_tables_stay_with_their_circuit():
+    # circuits of different gates built, run and dropped in turn: a table
+    # shared between circuits, or found again under a reused object id,
+    # would hand one gate the actions of another
+    names = sorted(CATALOG)
+    rng = np.random.default_rng(31)
+    inputs = {}
+    want = {}
+    for name in names:
+        info = get_gate(name)
+        n = len(info.build().qubit_beams)
+        inputs[name] = [LogicalAmplitudes.basis(n, 0), LogicalAmplitudes.random(n, rng)]
+        want[name] = [exact_record(run(info.build(), amps)) for amps in inputs[name]]
+    for _ in range(3):
+        for name in rng.permutation(names):
+            circuit = get_gate(name).build()
+            assert [exact_record(run(circuit, amps)) for amps in inputs[name]] == want[name]
+            del circuit
+            gc.collect()
+
+
+def test_errors_survive_warm_tables():
+    # an occupation whose action raises is never stored: each run through a
+    # circuit whose tables a good run has filled raises again
+    def raises_twice(exc, circuit, bad, good, **kw):
+        run(circuit, good, **kw)
+        for _ in range(2):
+            with pytest.raises(exc):
+                run(circuit, bad, **kw)
+        run(circuit, good, **kw)
+
+    reg = register_modes(["c", "x"])
+    flip = Circuit("flip", reg, 2, ("c", "x"), ("c", "x"), (ControlledFlip("c", "x"),))
+    good = LogicalAmplitudes.basis(2, 0b10)
+    for occ in ((0, 0, 1, 1), (1, 1, 0, 0)):  # control with 0, then 2 photons
+        bad = PhotonicState(reg, {(1, 0, 1, 0): S2, occ: S2})
+        raises_twice(ControlFlipError, flip, bad, good)
+
+    reg = register_modes(["a"])
+    overlapping = (PostSelectionRule.mode_counts(reg, [((1,), 1)]),
+                   PostSelectionRule.mode_counts(reg, [((0,), 0)]))
+    keep = Circuit("keep", reg, 1, ("a",), ("a",), (PostSelect(overlapping),))
+    # |H> matches no rule and enters the table; |V> matches both
+    raises_twice(EngineError, keep, LogicalAmplitudes((0.6, 0.8)), LogicalAmplitudes.basis(1, 0))
+
+    reg = register_modes(["a", "b"])
+    det = DetectorSpec("a", DetectorBasis.HV)
+    no_flip = FeedForwardTable.build({(1, 0): [], (0, 1): []})
+    measure = Circuit("measure", reg, 2, ("a", "b"), ("b",), (Measure(det, no_flip),))
+    raises_twice(FeedForwardError, measure, LogicalAmplitudes((0, S2, S2, 0)),
+                 LogicalAmplitudes((0, S2, 0, S2)))
+    only_h = FeedForwardTable(entries=(((1, 0), ()),), default_reject=False)
+    measure = Circuit("measure", reg, 2, ("a", "b"), ("b",), (Measure(det, only_h),))
+    raises_twice(FeedForwardError, measure, LogicalAmplitudes.basis(2, 0b10),
+                 LogicalAmplitudes.basis(2, 0b01))
+
+    pittman = get_gate("cnot-pittman").build()
+    amps = LogicalAmplitudes.basis(2, 1)
+    bare = prepare_logical_input(pittman.registry, amps, pittman.qubit_beams)
+    raises_twice(CircuitError, pittman, bare, amps)  # 2 photons in, 4 declared
+    for _ in range(2):
+        with pytest.raises(CircuitError, match=r"photon numbers \[4\], declared 3"):
+            run(pittman, amps, expected_photons=3)
+    heralded = get_gate("fredkin-heralded").build()
+    raises_twice(FockError, heralded, LogicalAmplitudes.basis(2, 0),
+                 LogicalAmplitudes.basis(3, 0))

@@ -131,3 +131,14 @@ def test_tensor_disjoint_beams():
 def test_logical_amplitudes_bit_order():
     a = LogicalAmplitudes.basis(3, 5)  # binary 101 -> V H V
     assert a.bits(5) == (1, 0, 1)
+
+
+def test_tensor_overlap_in_a_later_left_term_raises():
+    # only the second term of the left factor shares a mode with the right one
+    reg = register_modes(["a", "b"])
+    left = PhotonicState(reg, {(1, 0, 0, 0): 0.6, (0, 0, 1, 0): 0.8})
+    right = PhotonicState(reg, {(0, 0, 0, 1): 0.8, (0, 0, 1, 0): 0.6})
+    with pytest.raises(FockError, match="overlap"):
+        tensor(left, right)
+    with pytest.raises(FockError, match="overlap"):
+        tensor(right, left)

@@ -6,10 +6,11 @@ superposition runs pin the relative column phases and double as a consistency
 check on the reconstruction.  Fidelity compares the probability-normalized
 map against the ideal permutation and is insensitive to a global phase.
 
-The optimizer is a deterministic multi-start Nelder-Mead descent on a
-penalized objective (negative worst-case success probability plus a large
-multiple of the infidelity), with penalty continuation to push the iterate
-onto the exact-logic manifold.
+The optimizer solves a problem's exact-logic equations directly: one
+Levenberg-Marquardt root solve per random start, a fresh start for each root
+that is trivial (p = 0), outside the bounds or no root at all, and the roots
+ranked by success probability.  The residual norm, which is linear in the
+logic error, decides feasibility.
 """
 
 from __future__ import annotations
@@ -100,20 +101,19 @@ def conditional_process_map(circuit: Circuit, kets: Sequence[Occupation],
 
 
 def process_fidelity(k: np.ndarray, ideal: np.ndarray) -> float:
-    """|tr(ideal^dag K_hat)|^2 / d^2 for the probability-normalized map K_hat.
+    """|sum(conj(ideal) * K)|^2 / (d sum |K|^2), d the number of inputs.
 
-    Equals 1 exactly when K is proportional to the ideal map.
+    This is |tr(ideal^dag K_hat)|^2 / d^2 for the probability-normalized map
+    K_hat, and equals 1 exactly when K is proportional to the ideal map.
     """
-    k = np.asarray(k, dtype=complex)
-    ideal = np.asarray(ideal, dtype=complex)
+    k = np.asarray(k)
+    ideal = np.asarray(ideal)
     if k.shape != ideal.shape:
         raise AnalysisError(f"map shape {k.shape} != ideal shape {ideal.shape}")
-    d = k.shape[1]
-    total = float(np.sum(np.abs(k) ** 2))
+    total = float(np.vdot(k, k).real)
     if total <= 0.0:
         raise AnalysisError("zero conditional map")
-    k_hat = k * math.sqrt(d / total)
-    return float(abs(np.trace(ideal.conj().T @ k_hat)) ** 2 / d**2)
+    return float(abs(np.vdot(ideal, k)) ** 2 / (k.shape[1] * total))
 
 
 def success_probability_sweep(circuit: Circuit,
@@ -176,23 +176,14 @@ def evaluate_known_target(circuit: Circuit) -> KnownTargetEvaluation:
         k[:, idx] = col
         legal = kets_2 if n == 2 else kets_1
         p_by_input[label] = float(sum(abs(out.amps.get(kk, 0.0)) ** 2 for kk in legal))
-    f2 = _sector_fidelity(k[:4, [0, 2]], KNOWN_TARGET_IDEAL[:4, [0, 2]])
-    fvac = _sector_fidelity(k[4:, [1, 3]], KNOWN_TARGET_IDEAL[4:, [1, 3]])
+    f2 = process_fidelity(k[:4, [0, 2]], KNOWN_TARGET_IDEAL[:4, [0, 2]])
+    fvac = process_fidelity(k[4:, [1, 3]], KNOWN_TARGET_IDEAL[4:, [1, 3]])
     return KnownTargetEvaluation(
         p_by_input=p_by_input,
         p_min=min(p_by_input.values()),
         fidelity=min(f2, fvac),
         matrix=k,
     )
-
-
-def _sector_fidelity(k: np.ndarray, ideal: np.ndarray) -> float:
-    d = k.shape[1]
-    total = float(np.sum(np.abs(k) ** 2))
-    if total <= 0.0:
-        return 0.0
-    overlap = complex(np.sum(ideal.conj() * k))
-    return float(abs(overlap) ** 2 / (d * total))
 
 
 # -- gate reports -----------------------------------------------------------------
@@ -343,16 +334,16 @@ def _bits_label(n: int, index: int) -> str:
 class OptimizationProblem:
     """Parametrized gate family with a logic specification to meet.
 
-    `evaluate` maps a parameter vector to (worst-case success probability,
-    fidelity on the declared subspace).  An optional `residuals` function
-    expresses the exact-logic conditions for a root polish of the simplex
-    solution.
+    `residuals` maps a parameter vector to real exact-logic conditions, all
+    zero where the logic is exact; `optimize_gate` solves them.  `evaluate`
+    maps it to (worst-case success probability, fidelity on the declared
+    subspace).
     """
     name: str
     bounds: tuple[tuple[float, float], ...]
     evaluate: Callable[[np.ndarray], tuple[float, float]]
+    residuals: Callable[[np.ndarray], np.ndarray]
     description: str = ""
-    residuals: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass
@@ -365,14 +356,12 @@ class OptimizeOutcome:
     best_infidelity: float
     restarts: int
     seed: int
-    residual_norm: float | None = None  # None for problems without `residuals`
+    residual_norm: float | None = None  # always set by `optimize_gate`
 
     @property
-    def logic_error(self) -> tuple[str, float]:
+    def logic_error(self) -> tuple[str, float | None]:
         """(name, value) of the figure that decides feasibility."""
-        if self.residual_norm is not None:
-            return "residual norm", self.residual_norm
-        return "best infidelity", self.best_infidelity
+        return "residual norm", self.residual_norm
 
     def to_dict(self) -> dict:
         return {
@@ -390,8 +379,11 @@ class OptimizeOutcome:
 
 
 DEFAULT_RESTARTS = 32
+# unused by `optimize_gate`; perfbench/worker.py still passes a penalty
 DEFAULT_PENALTY = 1e3
 FEASIBILITY_TOL = 1e-8
+#: `optimize_gate` gives up after this many starts per root asked for
+DRAWS_PER_ROOT = 4
 
 
 def _evaluate_known_target_params(params: np.ndarray) -> tuple[float, float]:
@@ -403,8 +395,8 @@ def _evaluate_known_target_params(params: np.ndarray) -> tuple[float, float]:
     `reverify_outcome` uses it to cross-check every optimizer outcome.
     """
     k2, kv = simplified_mesh_sectors(params)
-    f2 = _sector_fidelity(k2, KNOWN_TARGET_IDEAL[:4, [0, 2]])
-    fv = _sector_fidelity(kv, KNOWN_TARGET_IDEAL[4:, [1, 3]])
+    f2 = process_fidelity(k2, KNOWN_TARGET_IDEAL[:4, [0, 2]])
+    fv = process_fidelity(kv, KNOWN_TARGET_IDEAL[4:, [1, 3]])
     p = min(np.min(np.sum(k2 ** 2, axis=0)), np.min(np.sum(kv ** 2, axis=0)))
     return float(p), min(f2, fv)
 
@@ -412,9 +404,8 @@ def _evaluate_known_target_params(params: np.ndarray) -> tuple[float, float]:
 def _mesh_logic_residuals(params: np.ndarray) -> np.ndarray:
     """Exact-logic conditions of the known-target mesh; zero on the solution set.
 
-    Within this family the logic conditions pin the success amplitudes
-    completely, so a least-squares root polish lands the otherwise
-    simplex-accurate optimum at machine precision.
+    Four conditions in four angles.  Most of their roots are trivial, with
+    p = 0; the others reach p = 1/6.
     """
     k2, kv = simplified_mesh_sectors(params)
     return np.array([
@@ -425,20 +416,30 @@ def _mesh_logic_residuals(params: np.ndarray) -> np.ndarray:
     ])
 
 
+def _ralph_map(eta: float) -> ProcessMap:
+    circuit = build_ralph_cnot(eta)
+    kets = get_gate("cnot-ralph").output_kets(circuit)
+    return conditional_process_map(circuit, kets, d=4, check_superpositions=False)
+
+
 def _evaluate_ralph_eta(params: np.ndarray) -> tuple[float, float]:
     eta = float(params[0])
     if not 0.0 <= eta <= 1.0:
         return 0.0, 0.0
-    circuit = build_ralph_cnot(eta)
-    info = get_gate("cnot-ralph")
-    kets = info.output_kets(circuit)
-    pm = conditional_process_map(circuit, kets, d=4, check_superpositions=False)
+    pm = _ralph_map(eta)
     return min(pm.input_probabilities), process_fidelity(pm.matrix, ideal_cnot())
 
 
-def _evaluate_identity(params: np.ndarray) -> tuple[float, float]:
-    # a single mode with a phase plate: always a perfect, deterministic gate
-    return 1.0, 1.0
+def _ralph_residuals(params: np.ndarray) -> np.ndarray:
+    """The off-ideal amplitudes of the map and the spread of the ideal ones,
+    real and imaginary parts; NaN outside [0, 1], where no splitter exists,
+    so that Levenberg-Marquardt takes no step there."""
+    if not 0.0 <= params[0] <= 1.0:
+        return np.full(2 * (12 + 3), math.nan)
+    k = _ralph_map(float(params[0])).matrix
+    on = ideal_cnot() == 1
+    r = np.concatenate([k[~on], k[on][1:] - k[on][0]])
+    return np.concatenate([r.real, r.imag])
 
 
 PROBLEMS: dict[str, OptimizationProblem] = {
@@ -446,21 +447,24 @@ PROBLEMS: dict[str, OptimizationProblem] = {
         name="simplified-cnot",
         bounds=SIMPLIFIED_PARAM_BOUNDS,
         evaluate=_evaluate_known_target_params,
+        residuals=_mesh_logic_residuals,
         description="Known-target (V or vacuum) CNOT mesh: three Givens angles "
                     "plus the control-V attenuation angle.",
-        residuals=_mesh_logic_residuals,
     ),
     "ralph-topology": OptimizationProblem(
         name="ralph-topology",
         bounds=((0.0, 1.0),),
         evaluate=_evaluate_ralph_eta,
+        residuals=_ralph_residuals,
         description="General-target CNOT constrained to the three-splitter "
                     "topology with a common reflectivity.",
     ),
     "identity": OptimizationProblem(
         name="identity",
         bounds=((-math.pi, math.pi),),
-        evaluate=_evaluate_identity,
+        # a single mode with a phase plate: perfect and deterministic at every phase
+        evaluate=lambda params: (1.0, 1.0),
+        residuals=lambda params: np.zeros(1),
         description="Single-mode phase plate; sanity problem.",
     ),
 }
@@ -470,20 +474,21 @@ def optimize_gate(problem: OptimizationProblem | str,
                   seed: int = 0,
                   restarts: int = DEFAULT_RESTARTS,
                   penalty: float = DEFAULT_PENALTY) -> OptimizeOutcome:
-    """Multi-start Nelder-Mead on -p + penalty*(1 - fidelity).
+    """Solve `problem.residuals` = 0 by Levenberg-Marquardt from random starts.
 
-    The penalty is raised in stages from `penalty` to 1e9 while re-descending
-    from the incumbent, which drives the iterate onto the exact-logic manifold
-    without wrecking the early search.  Deterministic for a fixed seed.
-
-    For a problem with `residuals`, a least-squares root polish follows.  It
-    is accepted when the residual norm does not increase and p drops by at
-    most 1e-6; the outcome is feasible when that norm is within
-    `FEASIBILITY_TOL`.  Both figures are linear in the logic error, whereas
-    1 - fidelity is quadratic in it and saturates at 1.0 in floating point.
-    Problems without `residuals` are feasible when 1 - fidelity is within
-    `FEASIBILITY_TOL`.  A penalty that is not positive and finite is an
-    `AnalysisError`: the continuation could never raise it to 1e9.
+    Starts are drawn uniformly inside the bounds from ``default_rng(seed)``.
+    A root is good when its residual norm is within `FEASIBILITY_TOL`, its
+    success probability p exceeds it and it lies inside the bounds (roots are
+    never clipped).  Any other outcome, most often a trivial root with p = 0,
+    is replaced by a fresh start.  The search stops at `restarts` good roots
+    or after `DRAWS_PER_ROOT` * `restarts` starts.  It returns the good root
+    of highest p (p within `FEASIBILITY_TOL` counting as equal), then of
+    smallest norm, then the earliest; without one, the root of smallest norm,
+    inside the bounds first.  That root is feasible when it lies inside the
+    bounds with norm within `FEASIBILITY_TOL`: the norm is linear in the logic
+    error, while 1 - fidelity is quadratic in it and saturates at 1.0.
+    `penalty` is unused, but one that is not positive and finite is still an
+    `AnalysisError`.
     """
     if not (math.isfinite(penalty) and penalty > 0.0):
         raise AnalysisError(f"penalty must be a positive finite number, got {penalty!r}")
@@ -496,63 +501,44 @@ def optimize_gate(problem: OptimizationProblem | str,
             raise AnalysisError(
                 f"unknown problem {problem!r}; known: {', '.join(sorted(PROBLEMS))}")
     rng = np.random.default_rng(seed)
-    lo = np.array([b[0] for b in problem.bounds])
-    hi = np.array([b[1] for b in problem.bounds])
-
-    def objective(x: np.ndarray, lam: float) -> float:
-        x = np.clip(x, lo, hi)
-        p, fid = problem.evaluate(x)
-        return -p + lam * (1.0 - fid)
-
-    candidates: list[tuple[float, np.ndarray]] = []
-    for _ in range(max(1, restarts)):
+    lo, hi = np.array(problem.bounds, dtype=float).T
+    wanted = max(1, restarts)
+    roots = []  # (outside the bounds, residual norm, start, x) of every start
+    good = []   # (p, residual norm, start, x) of every good root
+    for start in range(DRAWS_PER_ROOT * wanted):
         x0 = lo + (hi - lo) * rng.random(len(lo))
-        res = sp_optimize.minimize(
-            objective, x0, args=(penalty,), method="Nelder-Mead",
-            options={"maxiter": 400 * len(lo), "xatol": 1e-9, "fatol": 1e-12})
-        candidates.append((res.fun, np.clip(res.x, lo, hi)))
-    candidates.sort(key=lambda c: (c[0], tuple(c[1])))
-
-    # penalty continuation from the best starts
-    best_x = candidates[0][1]
-    lam = penalty
-    while lam < 1e9:
-        lam *= 100.0
-        res = sp_optimize.minimize(
-            objective, best_x, args=(lam,), method="Nelder-Mead",
-            options={"maxiter": 800 * len(lo), "xatol": 1e-12, "fatol": 1e-15})
-        best_x = np.clip(res.x, lo, hi)
-
-    residual_norm = None
-    if problem.residuals is not None:
-        def norm(x: np.ndarray) -> float:
-            return float(np.linalg.norm(problem.residuals(x)))
-
-        # root polish onto the exact-logic manifold (no-op when already there)
-        sol = sp_optimize.least_squares(problem.residuals, best_x, method="lm",
+        sol = sp_optimize.least_squares(problem.residuals, x0, method="lm",
                                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        polished = np.clip(sol.x, lo, hi)
-        residual_norm = norm(best_x)
-        polished_norm = norm(polished)
-        p_old, _ = problem.evaluate(best_x)
-        p_new, _ = problem.evaluate(polished)
-        if polished_norm <= residual_norm and p_new >= p_old - 1e-6:
-            best_x, residual_norm = polished, polished_norm
+        x, norm = sol.x, float(np.linalg.norm(sol.fun))
+        outside = not np.all((lo <= x) & (x <= hi))
+        roots.append((outside, norm, start, x))
+        if outside or not norm <= FEASIBILITY_TOL:
+            continue
+        p, _ = problem.evaluate(x)
+        if p > FEASIBILITY_TOL:
+            good.append((p, norm, start, x))
+            if len(good) == wanted:
+                break
 
-    p, fid = problem.evaluate(best_x)
-    outcome = OptimizeOutcome(
+    if good:
+        top = max(g[0] for g in good)
+        _, norm, _, x = min((g for g in good if g[0] >= top - FEASIBILITY_TOL),
+                            key=lambda g: g[1:3])
+        outside = False
+    else:
+        outside, norm, _, x = min(roots, key=lambda r: r[:3])
+    p, fid = problem.evaluate(x)
+    return OptimizeOutcome(
         problem=problem.name,
-        parameters=best_x,
+        parameters=x,
         probability=float(p),
         fidelity=float(fid),
-        feasible=False,
+        feasible=not outside and norm <= FEASIBILITY_TOL,
         best_infidelity=float(1.0 - fid),
         restarts=restarts,
         seed=seed,
-        residual_norm=residual_norm,
+        residual_norm=norm,
     )
-    outcome.feasible = outcome.logic_error[1] <= FEASIBILITY_TOL
-    return outcome
 
 
 def reverify_outcome(outcome: OptimizeOutcome) -> tuple[float, float]:

@@ -431,14 +431,16 @@ def _apply_controlled_flip(state: PhotonicState, control: str, target: str,
     occupation to the flipped one."""
     occupations = {} if occupations is None else occupations
     reg = state.registry
-    ctrl_h = reg.modes_where(beams=[control], pol=Polarization.H)
-    ctrl_v = reg.modes_where(beams=[control], pol=Polarization.V)
-    tgt_h = reg.modes_where(beams=[target], pol=Polarization.H)
-    tgt_v = reg.modes_where(beams=[target], pol=Polarization.V)
+    modes = None  # looked up at the first occupation the table lacks
     out: dict[Occupation, complex] = {}
     for occ, a in state.amps.items():
         flipped = occupations.get(occ)
         if flipped is None:
+            if modes is None:
+                modes = [reg.modes_where(beams=[beam], pol=pol)
+                         for beam in (control, target)
+                         for pol in (Polarization.H, Polarization.V)]
+            ctrl_h, ctrl_v, tgt_h, tgt_v = modes
             nh = sum(occ[m] for m in ctrl_h)
             nv = sum(occ[m] for m in ctrl_v)
             if nh + nv != 1:

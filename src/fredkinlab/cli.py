@@ -183,8 +183,7 @@ def cmd_optimize(args, cfg: LabConfig) -> int:
     seed = args.seed if args.seed is not None else cfg.optimizer_seed
     restarts = args.restarts if args.restarts is not None else cfg.optimizer_restarts
     try:
-        outcome = analysis.optimize_gate(args.problem, seed=seed, restarts=restarts,
-                                         penalty=cfg.optimizer_penalty)
+        outcome = analysis.optimize_gate(args.problem, seed=seed, restarts=restarts)
     except analysis.AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

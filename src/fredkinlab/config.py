@@ -18,7 +18,7 @@ ENV_VAR = "PHOTONIC_LAB_CONFIG"
 class LabConfig:
     verify_tolerance: float = 1e-9
     optimizer_restarts: int = 32
-    optimizer_penalty: float = 1e3
+    optimizer_penalty: float = 1e3  # parsed but unused; perfbench/worker.py reads it
     optimizer_seed: int = 0
     sweep_seed: int = 20260811
 

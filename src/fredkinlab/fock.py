@@ -314,7 +314,7 @@ class LogicalAmplitudes:
         if n < 2 or (n & (n - 1)) != 0:
             raise FockError(f"amplitude count {n} is not a power of two")
         norm = sum(abs(v) ** 2 for v in vals)
-        if abs(norm - 1.0) > NORMALIZATION_TOL:
+        if not abs(norm - 1.0) <= NORMALIZATION_TOL:  # a NaN norm fails too
             raise NormalizationError(f"amplitudes not normalized: sum |a|^2 = {norm!r}")
 
     @property

@@ -22,6 +22,7 @@ from fredkinlab.circuits import (
     SIMPLIFIED_PARAM_BOUNDS,
     Circuit,
     Linear,
+    build_fredkin_postselected,
     build_simplified_cnot,
     simplified_mesh_sectors,
 )
@@ -189,11 +190,12 @@ def test_optimizer_unknown_problem():
 
 @pytest.mark.parametrize("penalty", [0.0, -1.0, float("nan"), float("inf")])
 def test_optimizer_rejects_bad_penalty_before_evaluating(penalty):
-    # the continuation multiplies the penalty up to 1e9: from 0 it never gets there
+    # the penalty is unused, but a bad one is still an error, raised up front
     def evaluate(x):
         raise AssertionError("evaluated with a bad penalty")
 
-    problem = OptimizationProblem(name="never", bounds=((0.0, 1.0),), evaluate=evaluate)
+    problem = OptimizationProblem(name="never", bounds=((0.0, 1.0),), evaluate=evaluate,
+                                  residuals=evaluate)
     with pytest.raises(AnalysisError, match="penalty must be a positive finite number"):
         optimize_gate(problem, seed=0, restarts=1, penalty=penalty)
 
@@ -201,16 +203,41 @@ def test_optimizer_rejects_bad_penalty_before_evaluating(penalty):
 def test_optimizer_ralph_topology_converges_to_one_third():
     out = optimize_gate("ralph-topology", seed=0, restarts=6)
     assert out.feasible
-    assert abs(out.parameters[0] - 1 / 3) < 1e-6
-    assert abs(out.probability - 1 / 9) < 1e-8
+    assert abs(out.parameters[0] - 1 / 3) <= 1e-12
+    assert abs(out.probability - 1 / 9) <= 1e-12
 
 
-def test_optimizer_known_target_reaches_one_sixth():
-    out = optimize_gate("simplified-cnot", seed=7, restarts=12)
+@pytest.mark.parametrize("seed", range(8))
+def test_optimizer_known_target_reaches_one_sixth(seed):
+    out = optimize_gate("simplified-cnot", seed=seed, restarts=12)
     assert out.feasible
     assert abs(out.probability - 1 / 6) <= 1e-12
     assert np.linalg.norm(PROBLEMS["simplified-cnot"].residuals(out.parameters)) <= 1e-12
+    assert out.residual_norm <= 1e-12
     assert out.fidelity >= 1 - 1e-8
+    build_fredkin_postselected("fig3", out.parameters)
+
+
+def test_optimizer_trivial_roots_end_after_bounded_starts(monkeypatch):
+    # every root has p = 0, so no start is good: the search must give up
+    import scipy.optimize
+
+    starts = []
+    least_squares = scipy.optimize.least_squares
+
+    def counted(*args, **kwargs):
+        starts.append(args[1])
+        return least_squares(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", counted)
+    problem = OptimizationProblem(
+        name="dark", bounds=((-1.0, 1.0),),
+        evaluate=lambda x: (0.0, 1.0),
+        residuals=lambda x: np.array([x[0]]))
+    out = optimize_gate(problem, seed=0, restarts=3)
+    assert len(starts) == 4 * 3
+    assert out.probability == 0.0
+    assert out.residual_norm == 0.0
 
 
 def test_optimizer_feasibility_decided_by_residual_norm():
@@ -225,7 +252,7 @@ def test_optimizer_feasibility_decided_by_residual_norm():
     assert not out.feasible
     assert out.logic_error[0] == "residual norm"
     assert out.logic_error[1] == pytest.approx(1e-6, rel=1e-6)
-    assert optimize_gate("identity", seed=0, restarts=1).logic_error == ("best infidelity", 0.0)
+    assert optimize_gate("identity", seed=0, restarts=1).logic_error == ("residual norm", 0.0)
 
 
 def test_optimizer_soundness_reverification():

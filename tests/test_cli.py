@@ -149,6 +149,12 @@ def test_verify_rejects_unnormalized_input():
     assert "normaliz" in err
 
 
+def test_simulate_rejects_nan_input():
+    code, out, err = run_cli(["simulate", "cnot-ralph", "--input", "[NaN, 0, 0, 1]"])
+    assert code == 2
+    assert err == "error: amplitudes not normalized: sum |a|^2 = nan\n"
+
+
 def test_simulate_identity_echoes_input(tmp_path):
     from fredkinlab.circuits import Circuit, Linear
     from fredkinlab.elements import Hwp

@@ -63,6 +63,9 @@ def test_prepare_logical_four_term_superposition():
 def test_prepare_logical_rejects_unnormalized():
     with pytest.raises(NormalizationError):
         LogicalAmplitudes((0.5, 0, 0, 0, 0, 0, 0, 0))
+    # a NaN norm compares False with everything, so it must fail the check
+    with pytest.raises(NormalizationError, match="nan"):
+        LogicalAmplitudes((float("nan"), 0, 0, 1))
 
 
 def test_prepare_logical_rejects_unknown_beam():

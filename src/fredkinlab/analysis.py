@@ -10,7 +10,8 @@ The optimizer solves a problem's exact-logic equations directly: one
 Levenberg-Marquardt root solve per random start, a fresh start for each root
 that is trivial (p = 0), outside the bounds or no root at all, and the roots
 ranked by success probability.  The residual norm, which is linear in the
-logic error, decides feasibility.
+logic error, decides what is a root; the outcome is feasible only when some
+start reached a root with p > 0 inside the bounds.
 """
 
 from __future__ import annotations
@@ -153,6 +154,17 @@ KNOWN_TARGET_IDEAL[0, 0] = 1.0  # H,V -> H,V
 KNOWN_TARGET_IDEAL[4, 1] = 1.0  # H,vac -> H,vac
 KNOWN_TARGET_IDEAL[3, 2] = 1.0  # V,V -> V,H
 KNOWN_TARGET_IDEAL[5, 3] = 1.0  # V,vac -> V,vac
+_IDEAL_2 = KNOWN_TARGET_IDEAL[:4, [0, 2]]    # target-present sector
+_IDEAL_VAC = KNOWN_TARGET_IDEAL[4:, [1, 3]]  # target-absent sector
+
+
+def _known_target_fidelity(k2: np.ndarray, kv: np.ndarray) -> float:
+    """The worse of the two sector fidelities.  A sector the gate never
+    accepts, as at a root with p = 0, scores 0 rather than raising."""
+    try:
+        return min(process_fidelity(k2, _IDEAL_2), process_fidelity(kv, _IDEAL_VAC))
+    except AnalysisError:  # the shapes are fixed, so only a zero sector gets here
+        return 0.0
 
 
 def evaluate_known_target(circuit: Circuit) -> KnownTargetEvaluation:
@@ -176,12 +188,10 @@ def evaluate_known_target(circuit: Circuit) -> KnownTargetEvaluation:
         k[:, idx] = col
         legal = kets_2 if n == 2 else kets_1
         p_by_input[label] = float(sum(abs(out.amps.get(kk, 0.0)) ** 2 for kk in legal))
-    f2 = process_fidelity(k[:4, [0, 2]], KNOWN_TARGET_IDEAL[:4, [0, 2]])
-    fvac = process_fidelity(k[4:, [1, 3]], KNOWN_TARGET_IDEAL[4:, [1, 3]])
     return KnownTargetEvaluation(
         p_by_input=p_by_input,
         p_min=min(p_by_input.values()),
-        fidelity=min(f2, fvac),
+        fidelity=_known_target_fidelity(k[:4, [0, 2]], k[4:, [1, 3]]),
         matrix=k,
     )
 
@@ -395,10 +405,8 @@ def _evaluate_known_target_params(params: np.ndarray) -> tuple[float, float]:
     `reverify_outcome` uses it to cross-check every optimizer outcome.
     """
     k2, kv = simplified_mesh_sectors(params)
-    f2 = process_fidelity(k2, KNOWN_TARGET_IDEAL[:4, [0, 2]])
-    fv = process_fidelity(kv, KNOWN_TARGET_IDEAL[4:, [1, 3]])
     p = min(np.min(np.sum(k2 ** 2, axis=0)), np.min(np.sum(kv ** 2, axis=0)))
-    return float(p), min(f2, fv)
+    return float(p), _known_target_fidelity(k2, kv)
 
 
 def _mesh_logic_residuals(params: np.ndarray) -> np.ndarray:
@@ -483,10 +491,12 @@ def optimize_gate(problem: OptimizationProblem | str,
     is replaced by a fresh start.  The search stops at `restarts` good roots
     or after `DRAWS_PER_ROOT` * `restarts` starts.  It returns the good root
     of highest p (p within `FEASIBILITY_TOL` counting as equal), then of
-    smallest norm, then the earliest; without one, the root of smallest norm,
-    inside the bounds first.  That root is feasible when it lies inside the
-    bounds with norm within `FEASIBILITY_TOL`: the norm is linear in the logic
-    error, while 1 - fidelity is quadratic in it and saturates at 1.0.
+    smallest norm, then the earliest, and the outcome is feasible.  Without a
+    good root the outcome is infeasible and holds the root of smallest norm,
+    inside the bounds first: a trivial root solves the equations, but a gate
+    that never succeeds is no solution.  The residual norm, not 1 - fidelity,
+    decides what is a root: it is linear in the logic error, while 1 -
+    fidelity is quadratic in it and saturates at 1.0.
     `penalty` is unused, but one that is not positive and finite is still an
     `AnalysisError`.
     """
@@ -524,16 +534,15 @@ def optimize_gate(problem: OptimizationProblem | str,
         top = max(g[0] for g in good)
         _, norm, _, x = min((g for g in good if g[0] >= top - FEASIBILITY_TOL),
                             key=lambda g: g[1:3])
-        outside = False
     else:
-        outside, norm, _, x = min(roots, key=lambda r: r[:3])
+        _, norm, _, x = min(roots, key=lambda r: r[:3])
     p, fid = problem.evaluate(x)
     return OptimizeOutcome(
         problem=problem.name,
         parameters=x,
         probability=float(p),
         fidelity=float(fid),
-        feasible=not outside and norm <= FEASIBILITY_TOL,
+        feasible=bool(good),
         best_infidelity=float(1.0 - fid),
         restarts=restarts,
         seed=seed,

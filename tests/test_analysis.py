@@ -238,6 +238,8 @@ def test_optimizer_trivial_roots_end_after_bounded_starts(monkeypatch):
     assert len(starts) == 4 * 3
     assert out.probability == 0.0
     assert out.residual_norm == 0.0
+    assert not out.feasible  # a root, but of a gate that never succeeds
+
 
 
 def test_optimizer_feasibility_decided_by_residual_norm():

@@ -287,6 +287,19 @@ def test_optimize_infeasible_names_deciding_figure(monkeypatch, capsys):
     assert "feasible: no (residual norm 1.000e-06)" in capsys.readouterr().out
 
 
+def test_optimize_trivial_root_is_infeasible(monkeypatch, capsys):
+    from fredkinlab.cli import main
+
+    monkeypatch.delenv("PHOTONIC_LAB_CONFIG", raising=False)
+    # at one restart, seed 0's four starts all end on roots with p = 0
+    assert main(["optimize", "simplified-cnot", "--seed", "0", "--restarts", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "achieved probability: 3.2" in out and "e-33" in out
+    # the engine prunes the ~1e-16 amplitudes left there: a zero sector scores 0
+    assert "re-simulated:         p=0, fidelity=0.000000000000" in out
+    assert "feasible: no" in out
+
+
 def test_optimize_writes_parameter_file(tmp_path):
     out_path = tmp_path / "params.json"
     code, out, err = run_cli(["optimize", "ralph-topology", "--seed", "2",

@@ -11,7 +11,10 @@ Levenberg-Marquardt root solve per random start, a fresh start for each root
 that is trivial (p = 0), outside the bounds or no root at all, and the roots
 ranked by success probability.  The residual norm, which is linear in the
 logic error, decides what is a root; the outcome is feasible only when some
-start reached a root with p > 0 inside the bounds.
+start reached a root with p > 0 inside the bounds.  The known-target mesh is
+scored, solved and differentiated in scalar closed form from the entries of
+its Givens product (`circuits.simplified_mesh_entries`), with an analytic
+Jacobian; the other problems take forward differences.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from .circuits import (
     build_ralph_cnot,
     build_simplified_cnot,
     run,
-    simplified_mesh_sectors,
+    simplified_mesh_entries,
+    simplified_mesh_slopes,
+    simplified_mesh_transfers,
     SIMPLIFIED_PARAM_BOUNDS,
 )
 # unused here; perfbench/test_perfbench.py asserts this alias of the traced compose
@@ -345,15 +350,17 @@ class OptimizationProblem:
     """Parametrized gate family with a logic specification to meet.
 
     `residuals` maps a parameter vector to real exact-logic conditions, all
-    zero where the logic is exact; `optimize_gate` solves them.  `evaluate`
-    maps it to (worst-case success probability, fidelity on the declared
-    subspace).
+    zero where the logic is exact; `optimize_gate` solves them.  `jacobian`,
+    when given, maps it to their derivatives (residuals by parameters);
+    without it the solver takes forward differences.  `evaluate` maps it to
+    (worst-case success probability, fidelity on the declared subspace).
     """
     name: str
     bounds: tuple[tuple[float, float], ...]
     evaluate: Callable[[np.ndarray], tuple[float, float]]
     residuals: Callable[[np.ndarray], np.ndarray]
     description: str = ""
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass
@@ -367,11 +374,8 @@ class OptimizeOutcome:
     restarts: int
     seed: int
     residual_norm: float | None = None  # always set by `optimize_gate`
-
-    @property
-    def logic_error(self) -> tuple[str, float | None]:
-        """(name, value) of the figure that decides feasibility."""
-        return "residual norm", self.residual_norm
+    #: (name, value) of the figure that decided feasibility; set by `optimize_gate`
+    logic_error: tuple[str, float] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -396,32 +400,56 @@ FEASIBILITY_TOL = 1e-8
 DRAWS_PER_ROOT = 4
 
 
-def _evaluate_known_target_params(params: np.ndarray) -> tuple[float, float]:
-    """The known-target figures of `evaluate_known_target`, from the mesh's
-    closed-form sector matrices (`simplified_mesh_sectors`).
+def _evaluate_known_target_params(params: Sequence[float]) -> tuple[float, float]:
+    """The known-target figures of `evaluate_known_target`, in closed form
+    from the mesh's six sector amplitudes (`simplified_mesh_transfers`).
 
-    Cheap enough for the optimizer's inner loop.  `evaluate_known_target` runs
-    the circuit through the state-evolution engine instead, and
-    `reverify_outcome` uses it to cross-check every optimizer outcome.
+    Cheap enough for the optimizer's inner loop: scalar arithmetic, no
+    matrix.  Each sector fidelity is `process_fidelity` written out for its
+    real amplitudes, and a zero sector scores 0, as in
+    `_known_target_fidelity`.  `evaluate_known_target` runs the circuit
+    through the state-evolution engine instead, and `reverify_outcome` uses it
+    to cross-check every optimizer outcome.
     """
-    k2, kv = simplified_mesh_sectors(params)
-    p = min(np.min(np.sum(k2 ** 2, axis=0)), np.min(np.sum(kv ** 2, axis=0)))
-    return float(p), _known_target_fidelity(k2, kv)
+    hv, hh, vv, vh, h0, v0 = simplified_mesh_transfers(params)
+    h_in, v_in = hv * hv + hh * hh, vv * vv + vh * vh
+    two, vac = h_in + v_in, h0 * h0 + v0 * v0
+    fid = 0.0 if two == 0.0 or vac == 0.0 else \
+        min((hv + vh) ** 2 / (2 * two), (h0 + v0) ** 2 / (2 * vac))
+    return min(h_in, v_in, h0 * h0, v0 * v0), fid
 
 
-def _mesh_logic_residuals(params: np.ndarray) -> np.ndarray:
+def _mesh_logic_residuals(params: Sequence[float]) -> np.ndarray:
     """Exact-logic conditions of the known-target mesh; zero on the solution set.
 
-    Four conditions in four angles.  Most of their roots are trivial, with
-    p = 0; the others reach p = 1/6.
+    Four conditions in four angles, on the mesh's sector amplitudes.  Most of
+    their roots are trivial, with p = 0; the others reach p = 1/6.
     """
-    k2, kv = simplified_mesh_sectors(params)
+    hv, hh, vv, vh, h0, v0 = simplified_mesh_transfers(params)
     return np.array([
-        kv[1, 1] - kv[0, 0],    # equal control transmissions
-        k2[1, 0],               # H control must not flip the target
-        k2[2, 1],               # V control must flip it
-        k2[0, 0] - k2[3, 1],    # equal success amplitudes
+        v0 - h0,  # equal control transmissions
+        hh,       # H control must not flip the target
+        vv,       # V control must flip it
+        hv - vh,  # equal success amplitudes
     ])
+
+
+def _mesh_logic_jacobian(params: Sequence[float]) -> np.ndarray:
+    """Closed-form Jacobian of `_mesh_logic_residuals` (residuals by angles).
+
+    Each column is the residuals differentiated by the product rule, through
+    the amplitudes of `simplified_mesh_transfers`, along one angle's entry
+    slopes (`simplified_mesh_slopes`).
+    """
+    e = simplified_mesh_entries(params)
+    g00, g01, g10, g11, g20, g21, t = e
+    return np.array([
+        (u - h00,
+         h00 * g21 + g00 * h21 + h01 * g20 + g01 * h20,
+         u * g11 + t * h11,
+         h00 * g11 + g00 * h11 + h01 * g10 + g01 * h10 - u * g21 - t * h21)
+        for h00, h01, h10, h11, h20, h21, u in simplified_mesh_slopes(params, e)
+    ]).T
 
 
 def _ralph_map(eta: float) -> ProcessMap:
@@ -456,6 +484,7 @@ PROBLEMS: dict[str, OptimizationProblem] = {
         bounds=SIMPLIFIED_PARAM_BOUNDS,
         evaluate=_evaluate_known_target_params,
         residuals=_mesh_logic_residuals,
+        jacobian=_mesh_logic_jacobian,
         description="Known-target (V or vacuum) CNOT mesh: three Givens angles "
                     "plus the control-V attenuation angle.",
     ),
@@ -484,10 +513,11 @@ def optimize_gate(problem: OptimizationProblem | str,
                   penalty: float = DEFAULT_PENALTY) -> OptimizeOutcome:
     """Solve `problem.residuals` = 0 by Levenberg-Marquardt from random starts.
 
-    Starts are drawn uniformly inside the bounds from ``default_rng(seed)``.
-    A root is good when its residual norm is within `FEASIBILITY_TOL`, its
-    success probability p exceeds it and it lies inside the bounds (roots are
-    never clipped).  Any other outcome, most often a trivial root with p = 0,
+    The solver uses `problem.jacobian` when there is one, else forward
+    differences.  Starts are drawn uniformly inside the bounds from
+    ``default_rng(seed)``.  A root is good when its residual norm is within
+    `FEASIBILITY_TOL`, its success probability p exceeds it and it lies
+    inside the bounds (roots are never clipped).  Any other outcome, most often a trivial root with p = 0,
     is replaced by a fresh start.  The search stops at `restarts` good roots
     or after `DRAWS_PER_ROOT` * `restarts` starts.  It returns the good root
     of highest p (p within `FEASIBILITY_TOL` counting as equal), then of
@@ -496,20 +526,23 @@ def optimize_gate(problem: OptimizationProblem | str,
     inside the bounds first: a trivial root solves the equations, but a gate
     that never succeeds is no solution.  The residual norm, not 1 - fidelity,
     decides what is a root: it is linear in the logic error, while 1 -
-    fidelity is quadratic in it and saturates at 1.0.
+    fidelity is quadratic in it and saturates at 1.0.  The outcome's
+    `logic_error` names the figure that decided: the success probability of
+    a trivial root, the distance outside the bounds of a root there, and
+    otherwise the residual norm.
     `penalty` is unused, but one that is not positive and finite is still an
     `AnalysisError`.
     """
     if not (math.isfinite(penalty) and penalty > 0.0):
         raise AnalysisError(f"penalty must be a positive finite number, got {penalty!r}")
-    from scipy import optimize as sp_optimize  # here, not at import: only this needs it
-
     if isinstance(problem, str):
         try:
             problem = PROBLEMS[problem]
         except KeyError:
             raise AnalysisError(
                 f"unknown problem {problem!r}; known: {', '.join(sorted(PROBLEMS))}")
+    from scipy import optimize as sp_optimize  # here, not at import: only this needs it
+
     rng = np.random.default_rng(seed)
     lo, hi = np.array(problem.bounds, dtype=float).T
     wanted = max(1, restarts)
@@ -517,7 +550,8 @@ def optimize_gate(problem: OptimizationProblem | str,
     good = []   # (p, residual norm, start, x) of every good root
     for start in range(DRAWS_PER_ROOT * wanted):
         x0 = lo + (hi - lo) * rng.random(len(lo))
-        sol = sp_optimize.least_squares(problem.residuals, x0, method="lm",
+        sol = sp_optimize.least_squares(problem.residuals, x0,
+                                        jac=problem.jacobian or "2-point", method="lm",
                                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
         x, norm = sol.x, float(np.linalg.norm(sol.fun))
         outside = not np.all((lo <= x) & (x <= hi))
@@ -535,8 +569,14 @@ def optimize_gate(problem: OptimizationProblem | str,
         _, norm, _, x = min((g for g in good if g[0] >= top - FEASIBILITY_TOL),
                             key=lambda g: g[1:3])
     else:
-        _, norm, _, x = min(roots, key=lambda r: r[:3])
+        outside, norm, _, x = min(roots, key=lambda r: r[:3])
     p, fid = problem.evaluate(x)
+    if good or not norm <= FEASIBILITY_TOL:
+        logic_error = ("residual norm", norm)
+    elif outside:
+        logic_error = ("outside the bounds by", float(np.max(np.maximum(lo - x, x - hi))))
+    else:
+        logic_error = ("success probability", float(p))
     return OptimizeOutcome(
         problem=problem.name,
         parameters=x,
@@ -547,6 +587,7 @@ def optimize_gate(problem: OptimizationProblem | str,
         restarts=restarts,
         seed=seed,
         residual_norm=norm,
+        logic_error=logic_error,
     )
 
 

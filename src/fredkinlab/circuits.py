@@ -595,45 +595,81 @@ def simplified_mesh_elements(control: str, target: str, dump: str,
     )
 
 
-def _givens3(theta: float, i: int, j: int) -> np.ndarray:
-    """3x3 form of `Rot(theta, i, j)` (columns = inputs)."""
-    c, s = math.cos(theta), math.sin(theta)
-    g = np.eye(3)
-    g[i, i] = g[j, j] = c
-    g[i, j], g[j, i] = -s, s
-    return g
+def _mesh_trig(params: Sequence[float]) -> tuple[float, ...]:
+    """Cosine and sine of each Givens angle, then the attenuation angle."""
+    a, b, c, alpha = np.asarray(params, dtype=float).tolist()  # math is slow on numpy scalars
+    return math.cos(a), math.sin(a), math.cos(b), math.sin(b), math.cos(c), math.sin(c), alpha
+
+
+def simplified_mesh_entries(params: Sequence[float]) -> tuple[float, ...]:
+    """The mesh's closed form: ``(g00, g01, g10, g11, g20, g21, t)``.
+
+    ``g`` is the product of the three Givens rotations on the (control H,
+    target V, target H) block, the first listed rotation acting first; only
+    its first two columns (control H and target V in) reach a legal output.
+    ``t = cos(alpha)`` is the attenuator's control-V transmission.
+    """
+    ca, sa, cb, sb, cc, sc, alpha = _mesh_trig(params)
+    u = sb * sc
+    return (ca * cb, -ca * u - sa * cc,
+            sa * cb, ca * cc - sa * u,
+            sb, cb * sc,
+            math.cos(alpha))
+
+
+def simplified_mesh_slopes(params: Sequence[float],
+                           entries: Sequence[float]) -> tuple[tuple[float, ...], ...]:
+    """Derivatives of `simplified_mesh_entries` (given as ``entries``) by
+    each of the four angles, in the order of ``params``.
+
+    ``a`` rotates rows 0 and 1 of ``g`` (row 0 goes to -row 1, row 1 to
+    row 0); ``b`` turns column 0 and takes column 1 to -sin(c) times
+    column 0; ``c`` leaves column 0 and takes column 1 to column 2; and
+    dt/dalpha = -sin(alpha).
+    """
+    ca, sa, cb, sb, cc, sc, alpha = _mesh_trig(params)
+    g00, g01, g10, g11, g20, g21, _ = entries
+    return (
+        (-g10, -g11, g00, g01, 0.0, 0.0, 0.0),
+        (-ca * sb, -sc * g00, -sa * sb, -sc * g10, cb, -sc * g20, 0.0),
+        (0.0, sa * sc - ca * sb * cc, 0.0, -ca * sc - sa * sb * cc, 0.0, cb * cc, 0.0),
+        (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -math.sin(alpha)),
+    )
+
+
+def simplified_mesh_transfers(params: Sequence[float]) -> tuple[float, ...]:
+    """The six nonzero sector amplitudes of the mesh, from its entries:
+    ``(hv, hh, vv, vh, h0, v0)``.
+
+    With the target photon present, input H,V goes to H,V (``hv``) and H,H
+    (``hh``), and input V,V to V,V (``vv``) and V,H (``vh``); with the target
+    vacuum, H and V pass with ``h0`` and ``v0``.  Each target-present
+    amplitude is a 2x2 permanent of ``g`` or a single entry of it times ``t``.
+    """
+    g00, g01, g10, g11, g20, g21, t = simplified_mesh_entries(params)
+    return g00 * g11 + g01 * g10, g00 * g21 + g01 * g20, t * g11, t * g21, g00, t
 
 
 def simplified_mesh_sectors(params: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Sector transfer matrices of the mesh, in closed form of its four angles.
+    """Sector transfer matrices of the mesh, from `simplified_mesh_transfers`.
 
     ``k2`` (4x2) takes the target-present inputs {H,V; V,V} (control, target)
     to the outputs {H,V; H,H; V,V; V,H}; ``kv`` (2x2) takes the vacuum-target
-    inputs {H,vac; V,vac} to the outputs {H,vac; V,vac}.  The three Givens
-    rotations act on the (control H, target V, target H) block ``g`` and the
-    attenuator transmits control V with cos(alpha), so each nonzero amplitude
-    is a 2x2 permanent of ``g`` or a single entry of it times cos(alpha).  The
-    same amplitudes sit in the matrix of `analysis.evaluate_known_target`,
-    which runs the circuit instead.
+    inputs {H,vac; V,vac} to the outputs {H,vac; V,vac}.  The same amplitudes
+    sit in the matrix of `analysis.evaluate_known_target`, which runs the
+    circuit instead.
     """
-    a, b, c, alpha = params
-    g = _givens3(a, 0, 1) @ (_givens3(b, 0, 2) @ _givens3(c, 1, 2))
-    t = math.cos(alpha)
-    k2 = np.zeros((4, 2))
-    k2[0, 0] = g[0, 0] * g[1, 1] + g[0, 1] * g[1, 0]
-    k2[1, 0] = g[0, 0] * g[2, 1] + g[0, 1] * g[2, 0]
-    k2[2, 1] = t * g[1, 1]
-    k2[3, 1] = t * g[2, 1]
-    return k2, np.diag([g[0, 0], t])
+    hv, hh, vv, vh, h0, v0 = simplified_mesh_transfers(params)
+    return np.array([[hv, 0.0], [hh, 0.0], [0.0, vv], [0.0, vh]]), np.diag([h0, v0])
 
 
 def simplified_mesh_amplitudes(params: Sequence[float]) -> tuple[float, float]:
     """(vacuum-sector, target-present) transmission amplitudes of the mesh."""
-    k2, kv = simplified_mesh_sectors(params)
-    mismatch = abs(kv[1, 1] - kv[0, 0])
+    hv, _, _, _, h0, v0 = simplified_mesh_transfers(params)
+    mismatch = abs(v0 - h0)
     if mismatch > 1e-9:
         raise CircuitError(f"mesh control transmissions are unbalanced by {mismatch:.1e}")
-    return kv[0, 0], k2[0, 0]
+    return h0, hv
 
 
 # -- builders ------------------------------------------------------------------------

@@ -520,8 +520,9 @@ def optimize_gate(problem: OptimizationProblem | str,
     inside the bounds (roots are never clipped).  Any other outcome, most often a trivial root with p = 0,
     is replaced by a fresh start.  The search stops at `restarts` good roots
     or after `DRAWS_PER_ROOT` * `restarts` starts.  It returns the good root
-    of highest p (p within `FEASIBILITY_TOL` counting as equal), then of
-    smallest norm, then the earliest, and the outcome is feasible.  Without a
+    of the earliest start among those whose p is within `FEASIBILITY_TOL` of
+    the highest, and the outcome is feasible; the residual norms of good
+    roots differ only in their last bits, so they rank nothing.  Without a
     good root the outcome is infeasible and holds the root of smallest norm,
     inside the bounds first: a trivial root solves the equations, but a gate
     that never succeeds is no solution.  The residual norm, not 1 - fidelity,
@@ -547,7 +548,7 @@ def optimize_gate(problem: OptimizationProblem | str,
     lo, hi = np.array(problem.bounds, dtype=float).T
     wanted = max(1, restarts)
     roots = []  # (outside the bounds, residual norm, start, x) of every start
-    good = []   # (p, residual norm, start, x) of every good root
+    good = []   # (p, residual norm, x) of every good root, in order of start
     for start in range(DRAWS_PER_ROOT * wanted):
         x0 = lo + (hi - lo) * rng.random(len(lo))
         sol = sp_optimize.least_squares(problem.residuals, x0,
@@ -560,14 +561,13 @@ def optimize_gate(problem: OptimizationProblem | str,
             continue
         p, _ = problem.evaluate(x)
         if p > FEASIBILITY_TOL:
-            good.append((p, norm, start, x))
+            good.append((p, norm, x))
             if len(good) == wanted:
                 break
 
     if good:
         top = max(g[0] for g in good)
-        _, norm, _, x = min((g for g in good if g[0] >= top - FEASIBILITY_TOL),
-                            key=lambda g: g[1:3])
+        _, norm, x = next(g for g in good if g[0] >= top - FEASIBILITY_TOL)
     else:
         outside, norm, _, x = min(roots, key=lambda r: r[:3])
     p, fid = problem.evaluate(x)

@@ -47,6 +47,7 @@ from .engine import (
     DetectorBasis,
     DetectorSpec,
     FeedForwardTable,
+    KeptRows,
     MeasureTable,
     PostSelectionRule,
     REJECT,
@@ -204,8 +205,9 @@ AncillaPrep = Union[BellPair, SinglePhoton]
 class Step(NamedTuple):
     """One step of a run: a stage (for a fused run of `Linear` stages, its
     last stage inside the cut), the unitary the circuit compiled for it (or
-    None), the stage's occupation table (None for a `Linear` stage, whose
-    table is on its unitary's plan), and the product of the ancillae
+    None), the stage's occupation table (for a `Linear` stage None, its table
+    being on its unitary's plan, or the `KeptRows` of the post-selection that
+    ends a full run right after it), and the product of the ancillae
     tensored in just before it (or None)."""
     stage: Stage
     unitary: ModeUnitary | None
@@ -292,22 +294,22 @@ class Circuit:
                 seen_postselect = True
             elif seen_postselect:
                 raise CircuitError("post-selection must be the terminal stage chain")
-            u = None
+            u, table = None, {}
             if isinstance(st, Linear):
                 # the one compile of a linear stage; it also validates beams and unitarity
                 u = compose(self.registry, st.elements)
                 if prev is not None:
                     u = prev.then(u)
+                table = None
             elif isinstance(st, ControlledFlip):
                 self.registry.beam_modes(st.control)
                 self.registry.beam_modes(st.target)
             elif isinstance(st, Measure):
-                self.registry.beam_modes(st.detector.beam)
+                table = MeasureTable(self.registry.beam_modes(st.detector.beam))
                 u = st.detector.rotation(self.registry)
             prev = u if isinstance(st, Linear) else None
             unitaries.append(u)
-            tables.append(MeasureTable() if isinstance(st, Measure)
-                          else None if isinstance(st, Linear) else {})
+            tables.append(table)
         object.__setattr__(self, "unitaries", tuple(unitaries))
         object.__setattr__(self, "occupation_tables", tuple(tables))
         labels = self.registry.labels
@@ -407,6 +409,11 @@ class Circuit:
             applied.append((st, u, table))
             entering.append([k for k in pending if k not in left])
             pending = left
+        if full and len(applied) > 1 and not entering[-1] and isinstance(
+                applied[-1][0], PostSelect) and isinstance(applied[-2][0], Linear):
+            # fold the terminal post-selection into the linear step before it
+            (st, u, _), (post, _, counts) = applied[-2:]
+            applied[-2] = (st, u, KeptRows({}, post.rules, counts))
         if full:  # `prepare_input` tensors in what the first step touches
             late = self._product([k for k in everything if k not in entering[0]])
             first, entering[0] = self._product(entering[0]), []
@@ -472,7 +479,10 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
     prepared with every ancilla.  The photon-number check and the input norm
     refer to that fully prepared input.  A `PhotonicState` input gets no
     ancilla.  Each step looks its action on an occupation up in the
-    circuit's occupation tables (see `engine`).
+    circuit's occupation tables (see `engine`).  When a full run ends in a
+    `Linear` step and then the `PostSelect` step, with no ancilla entering
+    there, the linear step builds only the rows the post-selection keeps
+    (`engine.KeptRows`); a cut before the post-selection gets every row.
     """
     prog = circuit.program(len(circuit.stages[:upto]))
     declared = circuit.photons if expected_photons is None else expected_photons
@@ -498,7 +508,7 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
         if ancillae is not None and logical:
             state = tensor(state, ancillae)
         if isinstance(st, Linear):
-            state = apply_unitary(state, u)
+            state = apply_unitary(state, u, table)
         elif isinstance(st, ControlledFlip):
             state = _apply_controlled_flip(state, st.control, st.target, table)
         elif isinstance(st, Measure):

@@ -9,27 +9,29 @@ the same amplitudes independently from a matrix permanent (Ryser's formula
 over the row/column-repeated submatrix); the two routes cross-check each other
 and must never be merged.
 
-Measurement enumerates detector outcome branches exactly.  Feed-forward
-corrections are applied per branch; after correction all accepted branches of
-the gates in scope carry the same conditional state, which is checked
-amplitude by amplitude before they are pooled with their outcome
-probabilities.
+Measurement enumerates detector outcome branches exactly, each a plain
+amplitude map.  Feed-forward corrections are applied per branch; after
+correction all accepted branches of the gates in scope carry the same
+conditional state, which is checked amplitude by amplitude before they are
+pooled with their outcome probabilities.
 
 Each step keeps an occupation table: a dict, filled on first sight, from an
 occupation entering the step to the step's action on it (a unitary's is on
-its plan, a measurement's is a `MeasureTable`).  A `Circuit` keeps its tables
-across runs, so the inputs of a sweep or a process map share per-occupation
-work while each input stays its own run.  A table holds the factors that
-would be worked out again, used in the same order, so results are
-bit-identical.  An occupation whose action raises is never stored.  A step
-called without a table works with a fresh one.
+its plan, a measurement's is a `MeasureTable`).  A unitary that a
+post-selection directly follows can keep a table of its own instead, of
+rows cut down to the occupations the post-selection keeps (`KeptRows`).  A
+`Circuit` keeps its tables across runs, so the inputs of a sweep or a
+process map share per-occupation work while each input stays its own run.
+A table holds the factors that would be worked out again, used in the same
+order, so results are bit-identical.  An occupation whose action raises is
+never stored.  A step called without a table works with a fresh one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .fock import (
     Occupation,
     PhotonicState,
     Polarization,
+    amplitudes_norm_sq,
 )
 
 _FACTORIALS = [math.factorial(n) for n in range(21)]
@@ -56,26 +59,33 @@ class FeedForwardError(EngineError):
     pass
 
 
-def apply_unitary(state: PhotonicState, u: ModeUnitary) -> PhotonicState:
+def apply_unitary(state: PhotonicState, u: ModeUnitary,
+                  kept: KeptRows | None = None) -> PhotonicState:
     """Evolve a state through a mode unitary; preserves the norm.
 
     Each term is multiplied into its row in the plan's occupation table, which
     is built on first sight from the transfer row of the term's active-mode
-    occupation, the passive modes of the input key passing through.
+    occupation, the passive modes of the input key passing through.  For a
+    unitary that a post-selection follows directly, `kept` holds the table of
+    rows cut down to the output occupations the post-selection keeps.
     """
     if u.registry != state.registry:
         raise EngineError("unitary acts on a different registry")
     _, cols, rows, take, splice, full_rows = u.plan
+    table = full_rows if kept is None else kept.rows
     out: dict[Occupation, complex] = {}
     get = out.get
     for occ, amp in state.amps.items():
-        row = full_rows.get(occ)
+        row = table.get(occ)
         if row is None:
             active_in = take(occ)
             active_row = rows.get(active_in)
             if active_row is None:
                 active_row = rows[active_in] = _transfer_row(cols, active_in)
-            row = full_rows[occ] = tuple((splice(occ + key), t) for key, t in active_row)
+            row = ((splice(occ + key), t) for key, t in active_row)
+            if kept is not None:
+                row = (e for e in row if _rule_count(kept.rules, kept.occupations, e[0]))
+            row = table[occ] = tuple(row)
         for full, t in row:
             out[full] = get(full, 0.0) + amp * t
     return PhotonicState(state.registry, out, prune_eps=state.prune_eps, validate=False)
@@ -203,6 +213,28 @@ class PostSelectionRule:
         return cls(cons, renormalize=renormalize)
 
 
+class KeptRows(NamedTuple):
+    """A terminal post-selection folded into the unitary just before it: that
+    unitary's rows, kept apart from its plan, and the post-selection's rules
+    and occupation table."""
+    rows: dict[Occupation, tuple[tuple[Occupation, complex], ...]]
+    rules: tuple[PostSelectionRule, ...]
+    occupations: dict[Occupation, int]
+
+
+def _rule_count(rules: Sequence[PostSelectionRule], occupations: dict[Occupation, int],
+                occ: Occupation) -> int:
+    """How many of `rules` match `occ`, from and into the occupation table
+    `occupations`; a count above 1, a union that is not disjoint, is never
+    stored."""
+    n_hit = occupations.get(occ)
+    if n_hit is None:
+        n_hit = sum(1 for r in rules if r.matches(occ))
+        if n_hit <= 1:
+            occupations[occ] = n_hit
+    return n_hit
+
+
 def post_select_any(state: PhotonicState, rules: Sequence[PostSelectionRule],
                     occupations: dict[Occupation, int] | None = None,
                     ) -> tuple[PhotonicState, float]:
@@ -213,17 +245,15 @@ def post_select_any(state: PhotonicState, rules: Sequence[PostSelectionRule],
     relative to the input norm).  A zero survivor is an empty state with
     probability 0, not an error.  The survivor is renormalized when every
     rule asks for it.  `occupations`, the step's occupation table, maps an
-    occupation to the number of rules it matches.
+    occupation to the number of rules it matches.  After an `apply_unitary`
+    with `KeptRows` every term survives, so the probability reads 1.
     """
     occupations = {} if occupations is None else occupations
     kept: dict[Occupation, complex] = {}
     for occ, a in state.amps.items():
-        n_hit = occupations.get(occ)
-        if n_hit is None:
-            n_hit = sum(1 for r in rules if r.matches(occ))
-            if n_hit > 1:
-                raise EngineError("post-selection rule union is not disjoint")
-            occupations[occ] = n_hit
+        n_hit = _rule_count(rules, occupations, occ)
+        if n_hit > 1:
+            raise EngineError("post-selection rule union is not disjoint")
         if n_hit:
             kept[occ] = a
     survived = PhotonicState(state.registry, kept, prune_eps=state.prune_eps, validate=False)
@@ -316,42 +346,41 @@ def swap_hv(occ: Occupation, h_modes: Sequence[int], v_modes: Sequence[int]) -> 
 class MeasureTable:
     """The occupation tables of one measurement step, filled on first sight.
 
-    `split` maps an occupation (after the detector rotation) to its detector
-    pattern and the occupation with the detector's modes cleared.
-    `corrections` maps each correction ``(beam, kind)`` to the beam's H and V
-    modes, looked up once, and a table from an occupation to its corrected
-    occupation and whether its amplitude changes sign.
+    `modes` are the modes of the step's detector.  `split` maps an occupation
+    (after the detector rotation) to its detector pattern and the occupation
+    with the detector's modes cleared.  `corrected` maps a pattern to its
+    correction list resolved to modes (see `corrections`) and a table from a
+    cleared occupation to the occupation the whole list makes of it and
+    whether its amplitude changes sign.
     """
+    modes: tuple[int, ...]
     split: dict[Occupation, tuple[tuple[int, ...], Occupation]] = field(default_factory=dict)
-    corrections: dict[Correction, tuple[tuple[int, ...], tuple[int, ...],
-                                        dict[Occupation, tuple[Occupation, bool]]]] = field(
-        default_factory=dict)
+    corrected: dict[tuple[int, ...], tuple[tuple, dict[Occupation, tuple[Occupation, bool]]]] = (
+        field(default_factory=dict))
 
-    def correction(self, registry: ModeRegistry, beam: str, kind: str):
-        """The H modes, V modes and occupation table of one correction."""
-        entry = self.corrections.get((beam, kind))
+    def corrections(self, registry: ModeRegistry, pattern: tuple[int, ...],
+                    action: tuple[Correction, ...]):
+        """The kind, H modes and V modes of each of a pattern's corrections,
+        looked up once, and the pattern's occupation table."""
+        entry = self.corrected.get(pattern)
         if entry is None:
-            entry = self.corrections[(beam, kind)] = (
-                registry.modes_where(beams=[beam], pol=Polarization.H),
-                registry.modes_where(beams=[beam], pol=Polarization.V), {})
+            entry = self.corrected[pattern] = (tuple(
+                (kind, registry.modes_where(beams=[beam], pol=Polarization.H),
+                 registry.modes_where(beams=[beam], pol=Polarization.V))
+                for beam, kind in action), {})
         return entry
 
 
-def _apply_correction(state: PhotonicState, kind: str, correction) -> PhotonicState:
-    """Apply one correction, given as `MeasureTable.correction` returns it."""
-    h_modes, v_modes, occupations = correction
-    out: dict[Occupation, complex] = {}
-    for occ, a in state.amps.items():
-        hit = occupations.get(occ)
-        if hit is None:
-            negate = kind in ("sign", "flip_sign") and sum(occ[m] for m in v_modes) % 2 == 1
-            flip = kind in ("flip", "flip_sign")
-            hit = occupations[occ] = (swap_hv(occ, h_modes, v_modes) if flip else occ, negate)
-        occ, negate = hit
-        if negate:
-            a = -a
-        out[occ] = out.get(occ, 0.0) + a
-    return PhotonicState(state.registry, out, prune_eps=state.prune_eps, validate=False)
+def _correct(occ: Occupation, moves) -> tuple[Occupation, bool]:
+    """The occupation a pattern's correction list (`MeasureTable.corrections`)
+    makes of `occ`, and whether the amplitude changes sign."""
+    negate = False
+    for kind, h_modes, v_modes in moves:
+        if kind in ("sign", "flip_sign") and sum(occ[m] for m in v_modes) % 2 == 1:
+            negate = not negate
+        if kind in ("flip", "flip_sign"):
+            occ = swap_hv(occ, h_modes, v_modes)
+    return occ, negate
 
 
 FEEDFORWARD_CONSISTENCY_TOL = 1e-9
@@ -372,19 +401,20 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
     `FEEDFORWARD_CONSISTENCY_TOL`); they are combined with their outcome
     probabilities into a single sub-normalized conditional state whose squared
     norm is the total acceptance probability times the incoming weight.
+    Branches are plain amplitude maps; only the pooled result is a state.
     """
     reg = state.registry
     if (rotation is None) != (detector.basis == DetectorBasis.HV):
         raise EngineError(f"detector rotation does not match basis {detector.basis!r}")
     working = state if rotation is None else apply_unitary(state, rotation)
 
-    det_modes = reg.beam_modes(detector.beam)
+    if occupations is None:
+        occupations = MeasureTable(reg.beam_modes(detector.beam))
     n_in = working.norm_sq()
     if n_in <= 0.0:
         return PhotonicState(reg, {}, validate=False), 0.0, []
 
-    occupations = MeasureTable() if occupations is None else occupations
-    split = occupations.split
+    split, det_modes = occupations.split, occupations.modes
     branches: dict[tuple[int, ...], dict[Occupation, complex]] = {}
     for occ, a in working.amps.items():
         hit = split.get(occ)
@@ -397,39 +427,55 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
         branches.setdefault(pattern, {})[cleared] = a
 
     records: list[BranchRecord] = []
-    accepted: list[tuple[float, PhotonicState]] = []
+    accepted: list[tuple[float, float, dict[Occupation, complex]]] = []
     for pattern in sorted(branches):
         amps = branches[pattern]
-        sub = PhotonicState(reg, amps, prune_eps=state.prune_eps, validate=False)
-        p_branch = sub.norm_sq() / n_in
+        norm_sq = amplitudes_norm_sq(amps)
+        p_branch = norm_sq / n_in
         action = table.lookup(pattern)
         if action == REJECT:
             records.append(BranchRecord(pattern, p_branch, "reject"))
             continue
-        for beam, kind in action:
-            sub = _apply_correction(sub, kind, occupations.correction(reg, beam, kind))
+        if action:
+            moves, known = occupations.corrections(reg, pattern, action)
+            corrected: dict[Occupation, complex] = {}
+            for occ, a in amps.items():
+                hit = known.get(occ)
+                if hit is None:
+                    hit = known[occ] = _correct(occ, moves)
+                corrected[hit[0]] = -a if hit[1] else a
+            amps = corrected
         records.append(BranchRecord(pattern, p_branch, "accept"))
-        accepted.append((p_branch, sub))
+        accepted.append((p_branch, math.sqrt(norm_sq), amps))
 
     if not accepted:
         return PhotonicState(reg, {}, validate=False), 0.0, records
 
-    # linear in any disagreement, unlike comparing the pooled norm with p_total
-    units = [sub.normalized().amps for _, sub in accepted]
-    deviation = max((abs(u.get(occ, 0.0) - units[0].get(occ, 0.0))
-                     for u in units[1:] for occ in u.keys() | units[0].keys()), default=0.0)
+    # linear in any disagreement, unlike comparing the pooled norm with p_total;
+    # each amplitude is normalized and pruned as `PhotonicState.normalized` does
+    eps = state.prune_eps
+
+    def unit(amps, scale, occ):
+        a = amps.get(occ, 0.0) * scale
+        return 0.0 if abs(a) < eps else a
+
+    units = [(amps, 1.0 / norm) for _, norm, amps in accepted]
+    ref, ref_scale = units[0]
+    deviation = max((abs(unit(amps, scale, occ) - unit(ref, ref_scale, occ))
+                     for amps, scale in units[1:] for occ in amps.keys() | ref.keys()),
+                    default=0.0)
     if deviation > FEEDFORWARD_CONSISTENCY_TOL:
         raise FeedForwardError(
             "corrected branches disagree; feed-forward table does not make the "
             f"gate deterministic (amplitudes differ by {deviation:.3g})")
 
-    p_total = sum(p for p, _ in accepted)
+    p_total = sum(p for p, _, _ in accepted)
     pooled: dict[Occupation, complex] = {}
-    for p_branch, sub in accepted:
-        w = p_branch / math.sqrt(sub.norm_sq())
-        for occ, a in sub.amps.items():
+    for p_branch, norm, amps in accepted:
+        w = p_branch / norm
+        for occ, a in amps.items():
             pooled[occ] = pooled.get(occ, 0.0) + w * a
-    pooled_state = PhotonicState(reg, pooled, prune_eps=state.prune_eps, validate=False)
-    pooled_norm = math.sqrt(pooled_state.norm_sq())
-    scale = math.sqrt(p_total * n_in) / pooled_norm
-    return pooled_state.scaled(scale), p_total, records
+    pooled = {occ: a for occ, a in pooled.items() if not abs(a) < eps}
+    scale = math.sqrt(p_total * n_in) / math.sqrt(amplitudes_norm_sq(pooled))
+    return PhotonicState(reg, {occ: a * scale for occ, a in pooled.items()},
+                         prune_eps=eps, validate=False), p_total, records

@@ -233,7 +233,7 @@ class PhotonicState:
     # -- algebra -----------------------------------------------------------
 
     def norm_sq(self) -> float:
-        return float(sum((a.real * a.real + a.imag * a.imag) for a in self.amps.values()))
+        return amplitudes_norm_sq(self.amps)
 
     def normalized(self) -> "PhotonicState":
         n2 = self.norm_sq()
@@ -241,10 +241,6 @@ class PhotonicState:
             raise NormalizationError("cannot normalize a zero state")
         s = 1.0 / math.sqrt(n2)
         return PhotonicState(self.registry, {k: v * s for k, v in self.amps.items()},
-                             prune_eps=self.prune_eps, validate=False)
-
-    def scaled(self, factor: complex) -> "PhotonicState":
-        return PhotonicState(self.registry, {k: v * factor for k, v in self.amps.items()},
                              prune_eps=self.prune_eps, validate=False)
 
     def photon_numbers(self) -> set[int]:
@@ -266,6 +262,11 @@ class PhotonicState:
 
     def __repr__(self) -> str:
         return f"PhotonicState({len(self.amps)} terms, norm^2={self.norm_sq():.12g})"
+
+
+def amplitudes_norm_sq(amps: Mapping[Occupation, complex]) -> float:
+    """Sum of |a|^2 over an amplitude map, in its order."""
+    return float(sum((a.real * a.real + a.imag * a.imag) for a in amps.values()))
 
 
 def inner_product(s1: PhotonicState, s2: PhotonicState) -> complex:

@@ -50,6 +50,7 @@ from helpers import (
     assert_states_close,
     bits_of,
     fredkin_vec,
+    phase_fixed_deviation,
     pol,
     qubit_ket,
     state_from_terms,
@@ -158,6 +159,8 @@ def test_criterion_05_fig3_realization(mesh_outcome):
             circ.registry, LogicalAmplitudes(tuple(fredkin_vec(amps.values))),
             ("c", "t1", "t2"))
         if state_fidelity(res.state, expected) < 1 - 1e-9:
+            ok = False
+        if phase_fixed_deviation(res.state, expected) > 1e-9:
             ok = False
     report(5, "physical post-selected Fredkin: fidelity 1 and probability 1/192 "
               "with the optimized known-target gate", ok)

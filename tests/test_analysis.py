@@ -274,6 +274,22 @@ def test_optimizer_feasibility_decided_by_residual_norm():
     assert optimize_gate("identity", seed=0, restarts=1).logic_error == ("residual norm", 0.0)
 
 
+def test_optimizer_breaks_ties_in_p_by_the_earliest_start():
+    # two good roots of equal p whose residual norms differ only far below
+    # FEASIBILITY_TOL: the root of the earlier start wins, not the smaller norm
+    problem = OptimizationProblem(
+        name="twin", bounds=((0.0, 1.0),),
+        evaluate=lambda x: (0.5, 1.0),
+        residuals=lambda x: np.array([(x[0] - 0.25) * (x[0] - 0.75),
+                                      1e-12 if x[0] > 0.5 else 1e-13]),
+        jacobian=lambda x: np.array([[2.0 * x[0] - 1.0], [0.0]]))
+    assert np.random.default_rng(0).random(2).tolist() == pytest.approx([0.637, 0.270], abs=1e-3)
+    out = optimize_gate(problem, seed=0, restarts=2)
+    assert out.feasible
+    assert out.parameters[0] == pytest.approx(0.75, abs=1e-12)
+    assert out.residual_norm == pytest.approx(1e-12, rel=1e-6)
+
+
 def test_optimizer_names_the_bounds_for_a_root_outside_them():
     # the one root, x = 1.5, lies outside the bounds: they decided, not the norm
     problem = OptimizationProblem(

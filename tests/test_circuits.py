@@ -55,6 +55,7 @@ from helpers import (
     bits_of,
     cnot_vec,
     fredkin_vec,
+    phase_fixed_deviation,
     pol,
     qubit_ket,
     state_from_terms,
@@ -178,6 +179,7 @@ def test_heralded_pittman_output_matches_ideal_action(rng):
         circ.registry, LogicalAmplitudes(tuple(fredkin_vec(amps.values))),
         ("c", "t1", "t2"))
     assert state_fidelity(res.state, expected) == pytest.approx(1.0, abs=1e-10)
+    assert phase_fixed_deviation(res.state, expected) <= 1e-9
 
 
 def test_heralded_loses_photons_only_at_measurements(rng):
@@ -257,6 +259,7 @@ def test_fig3_probability_and_output(rng):
             circ.registry, LogicalAmplitudes(tuple(fredkin_vec(amps.values))),
             ("c", "t1", "t2"))
         assert state_fidelity(res.state, expected) == pytest.approx(1.0, abs=1e-9)
+        assert phase_fixed_deviation(res.state, expected) <= 1e-9
 
 
 def test_fig3_rejects_unbalanceable_mesh():
@@ -313,6 +316,7 @@ def test_ralph_cnot_arbitrary_input(rng):
     expected = prepare_logical_input(
         circ.registry, LogicalAmplitudes(tuple(cnot_vec(amps.values))), ("c", "t"))
     assert state_fidelity(res.state, expected) == pytest.approx(1.0, abs=1e-12)
+    assert phase_fixed_deviation(res.state, expected) <= 1e-9
 
 
 def test_simplified_mesh_canonical_amplitudes():
@@ -539,9 +543,9 @@ def test_run_applies_one_unitary_per_linear_run(monkeypatch):
 
     applied = []
 
-    def counting(state, u):
+    def counting(state, u, kept=None):
         applied.append(u)
-        return apply_unitary(state, u)
+        return apply_unitary(state, u, kept)
 
     monkeypatch.setattr(circuits, "apply_unitary", counting)
     for name in sorted(CATALOG):
@@ -568,9 +572,9 @@ def test_run_injects_each_ancilla_at_first_use(monkeypatch):
 
     entering = []
 
-    def counting(state, u):
+    def counting(state, u, kept=None):
         entering.append(state.photon_numbers())
-        return apply_unitary(state, u)
+        return apply_unitary(state, u, kept)
 
     monkeypatch.setattr(circuits, "apply_unitary", counting)
     circuit = get_gate("fredkin-heralded").build()

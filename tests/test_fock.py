@@ -16,7 +16,9 @@ from fredkinlab import (
     register_modes,
     tensor,
 )
-from fredkinlab.fock import RegistryMismatchError, occupation_str
+from fredkinlab.fock import RegistryMismatchError, occupation_str, state_fidelity
+
+from helpers import phase_fixed_deviation
 
 
 def test_register_modes_counts():
@@ -145,3 +147,13 @@ def test_tensor_overlap_in_a_later_left_term_raises():
         tensor(left, right)
     with pytest.raises(FockError, match="overlap"):
         tensor(right, left)
+
+
+def test_phase_fixed_deviation_is_linear_in_an_amplitude_error():
+    reg = register_modes(["a"])
+    h, v = (1, 0), (0, 1)
+    exact = PhotonicState(reg, {h: 0.6, v: 0.8})
+    assert phase_fixed_deviation(PhotonicState(reg, {h: 0.6j, v: 0.8j}), exact) < 1e-15
+    off = PhotonicState(reg, {h: 0.6 + 3e-5, v: 0.8})
+    assert 1e-5 < phase_fixed_deviation(off, exact) < 3e-5
+    assert state_fidelity(off, exact) > 1 - 1e-9  # the quadratic check misses it

@@ -38,6 +38,7 @@ import numpy as np
 from .elements import ModeUnitary, hwp_unitary
 from .fock import (
     ModeRegistry,
+    NormalizationError,
     Occupation,
     PhotonicState,
     Polarization,
@@ -459,6 +460,8 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
         a = amps.get(occ, 0.0) * scale
         return 0.0 if abs(a) < eps else a
 
+    if any(norm <= 0.0 for _, norm, _ in accepted):  # as `PhotonicState.normalized`
+        raise NormalizationError("cannot normalize a zero state")
     units = [(amps, 1.0 / norm) for _, norm, amps in accepted]
     ref, ref_scale = units[0]
     deviation = max((abs(unit(amps, scale, occ) - unit(ref, ref_scale, occ))

@@ -33,13 +33,15 @@ from fredkinlab.engine import (
     EngineError,
     FeedForwardError,
     FeedForwardTable,
+    DetectorSpec,
     KeptRows,
     PostSelectionRule,
     apply_unitary,
+    measure_and_feedforward,
     post_select_any,
     swap_hv,
 )
-from fredkinlab.fock import register_modes, tensor
+from fredkinlab.fock import NormalizationError, register_modes, tensor
 
 # -- the unfused reference -----------------------------------------------------
 
@@ -252,3 +254,15 @@ def test_unlisted_outcome_without_default_reject_raises_on_every_run():
     for _ in range(3):
         with pytest.raises(FeedForwardError, match=r"outcome \(\d, \d\) missing"):
             run(broken, amps)
+
+
+def test_accepted_branch_of_zero_norm_raises_as_the_reference_does():
+    # kept only with prune_eps=0: an exact zero on an accepted pattern
+    reg = register_modes(("c", "d"))
+    state = PhotonicState(reg, {(1, 0, 1, 0): 1.0, (1, 0, 0, 1): 0.0}, prune_eps=0.0)
+    detector = DetectorSpec("d")
+    table = FeedForwardTable.build({(1, 0): [], (0, 1): []})
+    with pytest.raises(NormalizationError):
+        _reference_measure(state, detector, table, None)
+    with pytest.raises(NormalizationError):
+        measure_and_feedforward(state, detector, table, None)

@@ -69,14 +69,13 @@ def _column(result: RunResult, kets: Sequence[Occupation]) -> np.ndarray:
 
 
 def conditional_process_map(circuit: Circuit, kets: Sequence[Occupation],
-                            d: int | None = None,
                             check_superpositions: bool = True) -> ProcessMap:
     """Reconstruct the map from logical amplitudes in to accepted amplitudes out.
 
-    Output leakage (accepted probability outside the spanned kets) is reported
-    rather than projected away.
+    One logical input per ket in `kets`.  Leakage (accepted probability
+    outside the spanned kets) is reported rather than projected away.
     """
-    d = d if d is not None else len(kets)
+    d = len(kets)
     n_qubits = d.bit_length() - 1
     cols = []
     leakage = 0.0
@@ -265,7 +264,7 @@ def gate_report(info: GateInfo, sweep: int = 0,
     if info.kind == "known_target":
         return _known_target_report(info, circuit)
     kets = info.output_kets(circuit)
-    pm = conditional_process_map(circuit, kets, d=2 ** info.n_qubits)
+    pm = conditional_process_map(circuit, kets)
     fid = process_fidelity(pm.matrix, info.ideal)
 
     table = []
@@ -455,7 +454,7 @@ def _mesh_logic_jacobian(params: Sequence[float]) -> np.ndarray:
 def _ralph_map(eta: float) -> ProcessMap:
     circuit = build_ralph_cnot(eta)
     kets = get_gate("cnot-ralph").output_kets(circuit)
-    return conditional_process_map(circuit, kets, d=4, check_superpositions=False)
+    return conditional_process_map(circuit, kets, check_superpositions=False)
 
 
 def _evaluate_ralph_eta(params: np.ndarray) -> tuple[float, float]:

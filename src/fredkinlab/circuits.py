@@ -48,7 +48,6 @@ from .engine import (
     DetectorSpec,
     FeedForwardTable,
     KeptRows,
-    MeasureTable,
     PostSelectionRule,
     REJECT,
     apply_unitary,
@@ -205,13 +204,13 @@ AncillaPrep = Union[BellPair, SinglePhoton]
 class Step(NamedTuple):
     """One step of a run: a stage (for a fused run of `Linear` stages, its
     last stage inside the cut), the unitary the circuit compiled for it (or
-    None), the stage's occupation table (for a `Linear` stage None, its table
-    being on its unitary's plan, or the `KeptRows` of the post-selection that
-    ends a full run right after it), and the product of the ancillae
-    tensored in just before it (or None)."""
+    None), the stage's occupation table (a dict; for a `Linear` stage None,
+    its table being on its unitary's plan, or the `KeptRows` of the
+    post-selection that ends a full run right after it), and the product of
+    the ancillae tensored in just before it (or None)."""
     stage: Stage
     unitary: ModeUnitary | None
-    table: MeasureTable | dict | None
+    table: KeptRows | dict | None
     ancillae: PhotonicState | None
 
 
@@ -265,9 +264,9 @@ class Circuit:
     #: `Measure` stage, its detector rotation; None for every other stage
     unitaries: tuple[ModeUnitary | None, ...] = field(init=False, compare=False, repr=False)
     #: each stage's occupation table (see `engine`), filled by its runs: a
-    #: `MeasureTable`, a dict for a `ControlledFlip` or `PostSelect`, or None
-    #: for a `Linear` stage, whose table is on its unitary's plan
-    occupation_tables: tuple[MeasureTable | dict | None, ...] = field(
+    #: dict for a `ControlledFlip`, `Measure` or `PostSelect`, or None for a
+    #: `Linear` stage, whose table is on its unitary's plan
+    occupation_tables: tuple[dict | None, ...] = field(
         init=False, compare=False, repr=False)
     #: each ancilla's state, built once, with the modes it occupies
     prepared_ancillae: tuple[tuple[PhotonicState, frozenset[int]], ...] = field(
@@ -305,7 +304,14 @@ class Circuit:
                 self.registry.beam_modes(st.control)
                 self.registry.beam_modes(st.target)
             elif isinstance(st, Measure):
-                table = MeasureTable(self.registry.beam_modes(st.detector.beam))
+                n_modes = len(self.registry.beam_modes(st.detector.beam))
+                for pattern, action in st.table.entries:
+                    if len(pattern) != n_modes or any(n < 0 for n in pattern):
+                        raise CircuitError(
+                            f"outcome {pattern} of the detector on beam {st.detector.beam!r} "
+                            f"needs {n_modes} non-negative counts")
+                    for beam, _ in (() if action == REJECT else action):
+                        self.registry.beam_modes(beam)
                 u = st.detector.rotation(self.registry)
             prev = u if isinstance(st, Linear) else None
             unitaries.append(u)
@@ -438,16 +444,11 @@ def _apply_controlled_flip(state: PhotonicState, control: str, target: str,
     occupation to the flipped one."""
     occupations = {} if occupations is None else occupations
     reg = state.registry
-    modes = None  # looked up at the first occupation the table lacks
+    (ctrl_h, ctrl_v), (tgt_h, tgt_v) = reg.hv_modes(control), reg.hv_modes(target)
     out: dict[Occupation, complex] = {}
     for occ, a in state.amps.items():
         flipped = occupations.get(occ)
         if flipped is None:
-            if modes is None:
-                modes = [reg.modes_where(beams=[beam], pol=pol)
-                         for beam in (control, target)
-                         for pol in (Polarization.H, Polarization.V)]
-            ctrl_h, ctrl_v, tgt_h, tgt_v = modes
             nh = sum(occ[m] for m in ctrl_h)
             nv = sum(occ[m] for m in ctrl_v)
             if nh + nv != 1:

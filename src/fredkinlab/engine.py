@@ -9,28 +9,27 @@ the same amplitudes independently from a matrix permanent (Ryser's formula
 over the row/column-repeated submatrix); the two routes cross-check each other
 and must never be merged.
 
-Measurement enumerates detector outcome branches exactly, each a plain
-amplitude map.  Feed-forward corrections are applied per branch; after
-correction all accepted branches of the gates in scope carry the same
-conditional state, which is checked amplitude by amplitude before they are
-pooled with their outcome probabilities.
+Measurement fills its detector outcome branches, plain amplitude maps, in
+one pass with feed-forward corrected terms; all accepted branches of the
+gates in scope then carry the same conditional state, which is checked
+amplitude by amplitude before they are pooled with their probabilities.
 
 Each step keeps an occupation table: a dict, filled on first sight, from an
 occupation entering the step to the step's action on it (a unitary's is on
-its plan, a measurement's is a `MeasureTable`).  A unitary that a
-post-selection directly follows can keep a table of its own instead, of
-rows cut down to the occupations the post-selection keeps (`KeptRows`).  A
-`Circuit` keeps its tables across runs, so the inputs of a sweep or a
-process map share per-occupation work while each input stays its own run.
-A table holds the factors that would be worked out again, used in the same
-order, so results are bit-identical.  An occupation whose action raises is
-never stored.  A step called without a table works with a fresh one.
+its plan; a measurement's is a pattern, corrected occupation and sign).  A
+unitary that a post-selection directly follows can keep a table of its own
+instead, of rows cut down to the occupations the post-selection keeps
+(`KeptRows`).  A `Circuit` keeps its tables across runs, so the inputs of a
+sweep or a process map share per-occupation work while each input stays its
+own run.  A table holds the factors that would be worked out again, used in
+the same order, so results are bit-identical.  An occupation whose action
+raises is never stored.  A step called without a table works with a fresh one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -41,7 +40,6 @@ from .fock import (
     NormalizationError,
     Occupation,
     PhotonicState,
-    Polarization,
     amplitudes_norm_sq,
 )
 
@@ -313,6 +311,12 @@ class FeedForwardTable:
     entries: tuple[tuple[tuple[int, ...], tuple[Correction, ...] | str], ...]
     default_reject: bool = True
 
+    def __post_init__(self):
+        for _, action in self.entries:
+            for _, kind in (() if action == REJECT else action):
+                if kind not in ("flip", "sign", "flip_sign"):
+                    raise FeedForwardError(f"unknown correction kind {kind!r}")
+
     def lookup(self, pattern: tuple[int, ...]):
         for pat, action in self.entries:
             if pat == pattern:
@@ -343,45 +347,23 @@ def swap_hv(occ: Occupation, h_modes: Sequence[int], v_modes: Sequence[int]) -> 
     return tuple(lst)
 
 
-@dataclass
-class MeasureTable:
-    """The occupation tables of one measurement step, filled on first sight.
-
-    `modes` are the modes of the step's detector.  `split` maps an occupation
-    (after the detector rotation) to its detector pattern and the occupation
-    with the detector's modes cleared.  `corrected` maps a pattern to its
-    correction list resolved to modes (see `corrections`) and a table from a
-    cleared occupation to the occupation the whole list makes of it and
-    whether its amplitude changes sign.
-    """
-    modes: tuple[int, ...]
-    split: dict[Occupation, tuple[tuple[int, ...], Occupation]] = field(default_factory=dict)
-    corrected: dict[tuple[int, ...], tuple[tuple, dict[Occupation, tuple[Occupation, bool]]]] = (
-        field(default_factory=dict))
-
-    def corrections(self, registry: ModeRegistry, pattern: tuple[int, ...],
-                    action: tuple[Correction, ...]):
-        """The kind, H modes and V modes of each of a pattern's corrections,
-        looked up once, and the pattern's occupation table."""
-        entry = self.corrected.get(pattern)
-        if entry is None:
-            entry = self.corrected[pattern] = (tuple(
-                (kind, registry.modes_where(beams=[beam], pol=Polarization.H),
-                 registry.modes_where(beams=[beam], pol=Polarization.V))
-                for beam, kind in action), {})
-        return entry
-
-
-def _correct(occ: Occupation, moves) -> tuple[Occupation, bool]:
-    """The occupation a pattern's correction list (`MeasureTable.corrections`)
-    makes of `occ`, and whether the amplitude changes sign."""
+def _measure_row(registry: ModeRegistry, modes: Sequence[int], table: FeedForwardTable,
+                 occ: Occupation) -> tuple[tuple[int, ...], Occupation, bool]:
+    """The row of `occ` in a measurement step's occupation table: its pattern
+    on the detector's `modes`, the occupation with those modes cleared and
+    then the pattern's whole correction list applied, and whether the
+    amplitude changes sign.  An outcome `table` cannot look up raises."""
+    pattern = tuple(occ[m] for m in modes)
+    action = table.lookup(pattern)
+    out = tuple(0 if m in modes else n for m, n in enumerate(occ))
     negate = False
-    for kind, h_modes, v_modes in moves:
-        if kind in ("sign", "flip_sign") and sum(occ[m] for m in v_modes) % 2 == 1:
+    for beam, kind in (() if action == REJECT else action):
+        h_modes, v_modes = registry.hv_modes(beam)
+        if kind in ("sign", "flip_sign") and sum(out[m] for m in v_modes) % 2 == 1:
             negate = not negate
         if kind in ("flip", "flip_sign"):
-            occ = swap_hv(occ, h_modes, v_modes)
-    return occ, negate
+            out = swap_hv(out, h_modes, v_modes)
+    return pattern, out, negate
 
 
 FEEDFORWARD_CONSISTENCY_TOL = 1e-9
@@ -389,43 +371,39 @@ FEEDFORWARD_CONSISTENCY_TOL = 1e-9
 
 def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
                             table: FeedForwardTable, rotation: ModeUnitary | None,
-                            occupations: MeasureTable | None = None,
+                            occupations: dict | None = None,
                             ) -> tuple[PhotonicState, float, list[BranchRecord]]:
     """Measure one beam, apply outcome-conditioned corrections, pool branches.
 
     `rotation` is the detector's `DetectorSpec.rotation`, compiled once by the
     caller (a `Circuit` does it when it is built), and `occupations` the
-    step's `MeasureTable`.  Each outcome is looked up in `table` on every
+    step's occupation table (see `_measure_row`): one pass fills each branch
+    with corrected amplitudes.  Each outcome is looked up in `table` on every
     call, so an unlisted one raises every time.  Detected photons are
-    consumed (the beam's modes are zeroed downstream).  Corrected accepted
-    branches, normalized, must agree amplitude by amplitude (to within
-    `FEEDFORWARD_CONSISTENCY_TOL`); they are combined with their outcome
-    probabilities into a single sub-normalized conditional state whose squared
-    norm is the total acceptance probability times the incoming weight.
-    Branches are plain amplitude maps; only the pooled result is a state.
+    consumed.  Corrected accepted branches, normalized, must agree amplitude
+    by amplitude (to within `FEEDFORWARD_CONSISTENCY_TOL`); they are pooled
+    with their outcome probabilities into one sub-normalized conditional
+    state whose squared norm is the total acceptance probability times the
+    incoming weight.  Only the pooled result is a `PhotonicState`.
     """
     reg = state.registry
     if (rotation is None) != (detector.basis == DetectorBasis.HV):
         raise EngineError(f"detector rotation does not match basis {detector.basis!r}")
     working = state if rotation is None else apply_unitary(state, rotation)
 
-    if occupations is None:
-        occupations = MeasureTable(reg.beam_modes(detector.beam))
+    occupations = {} if occupations is None else occupations
     n_in = working.norm_sq()
     if n_in <= 0.0:
         return PhotonicState(reg, {}, validate=False), 0.0, []
 
-    split, det_modes = occupations.split, occupations.modes
+    modes = reg.beam_modes(detector.beam)
     branches: dict[tuple[int, ...], dict[Occupation, complex]] = {}
     for occ, a in working.amps.items():
-        hit = split.get(occ)
-        if hit is None:
-            cleared = list(occ)
-            for m in det_modes:
-                cleared[m] = 0
-            hit = split[occ] = (tuple(occ[m] for m in det_modes), tuple(cleared))
-        pattern, cleared = hit
-        branches.setdefault(pattern, {})[cleared] = a
+        row = occupations.get(occ)
+        if row is None:
+            row = occupations[occ] = _measure_row(reg, modes, table, occ)
+        pattern, out, negate = row
+        branches.setdefault(pattern, {})[out] = -a if negate else a
 
     records: list[BranchRecord] = []
     accepted: list[tuple[float, float, dict[Occupation, complex]]] = []
@@ -433,19 +411,9 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
         amps = branches[pattern]
         norm_sq = amplitudes_norm_sq(amps)
         p_branch = norm_sq / n_in
-        action = table.lookup(pattern)
-        if action == REJECT:
+        if table.lookup(pattern) == REJECT:
             records.append(BranchRecord(pattern, p_branch, "reject"))
             continue
-        if action:
-            moves, known = occupations.corrections(reg, pattern, action)
-            corrected: dict[Occupation, complex] = {}
-            for occ, a in amps.items():
-                hit = known.get(occ)
-                if hit is None:
-                    hit = known[occ] = _correct(occ, moves)
-                corrected[hit[0]] = -a if hit[1] else a
-            amps = corrected
         records.append(BranchRecord(pattern, p_branch, "accept"))
         accepted.append((p_branch, math.sqrt(norm_sq), amps))
 

@@ -100,6 +100,9 @@ class ModeRegistry:
         self._time_resolved = time_resolved
         self._labels = tuple(labels)
         self._index = {label: i for i, label in enumerate(labels)}
+        self._beam_modes = {beam: self.modes_where([beam]) for beam in beams}
+        self._hv_modes = {beam: (self.modes_where([beam], Polarization.H),
+                                 self.modes_where([beam], Polarization.V)) for beam in beams}
 
     @property
     def beams(self) -> tuple[str, ...]:
@@ -135,9 +138,18 @@ class ModeRegistry:
 
     def beam_modes(self, beam: str) -> tuple[int, ...]:
         """All mode indices belonging to one beam, in canonical order."""
-        if beam not in self._beams:
-            raise UnknownBeamError(f"beam {beam!r} not registered")
-        return tuple(i for i, lab in enumerate(self._labels) if lab.beam == beam)
+        try:
+            return self._beam_modes[beam]
+        except (KeyError, TypeError):  # an unhashable beam is not registered either
+            raise UnknownBeamError(f"beam {beam!r} not registered") from None
+
+    def hv_modes(self, beam: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """A beam's H modes and its V modes, each in canonical order, so the
+        time bins pair up (see `engine.swap_hv`)."""
+        try:
+            return self._hv_modes[beam]
+        except (KeyError, TypeError):
+            raise UnknownBeamError(f"beam {beam!r} not registered") from None
 
     def modes_where(self, beams: Iterable[str] | None = None,
                     pol: Polarization | None = None,

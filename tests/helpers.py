@@ -9,7 +9,6 @@ import math
 import numpy as np
 
 from fredkinlab import PhotonicState, Polarization
-from fredkinlab.fock import inner_product
 from fredkinlab.fock import ModeRegistry, Occupation
 
 
@@ -80,11 +79,21 @@ def phase_fixed_deviation(got: PhotonicState, expected: PhotonicState) -> float:
     Linear in an amplitude error, where 1 - `state_fidelity` is quadratic in
     it: an error of 3e-5 reads 3e-5 here and about 1e-9 there.
     """
-    n_got, n_exp = got.norm_sq(), expected.norm_sq()
+    keys = list(got.amps.keys() | expected.amps.keys())
+    return phase_fixed_map_deviation([got.amps.get(k, 0.0) for k in keys],
+                                     [expected.amps.get(k, 0.0) for k in keys])
+
+
+def phase_fixed_map_deviation(got, expected) -> float:
+    """`phase_fixed_deviation` of two equal-shape arrays, such as a process
+    map and its ideal: the largest entry difference, each array scaled to
+    unit Frobenius norm, once the global phase of `expected` is turned onto
+    that of `got`.  Linear in an amplitude error, where `process_fidelity` is
+    quadratic in it."""
+    got, expected = np.asarray(got, dtype=complex), np.asarray(expected, dtype=complex)
+    n_got, n_exp = np.vdot(got, got).real, np.vdot(expected, expected).real
     if n_got <= 0.0 or n_exp <= 0.0:
         return math.inf
-    overlap = inner_product(expected, got)
+    overlap = np.vdot(expected, got)
     phase = overlap / abs(overlap) if overlap else 1.0
-    a, b = 1 / math.sqrt(n_got), phase / math.sqrt(n_exp)
-    return max(abs(got.amps.get(k, 0.0) * a - expected.amps.get(k, 0.0) * b)
-               for k in got.amps.keys() | expected.amps.keys())
+    return float(np.max(np.abs(got / math.sqrt(n_got) - expected * (phase / math.sqrt(n_exp)))))

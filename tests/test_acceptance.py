@@ -26,6 +26,7 @@ from fredkinlab import (
     transition_amplitude_oracle,
 )
 from fredkinlab.analysis import (
+    KNOWN_TARGET_IDEAL,
     evaluate_known_target,
     gate_report,
     optimize_gate,
@@ -42,6 +43,7 @@ from fredkinlab.circuits import (
     build_sanaka_cnot,
     build_simplified_cnot,
     run,
+    simplified_mesh_sectors,
 )
 from fredkinlab.fock import Polarization, TimeBin, prepare_logical_input
 
@@ -51,6 +53,7 @@ from helpers import (
     bits_of,
     fredkin_vec,
     phase_fixed_deviation,
+    phase_fixed_map_deviation,
     pol,
     qubit_ket,
     state_from_terms,
@@ -166,17 +169,28 @@ def test_criterion_05_fig3_realization(mesh_outcome):
               "with the optimized known-target gate", ok)
 
 
+def _sector_deviation(k2: np.ndarray, kv: np.ndarray) -> float:
+    """The worse phase-fixed deviation of the known-target gate's
+    target-present and target-absent sectors from their ideal; each sector
+    is scaled on its own, as in its fidelity."""
+    return max(phase_fixed_map_deviation(k2, KNOWN_TARGET_IDEAL[:4, [0, 2]]),
+               phase_fixed_map_deviation(kv, KNOWN_TARGET_IDEAL[4:, [1, 3]]))
+
+
 def test_criterion_06_component_gates(mesh_outcome):
-    pittman = gate_report(get_gate("cnot-pittman"))
-    ralph = gate_report(get_gate("cnot-ralph"))
-    ok = (all(abs(p - 0.25) < 1e-9 for p in pittman.probabilities)
-          and pittman.truth_table_fidelity >= 1 - 1e-9)
-    ok = ok and (all(abs(p - 1 / 9) < 1e-9 for p in ralph.probabilities)
-                 and ralph.truth_table_fidelity >= 1 - 1e-9)
+    ok = True
+    for name, p_gate in (("cnot-pittman", 0.25), ("cnot-ralph", 1 / 9)):
+        rep = gate_report(get_gate(name))
+        ok = ok and (all(abs(p - p_gate) < 1e-9 for p in rep.probabilities)
+                     and rep.truth_table_fidelity >= 1 - 1e-9)
+        ok = ok and phase_fixed_map_deviation(
+            rep.process_matrix, math.sqrt(p_gate) * get_gate(name).ideal) <= 1e-9
     ok = ok and abs(mesh_outcome.probability - 1 / 6) <= 1e-12
     ok = ok and mesh_outcome.fidelity >= 1 - 1e-8
+    ok = ok and _sector_deviation(*simplified_mesh_sectors(mesh_outcome.parameters)) <= 1e-9
     ev = evaluate_known_target(build_simplified_cnot(mesh_outcome.parameters))
     ok = ok and ev.fidelity >= 1 - 1e-9
+    ok = ok and _sector_deviation(ev.matrix[:4, [0, 2]], ev.matrix[4:, [1, 3]]) <= 1e-9
     report(6, "component gates: parity-check 1/4, three-splitter 1/9, "
               "known-target mesh reaches 1/6", ok)
 

@@ -30,6 +30,8 @@ from fredkinlab.circuits import (
 from fredkinlab.elements import Hwp
 from fredkinlab.fock import register_modes
 
+from helpers import phase_fixed_map_deviation
+
 
 # -- ideal maps ------------------------------------------------------------------
 
@@ -58,7 +60,7 @@ def test_process_map_identity_circuit():
                    (Linear((Hwp("a", 0.0), Hwp("a", 0.0))),))
     info = get_gate("cnot-ralph")  # reuse the ket builder with our own circuit
     kets = info.output_kets(circ)
-    pm = conditional_process_map(circ, kets, d=4)
+    pm = conditional_process_map(circ, kets)
     assert process_fidelity(pm.matrix, np.eye(4)) == pytest.approx(1.0, abs=1e-12)
     assert pm.leakage < 1e-12
     assert pm.superposition_residual < 1e-12
@@ -67,7 +69,7 @@ def test_process_map_identity_circuit():
 def test_process_map_heralded_fredkin_matches_permutation():
     info = get_gate("fredkin-postselected")
     circ = info.build()
-    pm = conditional_process_map(circ, info.output_kets(circ), d=8)
+    pm = conditional_process_map(circ, info.output_kets(circ))
     k = pm.matrix
     # proportional to the controlled-swap permutation with factor 1/(2 sqrt 2)
     assert np.max(np.abs(k - ideal_fredkin() / (2 * math.sqrt(2)))) < 1e-12
@@ -77,7 +79,7 @@ def test_process_map_heralded_fredkin_matches_permutation():
 def test_process_map_ralph_prefactor_one_third():
     info = get_gate("cnot-ralph")
     circ = info.build()
-    pm = conditional_process_map(circ, info.output_kets(circ), d=4)
+    pm = conditional_process_map(circ, info.output_kets(circ))
     assert np.max(np.abs(pm.matrix - ideal_cnot() / 3)) < 1e-12
 
 
@@ -90,6 +92,15 @@ def test_process_fidelity_properties(rng):
     assert process_fidelity(np.eye(4), ideal) < 1.0
     with pytest.raises(AnalysisError):
         process_fidelity(np.zeros((4, 4)), ideal)
+
+
+def test_phase_fixed_map_deviation_is_linear_in_an_amplitude_error():
+    ideal = ideal_cnot()
+    assert phase_fixed_map_deviation(np.exp(1j * 0.7) * ideal / 3, ideal / 2) < 1e-15
+    off = ideal / 2
+    off[0, 0] += 3e-5
+    assert 1e-5 < phase_fixed_map_deviation(off, ideal) < 3e-5
+    assert process_fidelity(off, ideal) > 1 - 1e-9  # the quadratic check misses it
 
 
 def test_probability_fidelity_registered_values():
@@ -128,7 +139,7 @@ def test_tomography_consistency_random_inputs(rng):
     info = get_gate("cnot-ralph")
     circ = info.build()
     kets = info.output_kets(circ)
-    pm = conditional_process_map(circ, kets, d=4)
+    pm = conditional_process_map(circ, kets)
     from fredkinlab.circuits import run
     for amps in random_inputs(2, 5, 99):
         res = run(circ, amps)

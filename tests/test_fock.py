@@ -16,7 +16,12 @@ from fredkinlab import (
     register_modes,
     tensor,
 )
-from fredkinlab.fock import RegistryMismatchError, occupation_str, state_fidelity
+from fredkinlab.fock import (
+    RegistryMismatchError,
+    UnknownBeamError,
+    occupation_str,
+    state_fidelity,
+)
 
 from helpers import phase_fixed_deviation
 
@@ -42,6 +47,19 @@ def test_canonical_order_beam_major_h_before_v_s_before_l():
     got = [(l.beam, l.pol.value, l.bin.value) for l in reg.labels]
     assert got == expected
     assert reg.index("b", Polarization.V, TimeBin.L) == 7
+
+
+@pytest.mark.parametrize("time_resolved", [False, True])
+def test_beam_and_hv_modes_match_modes_where(time_resolved):
+    reg = register_modes(["c", "t1", "t2"], time_resolved=time_resolved)
+    for beam in reg.beams:
+        assert reg.beam_modes(beam) == reg.modes_where(beams=[beam])
+        assert reg.hv_modes(beam) == (reg.modes_where(beams=[beam], pol=Polarization.H),
+                                      reg.modes_where(beams=[beam], pol=Polarization.V))
+    assert len(reg.hv_modes("t1")[0]) == (2 if time_resolved else 1)
+    for lookup in (reg.beam_modes, reg.hv_modes):
+        with pytest.raises(UnknownBeamError, match="beam 'zz' not registered"):
+            lookup("zz")
 
 
 def test_prepare_logical_basis_states():

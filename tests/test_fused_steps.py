@@ -266,3 +266,62 @@ def test_accepted_branch_of_zero_norm_raises_as_the_reference_does():
         _reference_measure(state, detector, table, None)
     with pytest.raises(NormalizationError):
         measure_and_feedforward(state, detector, table, None)
+
+
+# -- correction rules no catalog gate uses ------------------------------------------
+
+
+def _measured_state(reg, corrections, seed):
+    """A state on beams c, t (one photon each) and detector beam d whose
+    branches agree once corrected: psi with d's H photon, the amplitudes that
+    `corrections` turn into psi with its V photon, and a vacuum-d branch that
+    the table rejects.  Returns the state and the two accepted patterns."""
+    rng = np.random.default_rng(seed)
+    tbin = "S" if reg.time_resolved else None
+    sector = []
+    for mc in reg.beam_modes("c"):
+        for mt in reg.beam_modes("t"):
+            occ = [0] * reg.size
+            occ[mc] = occ[mt] = 1
+            sector.append(tuple(occ))
+
+    def draw():
+        return dict(zip(sector, rng.normal(size=len(sector)) + 1j * rng.normal(size=len(sector))))
+
+    psi, rejected = draw(), draw()
+    undone = {}
+    for occ in sector:
+        image = PhotonicState(reg, {occ: 1.0})
+        for beam, kind in corrections:
+            image = _reference_correction(image, beam, kind)
+        ((key, sign),) = image.amps.items()
+        undone[occ] = 0.5 * sign * psi[key]
+    amps, patterns = dict(rejected), []
+    for pol, branch in (("H", psi), ("V", undone)):
+        d = reg.index("d", pol, tbin)
+        patterns.append(tuple(int(m == d) for m in reg.beam_modes("d")))
+        for occ, a in branch.items():
+            amps[tuple(n + (m == d) for m, n in enumerate(occ))] = a
+    return PhotonicState(reg, amps), patterns
+
+
+@pytest.mark.parametrize("time_resolved, corrections", [
+    (False, [("c", "flip_sign")]),
+    (False, [("c", "flip_sign"), ("t", "flip")]),
+    (False, [("t", "sign"), ("c", "flip"), ("t", "flip_sign")]),
+    (True, [("c", "flip_sign"), ("t", "flip")]),
+    (True, [("t", "sign"), ("c", "flip_sign")]),
+])
+def test_unused_correction_rules_match_the_reference_to_the_bit(time_resolved, corrections):
+    reg = register_modes(("c", "t", "d"), time_resolved=time_resolved)
+    state, (plain, corrected) = _measured_state(reg, corrections, seed=len(corrections))
+    detector = DetectorSpec("d")
+    table = FeedForwardTable.build({plain: [], corrected: corrections})
+    ref_state, ref_log = _reference_measure(state, detector, table, None)
+    ref_p = sum(r.probability for r in ref_log if r.action == "accept")
+    assert [r.action for r in ref_log] == ["reject", "accept", "accept"]
+    occupations = {}
+    for _ in range(2):  # a cold table, then a warm one
+        assert _bits(*measure_and_feedforward(state, detector, table, None, occupations)) == (
+            _bits(ref_state, ref_p, ref_log))
+        assert len(occupations) == len(state.amps)

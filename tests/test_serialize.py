@@ -102,6 +102,30 @@ def _ancillae_share_a_beam(obj):
     obj["ancillae"][1]["beam_a"] = "a1"
 
 
+def _last_correction(obj):
+    measure = [st for st in obj["stages"] if st["type"] == "measure"][-1]
+    return next(item for item in measure["accept"] if item.get("corrections"))["corrections"][0]
+
+
+def _unknown_correction_kind(obj):
+    _last_correction(obj)["kind"] = "flop"
+
+
+def _correction_on_unregistered_beam(obj):
+    _last_correction(obj)["beam"] = "zz"
+
+
+def _patterns_one_count_too_long(obj):
+    for st in obj["stages"]:
+        for item in st.get("accept", []):
+            item["pattern"].append(0)
+
+
+def _negative_pattern_count(obj):
+    measure = next(st for st in obj["stages"] if st["type"] == "measure")
+    measure["accept"][0]["pattern"] = [2, -1]
+
+
 @pytest.mark.parametrize("gate, mutate, message", [
     ("fredkin-postselected", _drop_control, "missing key 'control'"),
     ("fredkin-postselected", _list_stage, "malformed document"),
@@ -114,6 +138,12 @@ def _ancillae_share_a_beam(obj):
      "ancilla on beams 'c' and 'a2' sits on qubit beam 'c'"),
     ("fredkin-heralded", _ancillae_share_a_beam,
      "ancilla on beams 'a1' and 'a4' overlaps another ancilla"),
+    ("cnot-pittman", _unknown_correction_kind, "unknown correction kind 'flop'"),
+    ("cnot-pittman", _correction_on_unregistered_beam, "beam 'zz' not registered"),
+    ("cnot-pittman", _patterns_one_count_too_long,
+     "outcome (1, 0, 0) of the detector on beam 'a1' needs 2 non-negative counts"),
+    ("cnot-pittman", _negative_pattern_count,
+     "outcome (2, -1) of the detector on beam 'a1' needs 2 non-negative counts"),
 ])
 def test_malformed_document_is_one_line_circuit_file_error(gate, mutate, message):
     obj = circuit_to_dict(get_gate(gate).build())

@@ -206,8 +206,8 @@ class Step(NamedTuple):
     last stage inside the cut), the unitary the circuit compiled for it (or
     None), the stage's occupation table (a dict; for a `Linear` stage None,
     its table being on its unitary's plan, or the `KeptRows` of the
-    post-selection that ends a full run right after it), and the product of
-    the ancillae tensored in just before it (or None)."""
+    post-selection folded into it), and the product of the ancillae
+    tensored in just before it (or None)."""
     stage: Stage
     unitary: ModeUnitary | None
     table: KeptRows | dict | None
@@ -217,6 +217,9 @@ class Step(NamedTuple):
 class Program(NamedTuple):
     """How `run` carries a logical input through ``stages[:n]``.
 
+    A full run that ends in a `Linear` step and then the `PostSelect` step,
+    with no ancilla entering there, has one step for both: the linear step,
+    building only the rows the post-selection keeps (`engine.KeptRows`).
     `first` is the product of the ancillae that the first step of a full run
     touches; `Circuit.prepare_input` tensors it in.  Each step tensors in the
     ancillae it is the first to touch, and `rest`, the ancillae no step
@@ -418,8 +421,9 @@ class Circuit:
         if full and len(applied) > 1 and not entering[-1] and isinstance(
                 applied[-1][0], PostSelect) and isinstance(applied[-2][0], Linear):
             # fold the terminal post-selection into the linear step before it
-            (st, u, _), (post, _, counts) = applied[-2:]
-            applied[-2] = (st, u, KeptRows({}, post.rules, counts))
+            (st, u, _), (post, _, kept) = applied[-2:]
+            applied[-2:] = [(st, u, KeptRows({}, post.rules, kept))]
+            entering.pop()
         if full:  # `prepare_input` tensors in what the first step touches
             late = self._product([k for k in everything if k not in entering[0]])
             first, entering[0] = self._product(entering[0]), []
@@ -463,15 +467,15 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
         upto: int | None = None, expected_photons: int | None = None) -> RunResult:
     """Evolve an input through the circuit.
 
-    The state is never renormalized along the way (unless a rule says so), so
-    the final squared norm relative to the input is the acceptance
-    probability; it is also returned explicitly.  `expected_photons` overrides
-    the circuit's declared count for inputs that legitimately differ (the
-    known-target gate accepts a present or absent target photon).  Linear
-    stages and +/- detectors apply the unitaries the circuit compiled when it
-    was built: each run of consecutive `Linear` stages is applied once, as
-    the product stored at its last stage inside ``stages[:upto]``, so a cut
-    inside a run applies that stage's prefix product.
+    The state is never renormalized along the way, so the final squared norm
+    relative to the input is the acceptance probability; it is also returned
+    explicitly.  `expected_photons` overrides the circuit's declared count
+    for inputs that legitimately differ (the known-target gate accepts a
+    present or absent target photon).  Linear stages and +/- detectors apply
+    the unitaries the circuit compiled when it was built: each run of
+    consecutive `Linear` stages is applied once, as the product stored at its
+    last stage inside ``stages[:upto]``, so a cut inside a run applies that
+    stage's prefix product.
 
     A logical input comes from `Circuit.prepare_input`, with the ancillae the
     first step touches.  Each other ancilla is tensored in just before the
@@ -480,10 +484,9 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
     prepared with every ancilla.  The photon-number check and the input norm
     refer to that fully prepared input.  A `PhotonicState` input gets no
     ancilla.  Each step looks its action on an occupation up in the
-    circuit's occupation tables (see `engine`).  When a full run ends in a
-    `Linear` step and then the `PostSelect` step, with no ancilla entering
-    there, the linear step builds only the rows the post-selection keeps
-    (`engine.KeptRows`); a cut before the post-selection gets every row.
+    circuit's occupation tables (see `engine`).  A post-selection folded
+    into a full run's last linear step (see `Program`) has no step of its
+    own; a cut before it gets every row of that linear step.
     """
     prog = circuit.program(len(circuit.stages[:upto]))
     declared = circuit.photons if expected_photons is None else expected_photons

@@ -112,6 +112,10 @@ def cmd_verify(args, cfg: LabConfig) -> int:
 
 
 def _verify_single_input(info, circuit: Circuit, args, tol: float) -> int:
+    if info.kind == "known_target":  # its logic lives in its evaluator, not in `ideal`
+        print(f"error: gate {info.name!r} is a known-target gate and has no single-input "
+              "check; verify it without --input", file=sys.stderr)
+        return EXIT_USAGE
     amps = _parse_input_amplitudes(args.input, info.n_qubits)
     result = run(circuit, amps)
     kets = info.output_kets(circuit)

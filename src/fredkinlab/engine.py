@@ -16,14 +16,16 @@ amplitude by amplitude before they are pooled with their probabilities.
 
 Each step keeps an occupation table: a dict, filled on first sight, from an
 occupation entering the step to the step's action on it (a unitary's is on
-its plan; a measurement's is a pattern, corrected occupation and sign).  A
-unitary that a post-selection directly follows can keep a table of its own
-instead, of rows cut down to the occupations the post-selection keeps
-(`KeptRows`).  A `Circuit` keeps its tables across runs, so the inputs of a
-sweep or a process map share per-occupation work while each input stays its
-own run.  A table holds the factors that would be worked out again, used in
-the same order, so results are bit-identical.  An occupation whose action
-raises is never stored.  A step called without a table works with a fresh one.
+its plan; a measurement's is a pattern, corrected occupation and sign; a
+post-selection's whether it keeps it).  A terminal post-selection right
+after a unitary is folded into it: the unitary keeps rows of its own, cut
+down to the occupations the post-selection keeps (`KeptRows`).  A `Circuit`
+keeps its tables across runs, so the inputs of a sweep or a process map
+share per-occupation work while each input stays its own run.  A table
+holds the factors that would be worked out again, used in the same order,
+so results are bit-identical.  An occupation whose action raises, or a row
+that raises while it is built, is never stored.  A step called without a
+table works with a fresh one.
 """
 
 from __future__ import annotations
@@ -65,8 +67,9 @@ def apply_unitary(state: PhotonicState, u: ModeUnitary,
     Each term is multiplied into its row in the plan's occupation table, which
     is built on first sight from the transfer row of the term's active-mode
     occupation, the passive modes of the input key passing through.  For a
-    unitary that a post-selection follows directly, `kept` holds the table of
-    rows cut down to the output occupations the post-selection keeps.
+    unitary with a terminal post-selection folded into it, `kept` holds the
+    table of rows cut down to the output occupations the post-selection
+    keeps; such a call is the whole post-selection.
     """
     if u.registry != state.registry:
         raise EngineError("unitary acts on a different registry")
@@ -83,7 +86,7 @@ def apply_unitary(state: PhotonicState, u: ModeUnitary,
                 active_row = rows[active_in] = _transfer_row(cols, active_in)
             row = ((splice(occ + key), t) for key, t in active_row)
             if kept is not None:
-                row = (e for e in row if _rule_count(kept.rules, kept.occupations, e[0]))
+                row = (e for e in row if _kept(kept.rules, kept.occupations, e[0]))
             row = table[occ] = tuple(row)
         for full, t in row:
             out[full] = get(full, 0.0) + amp * t
@@ -184,7 +187,6 @@ class PostSelectionRule:
     """Conjunction of photon-count constraints over disjoint mode sets."""
 
     constraints: tuple[tuple[tuple[int, ...], int], ...]
-    renormalize: bool = False
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -200,67 +202,57 @@ class PostSelectionRule:
         return all(sum(occ[m] for m in modes) == count for modes, count in self.constraints)
 
     @classmethod
-    def beam_counts(cls, registry: ModeRegistry, counts: Mapping[str, int],
-                    renormalize: bool = False) -> "PostSelectionRule":
-        cons = tuple((registry.beam_modes(b), c) for b, c in counts.items())
-        return cls(cons, renormalize=renormalize)
+    def beam_counts(cls, registry: ModeRegistry, counts: Mapping[str, int]) -> "PostSelectionRule":
+        return cls(tuple((registry.beam_modes(b), c) for b, c in counts.items()))
 
     @classmethod
-    def mode_counts(cls, registry: ModeRegistry, counts: Sequence[tuple[Sequence[int], int]],
-                    renormalize: bool = False) -> "PostSelectionRule":
-        cons = tuple((tuple(ms), c) for ms, c in counts)
-        return cls(cons, renormalize=renormalize)
+    def mode_counts(cls, registry: ModeRegistry,
+                    counts: Sequence[tuple[Sequence[int], int]]) -> "PostSelectionRule":
+        return cls(tuple((tuple(ms), c) for ms, c in counts))
 
 
 class KeptRows(NamedTuple):
-    """A terminal post-selection folded into the unitary just before it: that
-    unitary's rows, kept apart from its plan, and the post-selection's rules
-    and occupation table."""
+    """A terminal post-selection folded into the unitary just before it, in
+    place of a step of its own: that unitary's rows cut down to the output
+    occupations the post-selection keeps, kept apart from its plan, and the
+    post-selection's rules and occupation table (see `_kept`)."""
     rows: dict[Occupation, tuple[tuple[Occupation, complex], ...]]
     rules: tuple[PostSelectionRule, ...]
-    occupations: dict[Occupation, int]
+    occupations: dict[Occupation, bool]
 
 
-def _rule_count(rules: Sequence[PostSelectionRule], occupations: dict[Occupation, int],
-                occ: Occupation) -> int:
-    """How many of `rules` match `occ`, from and into the occupation table
-    `occupations`; a count above 1, a union that is not disjoint, is never
-    stored."""
-    n_hit = occupations.get(occ)
-    if n_hit is None:
+def _kept(rules: Sequence[PostSelectionRule], occupations: dict[Occupation, bool],
+          occ: Occupation) -> bool:
+    """Whether one of `rules` matches `occ`, from and into the occupation
+    table `occupations`.  An occupation two rules match raises, since the
+    union is not disjoint, and is never stored."""
+    kept = occupations.get(occ)
+    if kept is None:
         n_hit = sum(1 for r in rules if r.matches(occ))
-        if n_hit <= 1:
-            occupations[occ] = n_hit
-    return n_hit
+        if n_hit > 1:
+            raise EngineError("post-selection rule union is not disjoint")
+        kept = occupations[occ] = n_hit == 1
+    return kept
 
 
 def post_select_any(state: PhotonicState, rules: Sequence[PostSelectionRule],
-                    occupations: dict[Occupation, int] | None = None,
+                    occupations: dict[Occupation, bool] | None = None,
                     ) -> tuple[PhotonicState, float]:
     """Keep the occupation states matched by a union of disjoint conjunctive
     rules (e.g. equal-time-bin coincidence); a single rule is a 1-tuple.
 
-    Returns the surviving state and its probability (squared surviving norm
-    relative to the input norm).  A zero survivor is an empty state with
-    probability 0, not an error.  The survivor is renormalized when every
-    rule asks for it.  `occupations`, the step's occupation table, maps an
-    occupation to the number of rules it matches.  After an `apply_unitary`
-    with `KeptRows` every term survives, so the probability reads 1.
+    Returns the surviving terms, their amplitudes unchanged, and their
+    probability (squared surviving norm relative to the input norm).  A zero
+    survivor is an empty state with probability 0, not an error.
+    `occupations` is the step's occupation table (see `_kept`).  A `Circuit`
+    calls this only for a post-selection it cannot fold into the unitary
+    before it (`KeptRows`).
     """
     occupations = {} if occupations is None else occupations
-    kept: dict[Occupation, complex] = {}
-    for occ, a in state.amps.items():
-        n_hit = _rule_count(rules, occupations, occ)
-        if n_hit > 1:
-            raise EngineError("post-selection rule union is not disjoint")
-        if n_hit:
-            kept[occ] = a
+    kept = {occ: a for occ, a in state.amps.items() if _kept(rules, occupations, occ)}
     survived = PhotonicState(state.registry, kept, prune_eps=state.prune_eps, validate=False)
     n_in = state.norm_sq()
-    prob = survived.norm_sq() / n_in if n_in > 0 else 0.0
-    if rules and all(r.renormalize for r in rules) and prob > 0.0:
-        survived = survived.normalized()
-    return survived, prob
+    return survived, survived.norm_sq() / n_in if n_in > 0 else 0.0
 
 
 # -- measurement with feed-forward -------------------------------------------

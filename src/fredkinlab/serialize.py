@@ -52,6 +52,23 @@ class CircuitFileError(ValueError):
         self.path = path
 
 
+# -- checked scalars ------------------------------------------------------------
+
+
+def _integer(value, key: str) -> int:
+    """A JSON integer; a float, bool or string is an error, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(value, key: str) -> bool:
+    """A JSON boolean; anything else is an error, not coerced."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 # -- mode references ------------------------------------------------------------
 
 
@@ -141,15 +158,18 @@ def _rule_to_json(registry: ModeRegistry, rule: PostSelectionRule) -> dict:
             "modes": [_mode_ref_to_json(registry, m) for m in modes],
             "count": count,
         })
-    return {"constraints": constraints, "renormalize": rule.renormalize}
+    return {"constraints": constraints}
 
 
 def _rule_from_json(registry: ModeRegistry, obj: dict, where: str) -> PostSelectionRule:
+    # files written before post-selection lost its renormalize flag carry it as false
+    if _boolean(obj.get("renormalize", False), "renormalize"):
+        raise ValueError("renormalize: true is not supported; post-selection never renormalizes")
     cons = []
     for c in obj.get("constraints", []):
         modes = tuple(registry.index(*_mode_ref_from_json(m, where)) for m in c["modes"])
-        cons.append((modes, int(c["count"])))
-    return PostSelectionRule(tuple(cons), renormalize=bool(obj.get("renormalize", False)))
+        cons.append((modes, _integer(c["count"], "count")))
+    return PostSelectionRule(tuple(cons))
 
 
 # -- stages -----------------------------------------------------------------------------
@@ -190,14 +210,14 @@ def _stage_from_json(registry: ModeRegistry, obj: dict, where: str) -> Stage:
     if kind == "measure":
         entries = []
         for item in obj.get("accept", []):
-            pattern = tuple(int(x) for x in item["pattern"])
-            if item.get("reject"):
+            pattern = tuple(_integer(x, "pattern count") for x in item["pattern"])
+            if _boolean(item.get("reject", False), "reject"):
                 entries.append((pattern, REJECT))
             else:
                 entries.append((pattern, tuple((c["beam"], c["kind"])
                                                for c in item.get("corrections", []))))
-        table = FeedForwardTable(tuple(entries),
-                                 default_reject=bool(obj.get("default_reject", True)))
+        default_reject = _boolean(obj.get("default_reject", True), "default_reject")
+        table = FeedForwardTable(tuple(entries), default_reject=default_reject)
         return Measure(DetectorSpec(obj["beam"], obj.get("basis", "HV")), table,
                        label=label)
     if kind == "post_select":
@@ -255,13 +275,14 @@ def circuit_from_dict(obj: dict, path: str = "") -> Circuit:
         raise CircuitFileError(f"missing key {exc}", path) from exc
     except (TypeError, AttributeError) as exc:
         raise CircuitFileError(f"malformed document: {exc}", path) from exc
-    except (ValueError, OverflowError) as exc:  # int(inf) overflows
+    except (ValueError, OverflowError) as exc:  # float() of a huge integer overflows
         raise CircuitFileError(str(exc), path) from exc
 
 
 def _circuit_from_dict(obj: dict, path: str) -> Circuit:
+    time_resolved = _boolean(obj.get("time_resolved", False), "time_resolved")
     try:
-        registry = register_modes(obj["beams"], bool(obj.get("time_resolved", False)))
+        registry = register_modes(obj["beams"], time_resolved)
     except (KeyError, ValueError) as exc:
         raise CircuitFileError(f"bad beam list: {exc}", path) from exc
     ancillae = []
@@ -286,7 +307,7 @@ def _circuit_from_dict(obj: dict, path: str) -> Circuit:
     return Circuit(
         name=obj.get("name", path or "circuit"),
         registry=registry,
-        photons=int(obj.get("photons", len(obj.get("qubits", [])))),
+        photons=_integer(obj.get("photons", len(obj.get("qubits", []))), "photons"),
         qubit_beams=tuple(obj.get("qubits", [])),
         output_beams=tuple(obj.get("outputs", obj.get("qubits", []))),
         stages=tuple(stages),

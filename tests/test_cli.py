@@ -6,7 +6,7 @@ import pytest
 
 from fredkinlab.cli import format_probability
 from fredkinlab.catalog import get_gate
-from fredkinlab.serialize import save_circuit
+from fredkinlab.serialize import circuit_to_dict, save_circuit
 
 
 def run_cli(args, env_extra=None):
@@ -141,6 +141,27 @@ def test_verify_single_input():
     code, out, err = run_cli(["verify", "cnot-ralph", "--input", "[1, 0, 0, 0]"])
     assert code == 0
     assert "PASS" in out
+
+
+def test_verify_single_input_of_known_target_gate_is_usage_error():
+    code, out, err = run_cli(["verify", "cnot-simplified", "--input", "[1, 0]"])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: gate 'cnot-simplified' is a known-target gate and has no "
+                   "single-input check; verify it without --input\n")
+
+
+def test_verify_renormalizing_rule_file_exit_2(tmp_path):
+    obj = circuit_to_dict(get_gate("cnot-ralph").build())
+    post = next(st for st in obj["stages"] if st["type"] == "post_select")
+    post["rules"][0]["renormalize"] = True
+    path = tmp_path / "ralph.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["verify", str(path), "--input", "[0, 1, 0, 0]"])
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {path}: renormalize: true is not supported; "
+                   "post-selection never renormalizes\n")
 
 
 def test_verify_rejects_unnormalized_input():

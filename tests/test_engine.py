@@ -263,15 +263,6 @@ def test_post_select_impossible_count_gives_zero():
     assert len(kept) == 0
 
 
-def test_post_select_renormalize_flag():
-    reg = register_modes(["a"])
-    s = PhotonicState(reg, {(1, 0): S2, (0, 1): S2})
-    rule = PostSelectionRule.mode_counts(reg, [((0,), 1)], renormalize=True)
-    kept, p = post_select_any(s, (rule,))
-    assert p == pytest.approx(0.5)
-    assert abs(kept.norm_sq() - 1.0) < 1e-12
-
-
 def test_post_select_composition_equals_conjunction(rng):
     reg = register_modes(["a", "b"])
     amps = {}

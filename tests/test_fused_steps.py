@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from fredkinlab import LogicalAmplitudes, PhotonicState, Polarization
+from fredkinlab import LogicalAmplitudes, PhotonicState, Polarization, circuits
 from fredkinlab.catalog import CATALOG, get_gate
 from fredkinlab.circuits import (
     Circuit,
@@ -108,7 +108,8 @@ def _reference_measure(state, detector, table, rotation):
 
 
 def _reference_run(circuit: Circuit, amplitudes: LogicalAmplitudes, upto=None):
-    """`run` over the same compiled steps, with every step unfused."""
+    """`run` over the same compiled steps, with every step unfused: a
+    post-selection folded into the last linear step runs after it, on its own."""
     prog = circuit.program(len(circuit.stages[:upto]))
     state = circuit.prepare_input(amplitudes)
     n0 = state.norm_sq() * prog.late[1]
@@ -127,6 +128,10 @@ def _reference_run(circuit: Circuit, amplitudes: LogicalAmplitudes, upto=None):
             state, _ = post_select_any(state, st.rules)
         else:
             raise AssertionError(f"no reference for {st!r}")
+    last = circuit.stages[:upto][-1]
+    if isinstance(last, PostSelect) and not any(
+            isinstance(step.stage, PostSelect) for step in prog.steps):
+        state, _ = post_select_any(state, last.rules)
     if prog.rest is not None:
         state = tensor(state, prog.rest)
     return state, state.norm_sq() / n0, log
@@ -147,8 +152,7 @@ def _inputs(n_qubits: int, seed: int):
 
 
 def _folded(circuit: Circuit) -> bool:
-    steps = circuit.program(len(circuit.stages)).steps
-    return len(steps) > 1 and isinstance(steps[-2].table, KeptRows)
+    return isinstance(circuit.program(len(circuit.stages)).steps[-1].table, KeptRows)
 
 
 # -- bit identity ----------------------------------------------------------------
@@ -185,6 +189,69 @@ def test_cut_at_the_last_linear_stage_gets_every_term(name):
     assert dropped
 
 
+# -- the post-selection that does not fold -------------------------------------------
+
+
+def _pittman_post_selected(rules_of) -> Circuit:
+    """`cnot-pittman` with a post-selection after its last measurement, where
+    it cannot fold into a linear step."""
+    circuit = get_gate("cnot-pittman").build()
+    assert isinstance(circuit.stages[-1], Measure)
+    post = PostSelect(rules_of(circuit.registry), label="coincidence")
+    return dataclasses.replace(circuit, stages=circuit.stages + (post,))
+
+
+def _control_h_or_v_with_target_h(reg):
+    return (PostSelectionRule.mode_counts(reg, [((reg.index("c", Polarization.H),), 1)]),
+            PostSelectionRule.mode_counts(reg, [((reg.index("c", Polarization.V),), 1),
+                                                ((reg.index("t", Polarization.H),), 1)]))
+
+
+def test_post_selection_after_a_measurement_matches_the_reference_to_the_bit():
+    circuit = _pittman_post_selected(_control_h_or_v_with_target_h)
+    assert not _folded(circuit)
+    assert isinstance(circuit.program(len(circuit.stages)).steps[-1].stage, PostSelect)
+    dropped = False
+    for amps in _inputs(2, seed=31):
+        res = run(circuit, amps)
+        assert _bits(res.state, res.probability, res.branch_log) == _bits(
+            *_reference_run(circuit, amps))
+        dropped |= res.probability < 0.25 - 1e-12
+    assert dropped  # the rules reject some of the heralded terms
+
+
+def test_overlapping_rules_after_a_measurement_raise_on_every_run():
+    circuit = _pittman_post_selected(lambda reg: (
+        PostSelectionRule.beam_counts(reg, {"c": 1}),
+        PostSelectionRule.beam_counts(reg, {"t": 1})))
+    amps = _inputs(2, seed=32)[-1]
+    with pytest.raises(EngineError, match="rule union is not disjoint"):
+        _reference_run(circuit, amps)
+    for _ in range(2):
+        with pytest.raises(EngineError, match="rule union is not disjoint"):
+            run(circuit, amps)
+
+
+def test_only_a_post_selection_that_does_not_fold_calls_post_select_any(monkeypatch):
+    calls = []
+
+    def counting(state, rules, occupations=None):
+        calls.append(rules)
+        return post_select_any(state, rules, occupations)
+
+    monkeypatch.setattr(circuits, "post_select_any", counting)
+    for name in sorted(CATALOG):
+        circuit = get_gate(name).build()
+        for amps in _inputs(len(circuit.qubit_beams), seed=5):
+            run(circuit, amps)
+    assert calls == []
+    circuit = _pittman_post_selected(_control_h_or_v_with_target_h)
+    inputs = _inputs(2, seed=6)
+    for amps in inputs:
+        run(circuit, amps)
+    assert len(calls) == len(inputs)
+
+
 # -- checks and errors ---------------------------------------------------------------
 
 
@@ -207,17 +274,6 @@ def test_rule_union_that_is_not_disjoint_raises_on_every_run():
     for _ in range(2):
         with pytest.raises(EngineError, match="rule union is not disjoint"):
             run(circuit, amps)
-
-
-def test_renormalizing_rules_are_honoured_when_folded():
-    circuit = _beam_splitter_circuit(lambda reg: (
-        PostSelectionRule.beam_counts(reg, {"c": 1, "t": 1}, renormalize=True),))
-    assert _folded(circuit)
-    amps = LogicalAmplitudes.basis(2, 1)
-    res = run(circuit, amps)
-    assert _bits(res.state, res.probability, res.branch_log) == _bits(
-        *_reference_run(circuit, amps))
-    assert res.state.norm_sq() == pytest.approx(1.0, abs=1e-15)
 
 
 def _with_table(circuit: Circuit, index: int, table: FeedForwardTable) -> Circuit:

@@ -57,6 +57,14 @@ def test_unknown_stage_type_rejected():
         circuit_from_dict(obj)
 
 
+def test_rules_are_written_without_renormalize_and_read_with_it_false():
+    obj = circuit_to_dict(get_gate("cnot-ralph").build())
+    rule = _first_rule(obj)
+    assert set(rule) == {"constraints"}
+    rule["renormalize"] = False
+    assert circuit_from_dict(obj) == get_gate("cnot-ralph").build()
+
+
 def test_serialized_form_is_json_and_versioned():
     blob = dumps_circuit(get_gate("fredkin-timebin").build())
     obj = json.loads(blob)
@@ -126,13 +134,42 @@ def _negative_pattern_count(obj):
     measure["accept"][0]["pattern"] = [2, -1]
 
 
+def _first_rule(obj):
+    post = next(st for st in obj["stages"] if st["type"] == "post_select")
+    return post["rules"][0]
+
+
+def _count(value):
+    def mutate(obj):
+        _first_rule(obj)["constraints"][0]["count"] = value
+    mutate.__name__ = f"_count_{value!r}"
+    return mutate
+
+
+def _fractional_pattern_count(obj):
+    measure = next(st for st in obj["stages"] if st["type"] == "measure")
+    measure["accept"][0]["pattern"] = [1.7, 0]
+
+
+def _fractional_photon_count(obj):
+    obj["photons"] = 2.9
+
+
+def _string_default_reject(obj):
+    next(st for st in obj["stages"] if st["type"] == "measure")["default_reject"] = "false"
+
+
+def _renormalizing_rule(obj):
+    _first_rule(obj)["renormalize"] = True
+
+
 @pytest.mark.parametrize("gate, mutate, message", [
     ("fredkin-postselected", _drop_control, "missing key 'control'"),
     ("fredkin-postselected", _list_stage, "malformed document"),
     ("fredkin-postselected", _photon_without_beam, "missing key 'beam'"),
     ("cnot-sanaka", _config_without_l_spdc, "missing key 'l_spdc'"),
     ("cnot-ralph", _nan_angle, "matrix is not unitary (deviation nan)"),
-    ("cnot-ralph", _infinite_photon_count, "cannot convert float infinity to integer"),
+    ("cnot-ralph", _infinite_photon_count, "photons must be an integer, got inf"),
     ("cnot-pittman", _unknown_bell_state, "unknown Bell state 'psi_minus'"),
     ("cnot-pittman", _ancilla_on_qubit_beam,
      "ancilla on beams 'c' and 'a2' sits on qubit beam 'c'"),
@@ -144,6 +181,13 @@ def _negative_pattern_count(obj):
      "outcome (1, 0, 0) of the detector on beam 'a1' needs 2 non-negative counts"),
     ("cnot-pittman", _negative_pattern_count,
      "outcome (2, -1) of the detector on beam 'a1' needs 2 non-negative counts"),
+    ("cnot-ralph", _count(1.5), "count must be an integer, got 1.5"),
+    ("cnot-ralph", _count(True), "count must be an integer, got True"),
+    ("cnot-ralph", _count("1"), "count must be an integer, got '1'"),
+    ("cnot-pittman", _fractional_pattern_count, "pattern count must be an integer, got 1.7"),
+    ("cnot-ralph", _fractional_photon_count, "photons must be an integer, got 2.9"),
+    ("cnot-pittman", _string_default_reject, "default_reject must be true or false, got 'false'"),
+    ("cnot-ralph", _renormalizing_rule, "renormalize: true is not supported"),
 ])
 def test_malformed_document_is_one_line_circuit_file_error(gate, mutate, message):
     obj = circuit_to_dict(get_gate(gate).build())

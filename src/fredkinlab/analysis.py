@@ -26,7 +26,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .catalog import GateInfo, conventions_hash, get_gate, ideal_cnot, qubit_output_kets
+from .catalog import (  # the KNOWN_TARGET_* names are re-exported
+    KNOWN_TARGET_IDEAL, KNOWN_TARGET_INPUT_LABELS, KNOWN_TARGET_OUTPUT_LABELS,
+    GateInfo, conventions_hash, get_gate, ideal_cnot, qubit_output_kets,
+)
 from .circuits import (
     Circuit,
     RunResult,
@@ -150,14 +153,6 @@ class KnownTargetEvaluation:
     matrix: np.ndarray  # 6x4: outputs {HV, HH, VV, VH, H., V.} x inputs {HV, H., VV, V.}
 
 
-KNOWN_TARGET_INPUT_LABELS = ("H,V", "H,vac", "V,V", "V,vac")
-KNOWN_TARGET_OUTPUT_LABELS = ("H,V", "H,H", "V,V", "V,H", "H,vac", "V,vac")
-# ideal action: target V flips iff control V; vacuum passes through
-KNOWN_TARGET_IDEAL = np.zeros((6, 4))
-KNOWN_TARGET_IDEAL[0, 0] = 1.0  # H,V -> H,V
-KNOWN_TARGET_IDEAL[4, 1] = 1.0  # H,vac -> H,vac
-KNOWN_TARGET_IDEAL[3, 2] = 1.0  # V,V -> V,H
-KNOWN_TARGET_IDEAL[5, 3] = 1.0  # V,vac -> V,vac
 _IDEAL_2 = KNOWN_TARGET_IDEAL[:4, [0, 2]]    # target-present sector
 _IDEAL_VAC = KNOWN_TARGET_IDEAL[4:, [1, 3]]  # target-absent sector
 
@@ -259,80 +254,65 @@ def _ket_label(circuit: Circuit, occ: Occupation) -> str:
 
 def gate_report(info: GateInfo, sweep: int = 0,
                 sweep_seed: int = 20260811) -> GateReport:
-    """Build the full verification report of a cataloged gate."""
+    """Build the full verification report of a cataloged gate.  `sweep`
+    applies to qubit gates only; a known-target gate's fidelity is the worse
+    sector's."""
     circuit = info.build()
     if info.kind == "known_target":
-        return _known_target_report(info, circuit)
+        ev = evaluate_known_target(circuit)
+        probs = [ev.p_by_input[label] for label in KNOWN_TARGET_INPUT_LABELS]
+        return _report(info, ev.matrix, ev.fidelity,
+                       KNOWN_TARGET_INPUT_LABELS, KNOWN_TARGET_OUTPUT_LABELS,
+                       [float(np.sum(np.abs(col) ** 2)) for col in ev.matrix.T],
+                       probs, ev.p_min and (max(probs) - ev.p_min), 0.0,
+                       worst_case=True)
     kets = info.output_kets(circuit)
     pm = conditional_process_map(circuit, kets)
-    fid = process_fidelity(pm.matrix, info.ideal)
-
-    table = []
-    tt_fid = 1.0
-    for i in range(2 ** info.n_qubits):
-        col = pm.matrix[:, i]
-        j_star = int(np.argmax(info.ideal[:, i]))
-        amp = col[j_star]
-        p_in = pm.input_probabilities[i]
-        tt = float(abs(amp) ** 2 / p_in) if p_in > 0 else 0.0
-        tt_fid = min(tt_fid, tt)
-        table.append({
-            "input": _bits_label(info.n_qubits, i),
-            "output": _ket_label(circuit, kets[j_star]),
-            "amplitude": [float(amp.real), float(amp.imag)],
-        })
-
     probs = list(pm.input_probabilities)
     if sweep:
-        sweep_probs, _ = success_probability_sweep(
+        probs, _ = success_probability_sweep(
             circuit, random_inputs(info.n_qubits, sweep, sweep_seed))
-        probs = sweep_probs
-    spread = max(probs) - min(probs)
-    return GateReport(
-        gate=info.name,
-        truth_table=table,
-        process_matrix=pm.matrix,
-        process_fidelity=fid,
-        truth_table_fidelity=tt_fid,
-        probabilities=probs,
-        spread=spread,
-        expected_probability=info.expected_probability,
-        leakage=pm.leakage,
-        metadata={"description": info.description,
-                  "uniform": info.uniform,
-                  "conventions": conventions_hash()},
-    )
+    return _report(info, pm.matrix, process_fidelity(pm.matrix, info.ideal),
+                   [_bits_label(info.n_qubits, i) for i in range(2 ** info.n_qubits)],
+                   [_ket_label(circuit, k) for k in kets],
+                   pm.input_probabilities, probs, max(probs) - min(probs), pm.leakage)
 
 
-def _known_target_report(info: GateInfo, circuit: Circuit) -> GateReport:
-    ev = evaluate_known_target(circuit)
+def _report(info: GateInfo, matrix: np.ndarray, fidelity: float,
+            in_labels: Sequence[str], out_labels: Sequence[str], p_in: Sequence[float],
+            probabilities: list[float], spread: float, leakage: float,
+            **metadata) -> GateReport:
+    """A `GateReport` of the map `matrix` against `info.ideal`.
+
+    Each input's truth-table row is its amplitude on the output the ideal
+    map sends it to; the truth-table fidelity is the worst such |amp|^2 over
+    the input's accepted probability `p_in`.
+    """
     table = []
-    for idx, label in enumerate(KNOWN_TARGET_INPUT_LABELS):
-        j_star = int(np.argmax(KNOWN_TARGET_IDEAL[:, idx]))
-        amp = ev.matrix[j_star, idx]
+    tt_fid = 1.0
+    for i, label in enumerate(in_labels):
+        j_star = int(np.argmax(info.ideal[:, i]))
+        amp = matrix[j_star, i]
+        tt = float(abs(amp) ** 2 / p_in[i]) if p_in[i] > 0 else 0.0
+        tt_fid = min(tt_fid, tt)
         table.append({
             "input": label,
-            "output": KNOWN_TARGET_OUTPUT_LABELS[j_star],
+            "output": out_labels[j_star],
             "amplitude": [float(amp.real), float(amp.imag)],
         })
-    tt = []
-    for idx, label in enumerate(KNOWN_TARGET_INPUT_LABELS):
-        p_in = float(np.sum(np.abs(ev.matrix[:, idx]) ** 2))
-        j_star = int(np.argmax(KNOWN_TARGET_IDEAL[:, idx]))
-        tt.append(abs(ev.matrix[j_star, idx]) ** 2 / p_in if p_in > 0 else 0.0)
     return GateReport(
         gate=info.name,
         truth_table=table,
-        process_matrix=ev.matrix,
-        process_fidelity=ev.fidelity,
-        truth_table_fidelity=float(min(tt)),
-        probabilities=[ev.p_by_input[l] for l in KNOWN_TARGET_INPUT_LABELS],
-        spread=ev.p_min and (max(ev.p_by_input.values()) - ev.p_min),
+        process_matrix=matrix,
+        process_fidelity=fidelity,
+        truth_table_fidelity=tt_fid,
+        probabilities=probabilities,
+        spread=spread,
         expected_probability=info.expected_probability,
-        leakage=0.0,
+        leakage=leakage,
         metadata={"description": info.description,
                   "uniform": info.uniform,
-                  "worst_case": True,
+                  **metadata,
                   "conventions": conventions_hash()},
     )
 

@@ -63,6 +63,16 @@ def ideal_cnot() -> np.ndarray:
     return k
 
 
+KNOWN_TARGET_INPUT_LABELS = ("H,V", "H,vac", "V,V", "V,vac")
+KNOWN_TARGET_OUTPUT_LABELS = ("H,V", "H,H", "V,V", "V,H", "H,vac", "V,vac")
+# 6x4 map of the known-target CNOT: target V flips iff control V; vacuum passes through
+KNOWN_TARGET_IDEAL = np.zeros((6, 4))
+KNOWN_TARGET_IDEAL[0, 0] = 1.0  # H,V -> H,V
+KNOWN_TARGET_IDEAL[4, 1] = 1.0  # H,vac -> H,vac
+KNOWN_TARGET_IDEAL[3, 2] = 1.0  # V,V -> V,H
+KNOWN_TARGET_IDEAL[5, 3] = 1.0  # V,vac -> V,vac
+
+
 def _pol(bit: int) -> Polarization:
     return Polarization.V if bit else Polarization.H
 
@@ -189,7 +199,7 @@ _register(GateInfo(
     name="cnot-simplified",
     build=build_simplified_cnot,
     n_qubits=1,
-    ideal=np.eye(4),  # placeholder; the known-target evaluator owns the logic
+    ideal=KNOWN_TARGET_IDEAL,
     expected_probability=Fraction(1, 6),
     uniform=False,
     description="Known-target (V or vacuum) CNOT mesh; worst-case success 1/6 "

@@ -460,7 +460,7 @@ def _apply_controlled_flip(state: PhotonicState, control: str, target: str,
                     f"control beam {control!r} carries {nh + nv} photons, needs exactly 1")
             flipped = occupations[occ] = swap_hv(occ, tgt_h, tgt_v) if nv == 1 else occ
         out[flipped] = out.get(flipped, 0.0) + a
-    return PhotonicState(reg, out, prune_eps=state.prune_eps, validate=False)
+    return PhotonicState(reg, out, validate=False)
 
 
 def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,

@@ -38,8 +38,8 @@ import numpy as np
 
 from .elements import ModeUnitary, hwp_unitary
 from .fock import (
+    DEFAULT_PRUNE_EPS,
     ModeRegistry,
-    NormalizationError,
     Occupation,
     PhotonicState,
     amplitudes_norm_sq,
@@ -90,7 +90,7 @@ def apply_unitary(state: PhotonicState, u: ModeUnitary,
             row = table[occ] = tuple(row)
         for full, t in row:
             out[full] = get(full, 0.0) + amp * t
-    return PhotonicState(state.registry, out, prune_eps=state.prune_eps, validate=False)
+    return PhotonicState(state.registry, out, validate=False)
 
 
 def _transfer_row(cols, active_in: Occupation):
@@ -250,7 +250,7 @@ def post_select_any(state: PhotonicState, rules: Sequence[PostSelectionRule],
     """
     occupations = {} if occupations is None else occupations
     kept = {occ: a for occ, a in state.amps.items() if _kept(rules, occupations, occ)}
-    survived = PhotonicState(state.registry, kept, prune_eps=state.prune_eps, validate=False)
+    survived = PhotonicState(state.registry, kept, validate=False)
     n_in = state.norm_sq()
     return survived, survived.norm_sq() / n_in if n_in > 0 else 0.0
 
@@ -414,14 +414,11 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
 
     # linear in any disagreement, unlike comparing the pooled norm with p_total;
     # each amplitude is normalized and pruned as `PhotonicState.normalized` does
-    eps = state.prune_eps
-
+    # (every branch holds a stored amplitude, so no norm is zero)
     def unit(amps, scale, occ):
         a = amps.get(occ, 0.0) * scale
-        return 0.0 if abs(a) < eps else a
+        return 0.0 if abs(a) < DEFAULT_PRUNE_EPS else a
 
-    if any(norm <= 0.0 for _, norm, _ in accepted):  # as `PhotonicState.normalized`
-        raise NormalizationError("cannot normalize a zero state")
     units = [(amps, 1.0 / norm) for _, norm, amps in accepted]
     ref, ref_scale = units[0]
     deviation = max((abs(unit(amps, scale, occ) - unit(ref, ref_scale, occ))
@@ -438,7 +435,7 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
         w = p_branch / norm
         for occ, a in amps.items():
             pooled[occ] = pooled.get(occ, 0.0) + w * a
-    pooled = {occ: a for occ, a in pooled.items() if not abs(a) < eps}
+    pooled = {occ: a for occ, a in pooled.items() if not abs(a) < DEFAULT_PRUNE_EPS}
     scale = math.sqrt(p_total * n_in) / math.sqrt(amplitudes_norm_sq(pooled))
     return PhotonicState(reg, {occ: a * scale for occ, a in pooled.items()},
-                         prune_eps=eps, validate=False), p_total, records
+                         validate=False), p_total, records

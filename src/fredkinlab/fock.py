@@ -208,18 +208,17 @@ class PhotonicState:
     probability accumulated so far.
     """
 
-    __slots__ = ("registry", "amps", "prune_eps")
+    __slots__ = ("registry", "amps")
 
     def __init__(self, registry: ModeRegistry,
                  amplitudes: Mapping[Occupation, complex],
-                 prune_eps: float = DEFAULT_PRUNE_EPS,
                  validate: bool = True):
         if validate:
             amps: dict[Occupation, complex] = {}
             m = registry.size
             for occ, a in amplitudes.items():
                 a = complex(a)
-                if abs(a) < prune_eps:
+                if abs(a) < DEFAULT_PRUNE_EPS:
                     continue
                 occ = tuple(int(n) for n in occ)
                 if len(occ) != m:
@@ -230,10 +229,9 @@ class PhotonicState:
         else:
             # the caller passes complex amplitudes on well-formed keys; the
             # pruning test is the one above, so a NaN amplitude stays visible
-            amps = {occ: a for occ, a in amplitudes.items() if not abs(a) < prune_eps}
+            amps = {occ: a for occ, a in amplitudes.items() if not abs(a) < DEFAULT_PRUNE_EPS}
         self.registry = registry
         self.amps = amps
-        self.prune_eps = prune_eps
 
     # -- constructors ------------------------------------------------------
 
@@ -253,7 +251,7 @@ class PhotonicState:
             raise NormalizationError("cannot normalize a zero state")
         s = 1.0 / math.sqrt(n2)
         return PhotonicState(self.registry, {k: v * s for k, v in self.amps.items()},
-                             prune_eps=self.prune_eps, validate=False)
+                             validate=False)
 
     def photon_numbers(self) -> set[int]:
         """Distinct total photon counts present in the superposition."""
@@ -394,4 +392,4 @@ def tensor(s1: PhotonicState, s2: PhotonicState) -> PhotonicState:
         for occ2, a2 in right:
             key = tuple(map(operator.add, occ1, occ2))
             amps[key] = amps.get(key, 0.0) + a1 * a2
-    return PhotonicState(s1.registry, amps, prune_eps=s1.prune_eps, validate=False)
+    return PhotonicState(s1.registry, amps, validate=False)

@@ -69,6 +69,27 @@ def _boolean(value, key: str) -> bool:
     return value
 
 
+def _number(value, key: str) -> float:
+    """A JSON number; a bool or string is an error, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _string(value, key: str) -> str:
+    """A JSON string; anything else is an error, not coerced."""
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _strings(value, key: str) -> tuple[str, ...]:
+    """A JSON list of strings; a string is an error, not split into characters."""
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+        raise ValueError(f"{key} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 # -- mode references ------------------------------------------------------------
 
 
@@ -124,11 +145,11 @@ def element_from_json(obj: dict, where: str) -> Element:
     kind = obj.get("kind")
     try:
         if kind == "hwp":
-            return Hwp(obj["beam"], float(obj["theta_deg"]))
+            return Hwp(obj["beam"], _number(obj["theta_deg"], "theta_deg"))
         if kind == "pbs":
             return Pbs(obj["beam_a"], obj["beam_b"])
         if kind == "bs":
-            return Bs(float(obj["eta"]), _mode_ref_from_json(obj["a"], where),
+            return Bs(_number(obj["eta"], "eta"), _mode_ref_from_json(obj["a"], where),
                       _mode_ref_from_json(obj["b"], where), obj.get("signed", "b"))
         if kind == "rpbs":
             return Rpbs(obj["beam_a"], obj["beam_b"])
@@ -139,9 +160,9 @@ def element_from_json(obj: dict, where: str) -> Element:
         if kind == "delay_to_l":
             return DelayToL(obj["beam"])
         if kind == "phase":
-            return Phase(_mode_ref_from_json(obj["target"], where), float(obj["phi"]))
+            return Phase(_mode_ref_from_json(obj["target"], where), _number(obj["phi"], "phi"))
         if kind == "rot":
-            return Rot(float(obj["theta"]), _mode_ref_from_json(obj["a"], where),
+            return Rot(_number(obj["theta"], "theta"), _mode_ref_from_json(obj["a"], where),
                        _mode_ref_from_json(obj["b"], where))
     except (KeyError, TypeError, ValueError) as exc:
         raise CircuitFileError(f"bad {kind!r} element: {exc}", where) from exc
@@ -201,7 +222,7 @@ def _stage_to_json(registry: ModeRegistry, st: Stage) -> dict:
 
 def _stage_from_json(registry: ModeRegistry, obj: dict, where: str) -> Stage:
     kind = obj.get("type")
-    label = obj.get("label", "")
+    label = _string(obj.get("label", ""), "label")
     if kind == "linear":
         elements = tuple(element_from_json(e, where) for e in obj.get("elements", []))
         return Linear(elements, label=label)
@@ -282,7 +303,7 @@ def circuit_from_dict(obj: dict, path: str = "") -> Circuit:
 def _circuit_from_dict(obj: dict, path: str) -> Circuit:
     time_resolved = _boolean(obj.get("time_resolved", False), "time_resolved")
     try:
-        registry = register_modes(obj["beams"], time_resolved)
+        registry = register_modes(_strings(obj["beams"], "beams"), time_resolved)
     except (KeyError, ValueError) as exc:
         raise CircuitFileError(f"bad beam list: {exc}", path) from exc
     ancillae = []
@@ -298,18 +319,19 @@ def _circuit_from_dict(obj: dict, path: str) -> Circuit:
     tbc = None
     if "time_bin_config" in obj:
         c = obj["time_bin_config"]
-        tbc = TimeBinConfig(delta_l=float(c["delta_l"]), l_spdc=float(c["l_spdc"]),
-                            l_pump=float(c["l_pump"]), delta_t=float(c["delta_t"]),
-                            speed=float(c.get("speed", 1.0)))
+        tbc = TimeBinConfig(**{key: _number(c[key], key) for key in
+                               ("delta_l", "l_spdc", "l_pump", "delta_t")},
+                            speed=_number(c.get("speed", 1.0), "speed"))
     stages = []
     for i, st in enumerate(obj.get("stages", [])):
         stages.append(_stage_from_json(registry, st, f"{path}:stages[{i}]"))
+    qubits = _strings(obj.get("qubits", []), "qubits")
     return Circuit(
-        name=obj.get("name", path or "circuit"),
+        name=_string(obj.get("name", path or "circuit"), "name"),
         registry=registry,
-        photons=_integer(obj.get("photons", len(obj.get("qubits", []))), "photons"),
-        qubit_beams=tuple(obj.get("qubits", [])),
-        output_beams=tuple(obj.get("outputs", obj.get("qubits", []))),
+        photons=_integer(obj.get("photons", len(qubits)), "photons"),
+        qubit_beams=qubits,
+        output_beams=_strings(obj["outputs"], "outputs") if "outputs" in obj else qubits,
         stages=tuple(stages),
         ancillae=tuple(ancillae),
         time_bin_config=tbc,

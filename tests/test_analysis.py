@@ -168,6 +168,19 @@ def test_known_target_error_amplitudes_vanish():
     assert np.max(np.abs(k[mask])) < 1e-12
 
 
+def test_known_target_gate_report():
+    info = get_gate("cnot-simplified")
+    assert info.ideal is KNOWN_TARGET_IDEAL and info.ideal.shape == (6, 4)
+    rep = gate_report(info)
+    assert [(row["input"], row["output"]) for row in rep.truth_table] == [
+        ("H,V", "H,V"), ("H,vac", "H,vac"), ("V,V", "V,H"), ("V,vac", "V,vac")]
+    assert np.allclose(rep.probabilities, [1 / 6, 1 / 3, 1 / 6, 1 / 3], rtol=0, atol=1e-12)
+    assert rep.spread == pytest.approx(1 / 6, abs=1e-12)
+    assert rep.leakage == 0.0
+    assert rep.metadata["uniform"] is False and rep.metadata["worst_case"] is True
+    assert rep.matches_expectations()
+
+
 def test_mesh_closed_form_matches_engine_run(rng):
     # the optimizer scores the mesh in closed form; the engine runs the circuit
     problem = PROBLEMS["simplified-cnot"]

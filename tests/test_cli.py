@@ -151,6 +151,15 @@ def test_verify_single_input_of_known_target_gate_is_usage_error():
                    "single-input check; verify it without --input\n")
 
 
+def test_verify_sweep_of_known_target_gate_is_usage_error():
+    code, out, err = run_cli(["verify", "cnot-simplified", "--sweep", "50"])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: gate 'cnot-simplified' is a known-target gate and has no "
+                   "random-input sweep; verify it without --sweep\n")
+    assert run_cli(["verify", "cnot-simplified", "--sweep", "0"])[0] == 0
+
+
 def test_verify_renormalizing_rule_file_exit_2(tmp_path):
     obj = circuit_to_dict(get_gate("cnot-ralph").build())
     post = next(st for st in obj["stages"] if st["type"] == "post_select")

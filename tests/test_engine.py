@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fredkinlab import (
+    DEFAULT_PRUNE_EPS,
     DetectorBasis,
     DetectorSpec,
     EngineError,
@@ -164,7 +165,7 @@ def full_length_expansion(state, u):
                 poly = nxt
         for key, c in poly.items():
             out[key] = out.get(key, 0.0) + c * norm(key)
-    return PhotonicState(state.registry, out, prune_eps=state.prune_eps, validate=False)
+    return PhotonicState(state.registry, out, validate=False)
 
 
 def random_terms(registry, rng):
@@ -298,16 +299,15 @@ def test_post_select_any_union():
 
 
 def test_pruning_soundness():
-    # pruning at eps changes downstream probabilities by far less than 10*eps
+    # an amplitude below the pruning constant is dropped, and a post-selected
+    # probability moves by no more than its square
     reg = register_modes(["a"])
-    eps = 1e-6
-    exact = PhotonicState(reg, {(1, 0): math.sqrt(1 - eps ** 2 / 4), (0, 1): eps / 2},
-                          prune_eps=0.0)
-    pruned = PhotonicState(reg, dict(exact.amps), prune_eps=eps)
-    rule = PostSelectionRule.mode_counts(reg, [((0,), 1)])
-    _, p_exact = post_select_any(exact, (rule,))
-    _, p_pruned = post_select_any(pruned, (rule,))
-    assert abs(p_exact - p_pruned) < 10 * eps
+    small = DEFAULT_PRUNE_EPS / 2
+    state = PhotonicState(reg, {(1, 0): math.sqrt(1 - small ** 2), (0, 1): small})
+    assert state.amps.keys() == {(1, 0)}
+    for modes, p_exact in (((0,), 1 - small ** 2), ((1,), small ** 2)):
+        _, p = post_select_any(state, (PostSelectionRule.mode_counts(reg, [(modes, 1)]),))
+        assert abs(p - p_exact) <= DEFAULT_PRUNE_EPS ** 2
 
 
 # -- measurement and feed-forward ---------------------------------------------------

@@ -41,7 +41,7 @@ from fredkinlab.engine import (
     post_select_any,
     swap_hv,
 )
-from fredkinlab.fock import NormalizationError, register_modes, tensor
+from fredkinlab.fock import register_modes, tensor
 
 # -- the unfused reference -----------------------------------------------------
 
@@ -57,7 +57,7 @@ def _reference_correction(state: PhotonicState, beam: str, kind: str) -> Photoni
         if kind in ("flip", "flip_sign"):
             occ = swap_hv(occ, h_modes, v_modes)
         out[occ] = out.get(occ, 0.0) + a
-    return PhotonicState(reg, out, prune_eps=state.prune_eps, validate=False)
+    return PhotonicState(reg, out, validate=False)
 
 
 def _reference_measure(state, detector, table, rotation):
@@ -76,7 +76,7 @@ def _reference_measure(state, detector, table, rotation):
         branches.setdefault(tuple(occ[m] for m in det_modes), {})[tuple(cleared)] = a
     records, accepted = [], []
     for pattern in sorted(branches):
-        sub = PhotonicState(reg, branches[pattern], prune_eps=state.prune_eps, validate=False)
+        sub = PhotonicState(reg, branches[pattern], validate=False)
         p_branch = sub.norm_sq() / n_in
         action = table.lookup(pattern)
         if action == REJECT:
@@ -101,10 +101,10 @@ def _reference_measure(state, detector, table, rotation):
         w = p_branch / math.sqrt(sub.norm_sq())
         for occ, a in sub.amps.items():
             pooled[occ] = pooled.get(occ, 0.0) + w * a
-    pooled = PhotonicState(reg, pooled, prune_eps=state.prune_eps, validate=False)
+    pooled = PhotonicState(reg, pooled, validate=False)
     scale = math.sqrt(p_total * n_in) / math.sqrt(pooled.norm_sq())
     return PhotonicState(reg, {k: v * scale for k, v in pooled.amps.items()},
-                         prune_eps=state.prune_eps, validate=False), records
+                         validate=False), records
 
 
 def _reference_run(circuit: Circuit, amplitudes: LogicalAmplitudes, upto=None):
@@ -310,18 +310,6 @@ def test_unlisted_outcome_without_default_reject_raises_on_every_run():
     for _ in range(3):
         with pytest.raises(FeedForwardError, match=r"outcome \(\d, \d\) missing"):
             run(broken, amps)
-
-
-def test_accepted_branch_of_zero_norm_raises_as_the_reference_does():
-    # kept only with prune_eps=0: an exact zero on an accepted pattern
-    reg = register_modes(("c", "d"))
-    state = PhotonicState(reg, {(1, 0, 1, 0): 1.0, (1, 0, 0, 1): 0.0}, prune_eps=0.0)
-    detector = DetectorSpec("d")
-    table = FeedForwardTable.build({(1, 0): [], (0, 1): []})
-    with pytest.raises(NormalizationError):
-        _reference_measure(state, detector, table, None)
-    with pytest.raises(NormalizationError):
-        measure_and_feedforward(state, detector, table, None)
 
 
 # -- correction rules no catalog gate uses ------------------------------------------

@@ -163,6 +163,28 @@ def _renormalizing_rule(obj):
     _first_rule(obj)["renormalize"] = True
 
 
+def _set(key, value):
+    def mutate(obj):
+        obj[key] = value
+    mutate.__name__ = f"_{key}_{value!r}"
+    return mutate
+
+
+def _string_qubits_and_outputs(obj):
+    obj["qubits"] = obj["outputs"] = "ct"
+
+
+def _numeric_stage_label(obj):
+    obj["stages"][0]["label"] = 5
+
+
+def _time_bin_field(key, value):
+    def mutate(obj):
+        obj["time_bin_config"][key] = value
+    mutate.__name__ = f"_time_bin_{key}_{value!r}"
+    return mutate
+
+
 @pytest.mark.parametrize("gate, mutate, message", [
     ("fredkin-postselected", _drop_control, "missing key 'control'"),
     ("fredkin-postselected", _list_stage, "malformed document"),
@@ -188,6 +210,17 @@ def _renormalizing_rule(obj):
     ("cnot-ralph", _fractional_photon_count, "photons must be an integer, got 2.9"),
     ("cnot-pittman", _string_default_reject, "default_reject must be true or false, got 'false'"),
     ("cnot-ralph", _renormalizing_rule, "renormalize: true is not supported"),
+    ("cnot-ralph", _string_qubits_and_outputs, "qubits must be a list of strings, got 'ct'"),
+    ("cnot-ralph", _set("outputs", "ct"), "outputs must be a list of strings, got 'ct'"),
+    ("cnot-ralph", _set("outputs", ["c", 1]), "outputs must be a list of strings"),
+    ("cnot-ralph", _set("beams", "ct"), "beams must be a list of strings, got 'ct'"),
+    ("cnot-ralph", _set("name", ["x"]), "name must be a string, got ['x']"),
+    ("cnot-ralph", _numeric_stage_label, "label must be a string, got 5"),
+    ("cnot-sanaka", _time_bin_field("delta_l", "1.0"), "delta_l must be a number, got '1.0'"),
+    ("cnot-sanaka", _time_bin_field("l_spdc", True), "l_spdc must be a number, got True"),
+    ("cnot-sanaka", _time_bin_field("l_pump", [10]), "l_pump must be a number, got [10]"),
+    ("cnot-sanaka", _time_bin_field("delta_t", None), "delta_t must be a number, got None"),
+    ("cnot-sanaka", _time_bin_field("speed", "1"), "speed must be a number, got '1'"),
 ])
 def test_malformed_document_is_one_line_circuit_file_error(gate, mutate, message):
     obj = circuit_to_dict(get_gate(gate).build())
@@ -197,6 +230,38 @@ def test_malformed_document_is_one_line_circuit_file_error(gate, mutate, message
     text = str(err.value)
     assert text.startswith("bad.json: ") and message in text
     assert "\n" not in text
+
+
+def _element_field(kind, key, value):
+    def mutate(obj):
+        linear = [i for i, st in enumerate(obj["stages"]) if st["type"] == "linear"]
+        if kind == "phase":  # no catalog gate has a phase plate
+            obj["stages"][linear[0]]["elements"].append(
+                {"kind": "phase", "target": ["c", "H"], "phi": 0.0})
+        index, el = next((i, el) for i in linear for el in obj["stages"][i]["elements"]
+                         if el["kind"] == kind)
+        el[key] = value
+        return index
+    mutate.__name__ = f"_{kind}_{key}_{value!r}"
+    return mutate
+
+
+@pytest.mark.parametrize("gate, mutate, message", [
+    ("cnot-pittman", _element_field("hwp", "theta_deg", "22.5"),
+     "bad 'hwp' element: theta_deg must be a number, got '22.5'"),
+    ("cnot-ralph", _element_field("bs", "eta", "0.5"),
+     "bad 'bs' element: eta must be a number, got '0.5'"),
+    ("cnot-ralph", _element_field("phase", "phi", False),
+     "bad 'phase' element: phi must be a number, got False"),
+    ("cnot-simplified", _element_field("rot", "theta", True),
+     "bad 'rot' element: theta must be a number, got True"),
+])
+def test_malformed_element_is_one_line_circuit_file_error_at_its_stage(gate, mutate, message):
+    obj = circuit_to_dict(get_gate(gate).build())
+    index = mutate(obj)
+    with pytest.raises(CircuitFileError) as err:
+        circuit_from_dict(obj, "bad.json")
+    assert str(err.value) == f"bad.json:stages[{index}]: {message}"
 
 
 # -- fuzzing -----------------------------------------------------------------------

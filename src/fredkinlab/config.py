@@ -72,6 +72,8 @@ def load_config(path: str | None = None) -> LabConfig:
         if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r} in {path}")
         try:
+            if isinstance(value, str):  # the parsers take a flag's text; a file holds numbers
+                raise ValueError(f"must be a JSON number, got {value!r}")
             setattr(cfg, key, _PARSERS[key](value))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config key {key!r} in {path}: {exc}") from None

@@ -1,16 +1,17 @@
 """Versioned JSON circuit files.
 
-The format mirrors the in-memory circuit one-to-one so that
-``parse(serialize(circuit))`` reproduces it exactly: beams and canonical mode
-order, stages (element lists, conditional flips, measurements with their
-feed-forward tables, terminal post-selection rules), ancilla preparations and
-the optional time-bin configuration.
+Each kind of JSON object is described once, in the tables below; one reader
+and one writer walk them.  JSON types are exact, and a key no table names is
+an error.  ``parse(serialize(circuit))`` gives back an equal circuit, except
+that a mode given by its dense index comes back as its label: ``Bs(0.5, 0, 2)``
+returns as ``Bs(0.5, ('c', 'H'), ('t', 'H'))``, which compiles to the same
+unitary but does not compare equal.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .circuits import (
     BellPair,
@@ -20,13 +21,11 @@ from .circuits import (
     Measure,
     PostSelect,
     SinglePhoton,
-    Stage,
     TimeBinConfig,
 )
 from .elements import (
     Bs,
     DelayToL,
-    Element,
     Hwp,
     HvSwap,
     Pbs,
@@ -52,290 +51,287 @@ class CircuitFileError(ValueError):
         self.path = path
 
 
-# -- checked scalars ------------------------------------------------------------
+class _At(NamedTuple):
+    """Where an object sits: its file, its place in the document, and the modes."""
+    path: str
+    loc: str = ""
+    registry: ModeRegistry | None = None
+
+    def inner(self, step: str) -> "_At":
+        return self._replace(loc=f"{self.loc}.{step}" if self.loc else step)
+
+    def error(self, message: str) -> CircuitFileError:
+        return CircuitFileError(f"{self.loc}: {message}" if self.loc else message, self.path)
 
 
-def _integer(value, key: str) -> int:
-    """A JSON integer; a float, bool or string is an error, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
+# -- readers: (JSON value, key, _At) -> value; writers: (value, registry) -> JSON value
 
 
-def _boolean(value, key: str) -> bool:
-    """A JSON boolean; anything else is an error, not coerced."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
+def _checked(ok: Callable[[Any], bool], what: str, cast: Callable | None = None):
+    """A reader of one JSON type: any other type is an error, not coerced."""
+    def read(value, key: str, at: _At | None = None):
+        if not ok(value):
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+        return value if cast is None else cast(value)
+    return read
 
 
-def _number(value, key: str) -> float:
-    """A JSON number; a bool or string is an error, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+def _is_strings(value, lengths: tuple[int, ...] = ()) -> bool:
+    return (isinstance(value, list) and all(isinstance(x, str) for x in value)
+            and (not lengths or len(value) in lengths))
 
 
-def _string(value, key: str) -> str:
-    """A JSON string; anything else is an error, not coerced."""
-    if not isinstance(value, str):
-        raise ValueError(f"{key} must be a string, got {value!r}")
-    return value
+_integer = _checked(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_version = _checked(lambda v: type(v) is int and v == FORMAT_VERSION, str(FORMAT_VERSION))
+_boolean = _checked(lambda v: isinstance(v, bool), "true or false")
+_number = _checked(lambda v: isinstance(v, float) or  # an integer must fit a float
+                   isinstance(v, int) and not isinstance(v, bool) and abs(v) < 1e308,
+                   "a number", float)
+_string = _checked(lambda v: isinstance(v, str), "a string")
+_strings = _checked(_is_strings, "a list of strings", tuple)
+_list = _checked(lambda v: isinstance(v, list), "a list")
+_pairs = _checked(lambda v: isinstance(v, list) and all(_is_strings(p, (2,)) for p in v),
+                  "a list of [old, new] beam pairs", lambda v: tuple(map(tuple, v)))
+_label = _checked(lambda v: _is_strings(v, (2, 3)), "a [beam, pol(, bin)] label", tuple)
+_mode_ref = _checked(lambda v: isinstance(v, str) or _is_strings(v, (2, 3)),
+                     "a beam or a [beam, pol(, bin)] label",
+                     lambda v: v if isinstance(v, str) else tuple(v))
+_pattern = _checked(lambda v: isinstance(v, list), "a list",
+                    lambda v: tuple(_integer(x, "pattern count") for x in v))
 
 
-def _strings(value, key: str) -> tuple[str, ...]:
-    """A JSON list of strings; a string is an error, not split into characters."""
-    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
-        raise ValueError(f"{key} must be a list of strings, got {value!r}")
-    return tuple(value)
-
-
-# -- mode references ------------------------------------------------------------
-
-
-def _mode_ref_to_json(registry: ModeRegistry, ref) -> Any:
-    if isinstance(ref, str):
-        return ref
+def _mode_json(ref, registry: ModeRegistry):
+    """A beam name or a label as it is; a dense index as its label."""
     if isinstance(ref, int):
         label = registry.labels[ref]
-        out = [label.beam, label.pol.value]
-        if label.bin is not None:
-            out.append(label.bin.value)
-        return out
-    return list(ref)  # (beam, pol[, bin]) tuple
+        ref = (label.beam, label.pol.value) + ((label.bin.value,) if label.bin is not None else ())
+    return ref if isinstance(ref, str) else list(ref)
 
 
-def _mode_ref_from_json(obj, where: str):
-    if isinstance(obj, str):
-        return obj
-    if isinstance(obj, list) and len(obj) in (2, 3) and all(isinstance(x, str) for x in obj):
-        return tuple(obj)
-    raise CircuitFileError(f"bad mode reference {obj!r}", where)
+# -- the walk ---------------------------------------------------------------------------
 
 
-# -- elements ---------------------------------------------------------------------
+class _Field(NamedTuple):
+    """One key of a JSON object: how its value is read and written, and its default."""
+    key: str
+    read: Callable
+    # the writer gives what json.loads would: lists, not tuples
+    write: Callable = lambda value, registry: list(value) if isinstance(value, tuple) else value
+    default: Any = ...  # ... marks a required key; a value of None is not written
 
 
-def element_to_json(registry: ModeRegistry, el: Element) -> dict:
-    if isinstance(el, Hwp):
-        return {"kind": "hwp", "beam": el.beam, "theta_deg": el.theta_deg}
-    if isinstance(el, Pbs):
-        return {"kind": "pbs", "beam_a": el.beam_a, "beam_b": el.beam_b}
-    if isinstance(el, Bs):
-        return {"kind": "bs", "eta": el.eta, "a": _mode_ref_to_json(registry, el.a),
-                "b": _mode_ref_to_json(registry, el.b), "signed": el.signed}
-    if isinstance(el, Rpbs):
-        return {"kind": "rpbs", "beam_a": el.beam_a, "beam_b": el.beam_b}
-    if isinstance(el, HvSwap):
-        return {"kind": "hv_swap", "beam": el.beam}
-    if isinstance(el, Route):
-        return {"kind": "route", "mapping": [list(m) for m in el.mapping]}
-    if isinstance(el, DelayToL):
-        return {"kind": "delay_to_l", "beam": el.beam}
-    if isinstance(el, Phase):
-        return {"kind": "phase", "target": _mode_ref_to_json(registry, el.target),
-                "phi": el.phi}
-    if isinstance(el, Rot):
-        return {"kind": "rot", "theta": el.theta, "a": _mode_ref_to_json(registry, el.a),
-                "b": _mode_ref_to_json(registry, el.b)}
-    raise CircuitFileError(f"unserializable element {el!r}")
+class _Node(NamedTuple):
+    """One kind of JSON object: its fields, in the order they are read.  `build`
+    makes its value (`cls` does when None); `parts` takes the value apart again
+    (into the attributes the keys name when None)."""
+    cls: type
+    fields: tuple[_Field, ...]
+    build: Callable | None = None
+    parts: Callable | None = None
 
 
-def element_from_json(obj: dict, where: str) -> Element:
-    kind = obj.get("kind")
+def _values(node: _Node, obj, at: _At, tag: str = "") -> list:
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed document: expected a JSON object, got {obj!r}")
+    known = {f.key for f in node.fields} | ({tag} if tag else set())
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    return [_value(f, obj, at) for f in node.fields]
+
+
+def _value(field: _Field, obj: dict, at: _At):
+    if field.key in obj:
+        return field.read(obj[field.key], field.key, at)
+    if field.default is ...:
+        raise ValueError(f"missing key {field.key!r}")
+    return field.default
+
+
+def _read(node: _Node, obj, at: _At, tag: str = ""):
+    """Check one JSON object against its table and build its value."""
     try:
-        if kind == "hwp":
-            return Hwp(obj["beam"], _number(obj["theta_deg"], "theta_deg"))
-        if kind == "pbs":
-            return Pbs(obj["beam_a"], obj["beam_b"])
-        if kind == "bs":
-            return Bs(_number(obj["eta"], "eta"), _mode_ref_from_json(obj["a"], where),
-                      _mode_ref_from_json(obj["b"], where), obj.get("signed", "b"))
-        if kind == "rpbs":
-            return Rpbs(obj["beam_a"], obj["beam_b"])
-        if kind == "hv_swap":
-            return HvSwap(obj["beam"])
-        if kind == "route":
-            return Route(tuple((a, b) for a, b in obj["mapping"]))
-        if kind == "delay_to_l":
-            return DelayToL(obj["beam"])
-        if kind == "phase":
-            return Phase(_mode_ref_from_json(obj["target"], where), _number(obj["phi"], "phi"))
-        if kind == "rot":
-            return Rot(_number(obj["theta"], "theta"), _mode_ref_from_json(obj["a"], where),
-                       _mode_ref_from_json(obj["b"], where))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CircuitFileError(f"bad {kind!r} element: {exc}", where) from exc
-    raise CircuitFileError(f"unknown element kind {kind!r}", where)
+        values = _values(node, obj, at, tag)
+        return (node.build or node.cls)(*values)
+    except CircuitFileError:
+        raise
+    except ValueError as exc:
+        raise at.error(str(exc)) from exc
 
 
-# -- post-selection rules ------------------------------------------------------------
+def _write(node: _Node, value, registry: ModeRegistry) -> dict:
+    parts = node.parts(value) if node.parts else [getattr(value, f.key) for f in node.fields]
+    return {f.key: f.write(v, registry) for f, v in zip(node.fields, parts) if v is not None}
 
 
-def _rule_to_json(registry: ModeRegistry, rule: PostSelectionRule) -> dict:
-    constraints = []
-    for modes, count in rule.constraints:
-        constraints.append({
-            "modes": [_mode_ref_to_json(registry, m) for m in modes],
-            "count": count,
-        })
-    return {"constraints": constraints}
+def _many(node: _Node):
+    """Read and write a list of objects of one kind."""
+    return (lambda value, key, at: tuple(_read(node, obj, at.inner(f"{key}[{i}]"))
+                                         for i, obj in enumerate(_list(value, key))),
+            lambda value, registry: [_write(node, v, registry) for v in value])
 
 
-def _rule_from_json(registry: ModeRegistry, obj: dict, where: str) -> PostSelectionRule:
+def _tagged(tag: str, table: dict[str, _Node], place: Callable | None = None):
+    """Read and write a list of objects of the kinds in `table`, told apart by
+    `tag`; `place(at, kind)` says where each sits when its index does not."""
+    names = {node.cls: name for name, node in table.items()}
+
+    def read(value, key: str, at: _At) -> tuple:
+        out = []
+        for i, obj in enumerate(_list(value, key)):
+            kind = obj.get(tag) if isinstance(obj, dict) else None
+            where = place(at, kind) if place else at.inner(f"{key}[{i}]")
+            node = table.get(kind) if isinstance(kind, str) else None
+            if node is None and isinstance(obj, dict):
+                raise where.error(f"unknown {tag} {kind!r}")
+            out.append(_read(node, obj, where, tag))
+        return tuple(out)
+
+    def write(value, registry: ModeRegistry) -> list:
+        return [{tag: names[type(v)], **_write(table[names[type(v)]], v, registry)}
+                for v in value]
+    return read, write
+
+
+# -- the tables ---------------------------------------------------------------------------
+
+_MODE = (_label, _mode_json)
+_MODE_OR_BEAM = (_mode_ref, _mode_json)
+_BEAM = _Field("beam", _string)
+_BEAM_PAIR = (_Field("beam_a", _string), _Field("beam_b", _string))
+_LABEL = _Field("label", _string, default="")
+
+_ELEMENTS = {
+    "hwp": _Node(Hwp, (_BEAM, _Field("theta_deg", _number))),
+    "pbs": _Node(Pbs, _BEAM_PAIR),
+    "bs": _Node(Bs, (_Field("eta", _number), _Field("a", *_MODE_OR_BEAM),
+                     _Field("b", *_MODE_OR_BEAM), _Field("signed", _string, default="b"))),
+    "rpbs": _Node(Rpbs, _BEAM_PAIR),
+    "hv_swap": _Node(HvSwap, (_BEAM,)),
+    "route": _Node(Route, (_Field("mapping", _pairs, lambda m, registry: [list(p) for p in m]),)),
+    "delay_to_l": _Node(DelayToL, (_BEAM,)),
+    "phase": _Node(Phase, (_Field("target", *_MODE_OR_BEAM), _Field("phi", _number))),
+    "rot": _Node(Rot, (_Field("theta", _number), _Field("a", *_MODE), _Field("b", *_MODE))),
+}
+
+_CORRECTION = _Node(tuple, (_BEAM, _Field("kind", _string)), lambda *v: v, lambda v: v)
+
+_ACCEPT = _Node(
+    tuple,
+    (_Field("pattern", _pattern), _Field("reject", _boolean, default=False),
+     _Field("corrections", *_many(_CORRECTION), default=())),
+    lambda pattern, reject, corrections: (pattern, REJECT if reject else corrections),
+    lambda entry: ((entry[0], True, None) if entry[1] == REJECT
+                   else (entry[0], None, entry[1])),
+)
+
+_CONSTRAINT = _Node(
+    tuple,
+    (_Field("modes", lambda value, key, at: tuple(
+        at.registry.index(*_label(m, "mode")) for m in _list(value, key)),
+        lambda modes, registry: [_mode_json(m, registry) for m in modes]),
+     _Field("count", _integer)),
+    lambda *v: v, lambda v: v,
+)
+
+
+def _rule(constraints, renormalize: bool) -> PostSelectionRule:
     # files written before post-selection lost its renormalize flag carry it as false
-    if _boolean(obj.get("renormalize", False), "renormalize"):
+    if renormalize:
         raise ValueError("renormalize: true is not supported; post-selection never renormalizes")
-    cons = []
-    for c in obj.get("constraints", []):
-        modes = tuple(registry.index(*_mode_ref_from_json(m, where)) for m in c["modes"])
-        cons.append((modes, _integer(c["count"], "count")))
-    return PostSelectionRule(tuple(cons))
+    return PostSelectionRule(constraints)
 
 
-# -- stages -----------------------------------------------------------------------------
+_RULE = _Node(
+    PostSelectionRule,
+    (_Field("constraints", *_many(_CONSTRAINT), default=()),
+     _Field("renormalize", _boolean, default=False)),
+    _rule,
+    lambda rule: (rule.constraints, None),
+)
 
+_STAGES = {
+    "linear": _Node(Linear, (
+        # an element's error names its stage and its kind
+        _Field("elements", *_tagged("kind", _ELEMENTS, lambda at, kind: _At(
+            f"{at.path}:{at.loc}", f"bad {kind!r} element", at.registry)), default=()),
+        _LABEL)),
+    "controlled_flip": _Node(ControlledFlip, (
+        _Field("control", _string), _Field("target", _string), _LABEL)),
+    "measure": _Node(
+        Measure,
+        (_BEAM, _Field("basis", _string, default="HV"),
+         _Field("accept", *_many(_ACCEPT), default=()),
+         _Field("default_reject", _boolean, default=True), _LABEL),
+        lambda beam, basis, accept, default_reject, label: Measure(
+            DetectorSpec(beam, basis), FeedForwardTable(accept, default_reject), label),
+        lambda st: (st.detector.beam, st.detector.basis, st.table.entries,
+                    st.table.default_reject, st.label),
+    ),
+    "post_select": _Node(PostSelect, (_Field("rules", *_many(_RULE), default=()), _LABEL)),
+}
 
-def _stage_to_json(registry: ModeRegistry, st: Stage) -> dict:
-    if isinstance(st, Linear):
-        return {"type": "linear", "label": st.label,
-                "elements": [element_to_json(registry, el) for el in st.elements]}
-    if isinstance(st, ControlledFlip):
-        return {"type": "controlled_flip", "label": st.label,
-                "control": st.control, "target": st.target}
-    if isinstance(st, Measure):
-        accept = []
-        for pattern, action in st.table.entries:
-            if action == REJECT:
-                accept.append({"pattern": list(pattern), "reject": True})
-            else:
-                accept.append({"pattern": list(pattern),
-                               "corrections": [{"beam": b, "kind": k} for b, k in action]})
-        return {"type": "measure", "label": st.label, "beam": st.detector.beam,
-                "basis": st.detector.basis, "accept": accept,
-                "default_reject": st.table.default_reject}
-    if isinstance(st, PostSelect):
-        return {"type": "post_select", "label": st.label,
-                "rules": [_rule_to_json(registry, r) for r in st.rules]}
-    raise CircuitFileError(f"unserializable stage {st!r}")
+_ANCILLAE = {
+    "bell_pair": _Node(BellPair, (*_BEAM_PAIR, _Field("state", _string, default="psi_plus")),
+                       parts=lambda anc: (anc.beam_a, anc.beam_b, anc.kind)),
+    "photon": _Node(SinglePhoton, (_BEAM, _Field(
+        "pol", lambda value, key, at: Polarization(_string(value, key)),
+        lambda pol, registry: pol.value, default=Polarization.V))),
+}
 
+_TIME_BIN = _Node(TimeBinConfig, (
+    _Field("delta_l", _number), _Field("l_spdc", _number), _Field("l_pump", _number),
+    _Field("delta_t", _number), _Field("speed", _number, default=1.0)))
 
-def _stage_from_json(registry: ModeRegistry, obj: dict, where: str) -> Stage:
-    kind = obj.get("type")
-    label = _string(obj.get("label", ""), "label")
-    if kind == "linear":
-        elements = tuple(element_from_json(e, where) for e in obj.get("elements", []))
-        return Linear(elements, label=label)
-    if kind == "controlled_flip":
-        return ControlledFlip(obj["control"], obj["target"], label=label)
-    if kind == "measure":
-        entries = []
-        for item in obj.get("accept", []):
-            pattern = tuple(_integer(x, "pattern count") for x in item["pattern"])
-            if _boolean(item.get("reject", False), "reject"):
-                entries.append((pattern, REJECT))
-            else:
-                entries.append((pattern, tuple((c["beam"], c["kind"])
-                                               for c in item.get("corrections", []))))
-        default_reject = _boolean(obj.get("default_reject", True), "default_reject")
-        table = FeedForwardTable(tuple(entries), default_reject=default_reject)
-        return Measure(DetectorSpec(obj["beam"], obj.get("basis", "HV")), table,
-                       label=label)
-    if kind == "post_select":
-        rules = tuple(_rule_from_json(registry, r, where) for r in obj.get("rules", []))
-        return PostSelect(rules, label=label)
-    raise CircuitFileError(f"unknown stage type {kind!r}", where)
+# the circuit is built by `circuit_from_dict`, which reads the first three fields early
+_DOCUMENT = _Node(
+    Circuit,
+    (_Field("version", _version), _Field("beams", _strings),
+     _Field("time_resolved", _boolean, default=False),
+     _Field("name", _string, default=None), _Field("photons", _integer, default=None),
+     _Field("qubits", _strings, default=()),
+     _Field("outputs", _strings, default=None),
+     _Field("ancillae", *_tagged("kind", _ANCILLAE), default=()),
+     _Field("stages", *_tagged("type", _STAGES), default=()),
+     _Field("time_bin_config", lambda value, key, at: _read(_TIME_BIN, value, at.inner(key)),
+            lambda config, registry: _write(_TIME_BIN, config, registry), default=None)),
+    parts=lambda c: (FORMAT_VERSION, c.registry.beams, c.registry.time_resolved, c.name,
+                     c.photons, c.qubit_beams, c.output_beams, c.ancillae, c.stages,
+                     c.time_bin_config),
+)
 
 
 # -- whole circuits ------------------------------------------------------------------------
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:
-    reg = circuit.registry
-    ancillae = []
-    for anc in circuit.ancillae:
-        if isinstance(anc, BellPair):
-            ancillae.append({"kind": "bell_pair", "beam_a": anc.beam_a,
-                             "beam_b": anc.beam_b, "state": anc.kind})
-        elif isinstance(anc, SinglePhoton):
-            ancillae.append({"kind": "photon", "beam": anc.beam, "pol": anc.pol.value})
-        else:
-            raise CircuitFileError(f"unserializable ancilla {anc!r}")
-    out = {
-        "version": FORMAT_VERSION,
-        "name": circuit.name,
-        "beams": list(reg.beams),
-        "time_resolved": reg.time_resolved,
-        "photons": circuit.photons,
-        "qubits": list(circuit.qubit_beams),
-        "outputs": list(circuit.output_beams),
-        "ancillae": ancillae,
-        "stages": [_stage_to_json(reg, st) for st in circuit.stages],
-    }
-    if circuit.time_bin_config is not None:
-        cfg = circuit.time_bin_config
-        out["time_bin_config"] = {
-            "delta_l": cfg.delta_l, "l_spdc": cfg.l_spdc, "l_pump": cfg.l_pump,
-            "delta_t": cfg.delta_t, "speed": cfg.speed,
-        }
-    return out
+    return _write(_DOCUMENT, circuit, circuit.registry)
 
 
 def circuit_from_dict(obj: dict, path: str = "") -> Circuit:
     """Parse a circuit document; a malformed one raises a one-line `CircuitFileError`."""
-    if not isinstance(obj, dict):
-        raise CircuitFileError("circuit file must hold a JSON object", path)
-    version = obj.get("version")
-    if version != FORMAT_VERSION:
-        raise CircuitFileError(f"unsupported version {version!r}", path)
+    at = _At(path)
     try:
-        return _circuit_from_dict(obj, path)
+        if isinstance(obj, dict):  # the version first, as a later format may have other
+            # keys; then the modes, which the stages refer to
+            _, beams, time_resolved = (_value(f, obj, at) for f in _DOCUMENT.fields[:3])
+            at = at._replace(registry=register_modes(beams, time_resolved))
+        (_, _, _, name, photons, qubits, outputs, ancillae, stages,
+         time_bin_config) = _values(_DOCUMENT, obj, at)
+        return Circuit(
+            name=(path or "circuit") if name is None else name,
+            registry=at.registry,
+            photons=len(qubits) if photons is None else photons,
+            qubit_beams=qubits,
+            output_beams=qubits if outputs is None else outputs,
+            stages=stages,
+            ancillae=ancillae,
+            time_bin_config=time_bin_config,
+        )
     except CircuitFileError:
         raise
-    except KeyError as exc:
-        raise CircuitFileError(f"missing key {exc}", path) from exc
-    except (TypeError, AttributeError) as exc:
-        raise CircuitFileError(f"malformed document: {exc}", path) from exc
-    except (ValueError, OverflowError) as exc:  # float() of a huge integer overflows
+    except ValueError as exc:
         raise CircuitFileError(str(exc), path) from exc
-
-
-def _circuit_from_dict(obj: dict, path: str) -> Circuit:
-    time_resolved = _boolean(obj.get("time_resolved", False), "time_resolved")
-    try:
-        registry = register_modes(_strings(obj["beams"], "beams"), time_resolved)
-    except (KeyError, ValueError) as exc:
-        raise CircuitFileError(f"bad beam list: {exc}", path) from exc
-    ancillae = []
-    for anc in obj.get("ancillae", []):
-        kind = anc.get("kind")
-        if kind == "bell_pair":
-            ancillae.append(BellPair(anc["beam_a"], anc["beam_b"],
-                                     anc.get("state", "psi_plus")))
-        elif kind == "photon":
-            ancillae.append(SinglePhoton(anc["beam"], Polarization(anc.get("pol", "V"))))
-        else:
-            raise CircuitFileError(f"unknown ancilla kind {kind!r}", path)
-    tbc = None
-    if "time_bin_config" in obj:
-        c = obj["time_bin_config"]
-        tbc = TimeBinConfig(**{key: _number(c[key], key) for key in
-                               ("delta_l", "l_spdc", "l_pump", "delta_t")},
-                            speed=_number(c.get("speed", 1.0), "speed"))
-    stages = []
-    for i, st in enumerate(obj.get("stages", [])):
-        stages.append(_stage_from_json(registry, st, f"{path}:stages[{i}]"))
-    qubits = _strings(obj.get("qubits", []), "qubits")
-    return Circuit(
-        name=_string(obj.get("name", path or "circuit"), "name"),
-        registry=registry,
-        photons=_integer(obj.get("photons", len(qubits)), "photons"),
-        qubit_beams=qubits,
-        output_beams=_strings(obj["outputs"], "outputs") if "outputs" in obj else qubits,
-        stages=tuple(stages),
-        ancillae=tuple(ancillae),
-        time_bin_config=tbc,
-    )
 
 
 def dumps_circuit(circuit: Circuit) -> str:

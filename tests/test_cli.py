@@ -99,6 +99,7 @@ def test_optimize_negative_restarts_is_usage_error():
     ("verify", "sweep_seed", 1.7, "must be a non-negative integer, got 1.7"),
     ("optimize", "optimizer_seed", -1, "must be a non-negative integer, got -1"),
     ("optimize", "optimizer_penalty", 0, "must be a positive finite number, got 0"),
+    ("optimize", "optimizer_restarts", "5", "must be a JSON number, got '5'"),
 ])
 def test_config_bad_seed_or_penalty_is_usage_error(tmp_path, command, key, value, message):
     cfg = tmp_path / "cfg.json"
@@ -162,15 +163,16 @@ def test_verify_sweep_of_known_target_gate_is_usage_error():
 
 def test_verify_renormalizing_rule_file_exit_2(tmp_path):
     obj = circuit_to_dict(get_gate("cnot-ralph").build())
-    post = next(st for st in obj["stages"] if st["type"] == "post_select")
+    index, post = next((i, st) for i, st in enumerate(obj["stages"])
+                       if st["type"] == "post_select")
     post["rules"][0]["renormalize"] = True
     path = tmp_path / "ralph.json"
     path.write_text(json.dumps(obj))
     code, out, err = run_cli(["verify", str(path), "--input", "[0, 1, 0, 0]"])
     assert code == 2
     assert out == ""
-    assert err == (f"error: {path}: renormalize: true is not supported; "
-                   "post-selection never renormalizes\n")
+    assert err == (f"error: {path}: stages[{index}].rules[0]: renormalize: true is not "
+                   "supported; post-selection never renormalizes\n")
 
 
 def test_verify_rejects_unnormalized_input():
@@ -239,6 +241,23 @@ def test_simulate_unknown_detector_basis_exit_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "unknown detector basis 'XY'" in err
     assert err.count("\n") == 1
+
+
+def test_simulate_misspelt_key_exit_2(tmp_path, monkeypatch, capsys):
+    from fredkinlab.cli import main
+    from fredkinlab.serialize import circuit_to_dict
+
+    obj = circuit_to_dict(get_gate("cnot-pittman").build())
+    index, measure = next((i, st) for i, st in enumerate(obj["stages"])
+                          if st["type"] == "measure")
+    measure["default_rejct"] = measure.pop("default_reject")
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(obj))
+    monkeypatch.delenv("PHOTONIC_LAB_CONFIG", raising=False)
+    # a misspelt optional key would otherwise take its default without a word
+    assert main(["simulate", str(path), "--input", "[1,0,0,0]"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: stages[{index}]: unknown key 'default_rejct'\n")
 
 
 def test_simulate_ancilla_on_qubit_beam_exit_2(tmp_path, monkeypatch, capsys):

@@ -1,10 +1,25 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fredkinlab import serialize
 from fredkinlab.catalog import CATALOG, get_gate
+from fredkinlab.circuits import (
+    BellPair,
+    Circuit,
+    ControlledFlip,
+    Linear,
+    Measure,
+    PostSelect,
+    SinglePhoton,
+    TimeBinConfig,
+)
+from fredkinlab.elements import Bs, DelayToL, Hwp, HvSwap, Pbs, Phase, Rot, Route, Rpbs
+from fredkinlab.engine import REJECT, DetectorSpec, FeedForwardTable, PostSelectionRule
+from fredkinlab.fock import Polarization, register_modes
 from fredkinlab.serialize import (
     CircuitFileError,
     circuit_from_dict,
@@ -63,6 +78,127 @@ def test_rules_are_written_without_renormalize_and_read_with_it_false():
     assert set(rule) == {"constraints"}
     rule["renormalize"] = False
     assert circuit_from_dict(obj) == get_gate("cnot-ralph").build()
+
+
+def _every_kind_circuit():
+    """A circuit that holds every element kind and every optional part of a document."""
+    reg = register_modes(["c", "t", "a", "b", "d", "e"], time_resolved=True)
+    elements = (
+        Hwp("c", 22.5), Pbs("c", "t"),
+        Bs(0.5, 0, 2),  # dense indices: written as labels, read back as labels
+        Bs(0.25, "t", "b", signed="a"), Rpbs("t", "a"), HvSwap("b"),
+        Route((("a", "b"), ("b", "a"))), DelayToL("c"), Phase(("t", "V", "L"), 0.25),
+        Rot(0.3, ("a", "H", "S"), ("b", "H", "S")),
+    )
+    table = FeedForwardTable((((1, 0, 0, 0), ()), ((0, 0, 1, 0), (("c", "flip"),)),
+                              ((0, 1, 0, 0), REJECT)), default_reject=False)
+    rule = PostSelectionRule((((reg.index("b", "H", "S"), reg.index("b", "V", "L")), 0),))
+    stages = (Linear(elements, "optics"), ControlledFlip("c", "t", "flip"),
+              Measure(DetectorSpec("a", "PM"), table, "herald"), PostSelect((rule,), "post"))
+    return Circuit("every-kind", reg, 5, ("c", "t"), ("c", "t"), stages,
+                   (SinglePhoton("a", Polarization.H), BellPair("d", "e", "phi_plus")),
+                   TimeBinConfig())
+
+
+def test_round_trip_of_every_kind():
+    circuit = _every_kind_circuit()
+    text = dumps_circuit(circuit)
+    restored = loads_circuit(text)
+    assert dumps_circuit(restored) == text
+    # only the dense-index beam splitter comes back different, as labels
+    assert restored.stages[0].elements[2] == Bs(0.5, ("c", "H", "S"), ("c", "V", "S"))
+    assert restored.stages[1:] == circuit.stages[1:]
+    assert restored.ancillae == circuit.ancillae
+    assert restored.time_bin_config == circuit.time_bin_config
+    assert restored.stages[2].table.default_reject is False
+    assert len(restored.unitaries) == len(circuit.unitaries)
+    for got, want in zip(restored.unitaries, circuit.unitaries):
+        assert (got is None) == (want is None)
+        if want is not None:
+            np.testing.assert_array_equal(got.matrix, want.matrix)
+
+
+def _nodes(doc):
+    """Every JSON object of a circuit document, with the table node that reads it."""
+    yield serialize._DOCUMENT, doc
+    if "time_bin_config" in doc:
+        yield serialize._TIME_BIN, doc["time_bin_config"]
+    for anc in doc["ancillae"]:
+        yield serialize._ANCILLAE[anc["kind"]], anc
+    for stage in doc["stages"]:
+        yield serialize._STAGES[stage["type"]], stage
+        for el in stage.get("elements", []):
+            yield serialize._ELEMENTS[el["kind"]], el
+        for item in stage.get("accept", []):
+            yield serialize._ACCEPT, item
+            for correction in item.get("corrections", []):
+                yield serialize._CORRECTION, correction
+        for rule in stage.get("rules", []):
+            yield serialize._RULE, rule
+            for constraint in rule["constraints"]:
+                yield serialize._CONSTRAINT, constraint
+
+
+_EVERY_NODE = [serialize._DOCUMENT, serialize._TIME_BIN, serialize._ACCEPT,
+               serialize._CORRECTION, serialize._RULE, serialize._CONSTRAINT,
+               *serialize._ANCILLAE.values(), *serialize._STAGES.values(),
+               *serialize._ELEMENTS.values()]
+
+
+def _every_kind_document():
+    doc = circuit_to_dict(_every_kind_circuit())
+    for node, obj in _nodes(doc):
+        if node is serialize._RULE:
+            obj["renormalize"] = False  # as files of older versions carry it
+    return doc
+
+
+def _mutants(doc):
+    """For each JSON object of `doc`: a fresh copy of it, and that object in the copy."""
+    for k in range(len(list(_nodes(doc)))):
+        copied = copy.deepcopy(doc)
+        yield copied, list(_nodes(copied))[k]
+
+
+def test_unknown_key_is_refused_in_every_node_kind():
+    doc = _every_kind_document()
+    assert {id(node) for node, _ in _nodes(doc)} == {id(node) for node in _EVERY_NODE}
+    for copied, (node, obj) in _mutants(doc):
+        obj["colour"] = "blue"
+        with pytest.raises(CircuitFileError) as err:
+            circuit_from_dict(copied, "bad.json")
+        assert "unknown key 'colour'" in str(err.value), node
+        assert "\n" not in str(err.value)
+
+
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "integer", float: "float",
+               str: "string", list: "list", dict: "object"}
+_SAMPLES = [None, True, 7, 0.5, "x", [], {}]
+
+
+def test_every_field_refuses_every_wrong_json_type():
+    tried = set()
+    for copied, (node, obj) in _mutants(_every_kind_document()):
+        for field in node.fields:
+            if field.key not in obj:
+                continue
+            value = obj[field.key]
+            accepted = {_JSON_TYPES[type(value)]}
+            if isinstance(value, float):  # a number may be written as an integer
+                accepted.add("integer")
+            for sample in _SAMPLES:
+                if _JSON_TYPES[type(sample)] in accepted:
+                    continue
+                obj[field.key] = sample
+                try:
+                    circuit_from_dict(copied)
+                except CircuitFileError as exc:
+                    assert "\n" not in str(exc)
+                else:
+                    pytest.fail(f"{field.key} = {sample!r} loaded")
+            obj[field.key] = value
+            tried.add((id(node), field.key))
+    assert tried == {(id(node), f.key) for node in _EVERY_NODE for f in node.fields}
 
 
 def test_serialized_form_is_json_and_versioned():
@@ -178,6 +314,18 @@ def _numeric_stage_label(obj):
     obj["stages"][0]["label"] = 5
 
 
+def _constraint_modes(value):
+    def mutate(obj):
+        _first_rule(obj)["constraints"][0]["modes"] = value
+    mutate.__name__ = f"_constraint_modes_{value!r}"
+    return mutate
+
+
+def _misspelt_default_reject(obj):
+    measure = next(st for st in obj["stages"] if st["type"] == "measure")
+    measure["default_rejct"] = measure.pop("default_reject")
+
+
 def _time_bin_field(key, value):
     def mutate(obj):
         obj["time_bin_config"][key] = value
@@ -221,6 +369,14 @@ def _time_bin_field(key, value):
     ("cnot-sanaka", _time_bin_field("l_pump", [10]), "l_pump must be a number, got [10]"),
     ("cnot-sanaka", _time_bin_field("delta_t", None), "delta_t must be a number, got None"),
     ("cnot-sanaka", _time_bin_field("speed", "1"), "speed must be a number, got '1'"),
+    ("cnot-ralph", _set("version", True), "version must be 1, got True"),
+    ("cnot-ralph", _set("version", 1.0), "version must be 1, got 1.0"),
+    ("cnot-ralph", _set("ancillae", ""), "ancillae must be a list, got ''"),
+    ("cnot-ralph", _constraint_modes("c"), "modes must be a list, got 'c'"),
+    ("cnot-ralph", _constraint_modes(["c"]),
+     "mode must be a [beam, pol(, bin)] label, got 'c'"),
+    ("cnot-ralph", _set("time_resolvd", False), "unknown key 'time_resolvd'"),
+    ("cnot-pittman", _misspelt_default_reject, "stages[2]: unknown key 'default_rejct'"),
 ])
 def test_malformed_document_is_one_line_circuit_file_error(gate, mutate, message):
     obj = circuit_to_dict(get_gate(gate).build())
@@ -232,12 +388,15 @@ def test_malformed_document_is_one_line_circuit_file_error(gate, mutate, message
     assert "\n" not in text
 
 
+_NOT_IN_CATALOG = {"phase": {"kind": "phase", "target": ["c", "H"], "phi": 0.0},
+                   "route": {"kind": "route", "mapping": [["c", "t"], ["t", "c"]]}}
+
+
 def _element_field(kind, key, value):
     def mutate(obj):
         linear = [i for i, st in enumerate(obj["stages"]) if st["type"] == "linear"]
-        if kind == "phase":  # no catalog gate has a phase plate
-            obj["stages"][linear[0]]["elements"].append(
-                {"kind": "phase", "target": ["c", "H"], "phi": 0.0})
+        if kind in _NOT_IN_CATALOG:
+            obj["stages"][linear[0]]["elements"].append(dict(_NOT_IN_CATALOG[kind]))
         index, el = next((i, el) for i in linear for el in obj["stages"][i]["elements"]
                          if el["kind"] == kind)
         el[key] = value
@@ -255,6 +414,12 @@ def _element_field(kind, key, value):
      "bad 'phase' element: phi must be a number, got False"),
     ("cnot-simplified", _element_field("rot", "theta", True),
      "bad 'rot' element: theta must be a number, got True"),
+    ("cnot-ralph", _element_field("route", "mapping", ["ct", "tc"]),
+     "bad 'route' element: mapping must be a list of [old, new] beam pairs, got ['ct', 'tc']"),
+    ("cnot-simplified", _element_field("rot", "a", "c"),
+     "bad 'rot' element: a must be a [beam, pol(, bin)] label, got 'c'"),
+    ("cnot-pittman", _element_field("hwp", "angle", 22.5),
+     "bad 'hwp' element: unknown key 'angle'"),
 ])
 def test_malformed_element_is_one_line_circuit_file_error_at_its_stage(gate, mutate, message):
     obj = circuit_to_dict(get_gate(gate).build())
@@ -301,9 +466,22 @@ def _perturbed(value, draw):
     return value
 
 
+_UNKNOWN_KEY = "unknown_key"
+
+
+def _objects(node):
+    """Every JSON object in a document, the document itself included."""
+    if isinstance(node, dict):
+        yield node
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            yield from _objects(child)
+
+
 @st.composite
 def mutated_documents(draw):
-    """A catalog circuit document with 1-3 fields dropped, retyped or perturbed."""
+    """A catalog circuit document with 1-3 fields dropped, retyped or perturbed, or
+    an unknown key added to one of its objects; and whether such a key is left."""
     obj = _document(draw(st.sampled_from(sorted(CATALOG))))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(obj))))
@@ -311,20 +489,25 @@ def mutated_documents(draw):
         for key in path[:-1]:
             parent = parent[key]
         key = path[-1]
-        op = draw(st.sampled_from(["drop", "retype", "perturb"]))
+        op = draw(st.sampled_from(["drop", "retype", "perturb", "add"]))
         if op == "drop":
             del parent[key]
         elif op == "retype":
             parent[key] = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
-        else:
+        elif op == "perturb":
             parent[key] = copy.deepcopy(_perturbed(parent[key], draw))
-    return json.dumps(obj)
+        else:
+            draw(st.sampled_from(list(_objects(obj))))[_UNKNOWN_KEY] = 0
+    return json.dumps(obj), any(_UNKNOWN_KEY in o for o in _objects(obj))
 
 
 @settings(max_examples=300, deadline=None)
 @given(mutated_documents())
-def test_mutated_document_raises_only_circuit_file_error(text):
+def test_mutated_document_raises_only_circuit_file_error(document):
+    text, has_unknown_key = document
     try:
         loads_circuit(text, "fuzz.json")
     except CircuitFileError as exc:
         assert "\n" not in str(exc)
+    else:
+        assert not has_unknown_key

@@ -1,9 +1,9 @@
 """Gate analysis: conditional process maps, fidelities, sweeps, optimization.
 
-The conditional process map of a post-selected gate is reconstructed from the
-computational-basis inputs plus pairwise superposition inputs; the
-superposition runs pin the relative column phases and double as a consistency
-check on the reconstruction.  Fidelity compares the probability-normalized
+The conditional process map K of a post-selected gate is read off its
+computational-basis runs, which give each accepted amplitude with its phase.
+A gate report checks K on seeded random superpositions x against K·x, a
+residual linear in the error.  Fidelity compares the probability-normalized
 map against the ideal permutation and is insensitive to a global phase.
 
 The optimizer solves a problem's exact-logic equations directly: one
@@ -50,6 +50,8 @@ from .fock import (
 )
 
 LEAKAGE_TOL = 1e-9
+#: the fewest seeded random superpositions a gate report checks against K·x
+LINEARITY_INPUTS = 3
 
 
 class AnalysisError(ValueError):
@@ -64,48 +66,38 @@ class ProcessMap:
     matrix: np.ndarray          # columns indexed by logical input
     leakage: float              # worst accepted-output mass outside the logical space
     input_probabilities: list[float]
-    superposition_residual: float  # worst mismatch of the pairwise phase checks
 
 
 def _column(result: RunResult, kets: Sequence[Occupation]) -> np.ndarray:
     return np.array([result.state.amps.get(k, 0.0) for k in kets], dtype=complex)
 
 
-def conditional_process_map(circuit: Circuit, kets: Sequence[Occupation],
-                            check_superpositions: bool = True) -> ProcessMap:
+def conditional_process_map(circuit: Circuit, kets: Sequence[Occupation]) -> ProcessMap:
     """Reconstruct the map from logical amplitudes in to accepted amplitudes out.
 
-    One logical input per ket in `kets`.  Leakage (accepted probability
-    outside the spanned kets) is reported rather than projected away.
+    Column i is basis input i's accepted amplitudes on `kets`, phases and
+    all, from one run per input.  Leakage (accepted probability outside the
+    spanned kets) is reported rather than projected away.
     """
-    d = len(kets)
-    n_qubits = d.bit_length() - 1
-    cols = []
-    leakage = 0.0
-    probs = []
-    for i in range(d):
-        res = run(circuit, LogicalAmplitudes.basis(n_qubits, i))
-        col = _column(res, kets)
-        cols.append(col)
-        p_total = res.state.norm_sq()
-        probs.append(p_total)
-        leakage = max(leakage, p_total - float(np.sum(np.abs(col) ** 2)))
-    k = np.column_stack(cols)
+    n_qubits = len(kets).bit_length() - 1
+    runs = [run(circuit, LogicalAmplitudes.basis(n_qubits, i)) for i in range(len(kets))]
+    k = np.column_stack([_column(res, kets) for res in runs])
+    probs = [res.state.norm_sq() for res in runs]
+    leakage = max(0.0, *(p - float(np.sum(np.abs(col) ** 2)) for p, col in zip(probs, k.T)))
+    return ProcessMap(matrix=k, leakage=leakage, input_probabilities=probs)
 
-    residual = 0.0
-    if check_superpositions:
-        s2 = 1 / math.sqrt(2)
-        for i in range(d):
-            for j in range(i + 1, d):
-                vals = [0.0] * d
-                vals[i] = s2
-                vals[j] = s2
-                res = run(circuit, LogicalAmplitudes(tuple(vals)))
-                got = _column(res, kets)
-                expect = (k[:, i] + k[:, j]) * s2
-                residual = max(residual, float(np.max(np.abs(got - expect))))
-    return ProcessMap(matrix=k, leakage=leakage, input_probabilities=probs,
-                      superposition_residual=residual)
+
+def linearity_check(circuit: Circuit, kets: Sequence[Occupation], matrix: np.ndarray,
+                    inputs: Sequence[LogicalAmplitudes]) -> tuple[float, list[float]]:
+    """The largest deviation of an input x's accepted amplitudes on `kets`
+    from ``matrix @ x``, and each run's acceptance probability."""
+    residual, probs = 0.0, []
+    for amps in inputs:
+        res = run(circuit, amps)
+        got = _column(res, kets)
+        residual = max(residual, float(np.max(np.abs(got - matrix @ amps.as_vector()))))
+        probs.append(res.probability)
+    return residual, probs
 
 
 def process_fidelity(k: np.ndarray, ideal: np.ndarray) -> float:
@@ -183,8 +175,7 @@ def evaluate_known_target(circuit: Circuit) -> KnownTargetEvaluation:
     for idx, (label, occ) in enumerate(zip(KNOWN_TARGET_INPUT_LABELS, inputs)):
         n = sum(occ)  # 2 with the target photon present, 1 without
         out = run(circuit, PhotonicState.from_occupation(reg, occ), expected_photons=n).state
-        col = np.array([out.amps.get(kk, 0.0) for kk in kets_2 + kets_1], dtype=complex)
-        k[:, idx] = col
+        k[:, idx] = [out.amps.get(kk, 0.0) for kk in kets_2 + kets_1]
         legal = kets_2 if n == 2 else kets_1
         p_by_input[label] = float(sum(abs(out.amps.get(kk, 0.0)) ** 2 for kk in legal))
     return KnownTargetEvaluation(
@@ -209,6 +200,7 @@ class GateReport:
     spread: float
     expected_probability: Fraction
     leakage: float
+    linearity_residual: float | None  # worst |run - K·x|; None for a known-target gate
     metadata: dict
 
     def probability(self) -> float:
@@ -219,7 +211,8 @@ class GateReport:
                    for p in self.probabilities) if self.metadata.get("uniform", True) \
             else abs(self.probability() - float(self.expected_probability)) <= tol
         return (p_ok and self.process_fidelity >= 1.0 - tol
-                and self.leakage <= max(tol, LEAKAGE_TOL))
+                and self.leakage <= max(tol, LEAKAGE_TOL)
+                and (self.linearity_residual is None or self.linearity_residual <= tol))
 
     def to_dict(self) -> dict:
         return {
@@ -234,6 +227,7 @@ class GateReport:
             "expected_probability": [self.expected_probability.numerator,
                                      self.expected_probability.denominator],
             "leakage": self.leakage,
+            "linearity_residual": self.linearity_residual,
             "metadata": self.metadata,
         }
 
@@ -254,9 +248,10 @@ def _ket_label(circuit: Circuit, occ: Occupation) -> str:
 
 def gate_report(info: GateInfo, sweep: int = 0,
                 sweep_seed: int = 20260811) -> GateReport:
-    """Build the full verification report of a cataloged gate.  `sweep`
-    applies to qubit gates only; a known-target gate's fidelity is the worse
-    sector's."""
+    """Build the full verification report of a cataloged gate.  A qubit gate's
+    map is checked on max(`sweep`, `LINEARITY_INPUTS`) seeded superpositions,
+    the first `sweep` of which give its probabilities.  A known-target gate
+    has no superpositions or sweep; its fidelity is the worse sector's."""
     circuit = info.build()
     if info.kind == "known_target":
         ev = evaluate_known_target(circuit)
@@ -264,24 +259,24 @@ def gate_report(info: GateInfo, sweep: int = 0,
         return _report(info, ev.matrix, ev.fidelity,
                        KNOWN_TARGET_INPUT_LABELS, KNOWN_TARGET_OUTPUT_LABELS,
                        [float(np.sum(np.abs(col) ** 2)) for col in ev.matrix.T],
-                       probs, ev.p_min and (max(probs) - ev.p_min), 0.0,
+                       probs, ev.p_min and (max(probs) - ev.p_min), 0.0, None,
                        worst_case=True)
     kets = info.output_kets(circuit)
     pm = conditional_process_map(circuit, kets)
-    probs = list(pm.input_probabilities)
-    if sweep:
-        probs, _ = success_probability_sweep(
-            circuit, random_inputs(info.n_qubits, sweep, sweep_seed))
+    inputs = random_inputs(info.n_qubits, max(sweep, LINEARITY_INPUTS), sweep_seed)
+    residual, swept = linearity_check(circuit, kets, pm.matrix, inputs)
+    probs = swept[:sweep] if sweep else pm.input_probabilities
     return _report(info, pm.matrix, process_fidelity(pm.matrix, info.ideal),
                    [_bits_label(info.n_qubits, i) for i in range(2 ** info.n_qubits)],
                    [_ket_label(circuit, k) for k in kets],
-                   pm.input_probabilities, probs, max(probs) - min(probs), pm.leakage)
+                   pm.input_probabilities, probs, max(probs) - min(probs), pm.leakage,
+                   residual)
 
 
 def _report(info: GateInfo, matrix: np.ndarray, fidelity: float,
             in_labels: Sequence[str], out_labels: Sequence[str], p_in: Sequence[float],
             probabilities: list[float], spread: float, leakage: float,
-            **metadata) -> GateReport:
+            linearity_residual: float | None, **metadata) -> GateReport:
     """A `GateReport` of the map `matrix` against `info.ideal`.
 
     Each input's truth-table row is its amplitude on the output the ideal
@@ -310,6 +305,7 @@ def _report(info: GateInfo, matrix: np.ndarray, fidelity: float,
         spread=spread,
         expected_probability=info.expected_probability,
         leakage=leakage,
+        linearity_residual=linearity_residual,
         metadata={"description": info.description,
                   "uniform": info.uniform,
                   **metadata,
@@ -434,7 +430,7 @@ def _mesh_logic_jacobian(params: Sequence[float]) -> np.ndarray:
 def _ralph_map(eta: float) -> ProcessMap:
     circuit = build_ralph_cnot(eta)
     kets = get_gate("cnot-ralph").output_kets(circuit)
-    return conditional_process_map(circuit, kets, check_superpositions=False)
+    return conditional_process_map(circuit, kets)
 
 
 def _evaluate_ralph_eta(params: np.ndarray) -> tuple[float, float]:

@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("gate", help=f"gate name ({', '.join(gate_names())}) or circuit file")
     p_verify.add_argument("--input", help="JSON amplitudes for a single-input check")
     p_verify.add_argument("--sweep", type=_checked(non_negative_int), default=0,
-                          help="probe N random inputs instead of the basis set")
+                          help="report N random inputs' probabilities; max(N, 3) test the map")
     p_verify.add_argument("--tolerance", type=_checked(positive_float), default=None)
     p_verify.add_argument("--format", choices=("table", "json"), default="table")
 

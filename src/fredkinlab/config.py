@@ -65,7 +65,10 @@ def load_config(path: str | None = None) -> LabConfig:
     if not path:
         return cfg
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # invalid JSON, or an integer past Python's digit limit
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path} must hold a JSON object")
     for key, value in data.items():

@@ -214,6 +214,8 @@ def _resolve_mode(registry: ModeRegistry, ref: ModeRef) -> int:
         if not 0 <= idx < registry.size:
             raise ElementError(f"mode index {idx} out of range")
         return idx
+    if not (isinstance(ref, (tuple, list)) and 2 <= len(ref) <= 3):
+        raise ElementError(f"mode reference {ref!r} is not an index or a (beam, pol[, bin]) label")
     return registry.index(*ref)
 
 

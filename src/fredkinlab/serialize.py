@@ -341,9 +341,8 @@ def dumps_circuit(circuit: Circuit) -> str:
 def loads_circuit(text: str, path: str = "") -> Circuit:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CircuitFileError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                               f"{exc.msg}", path) from exc
+    except ValueError as exc:  # bad JSON, or an integer literal past Python's digit limit
+        raise CircuitFileError(f"invalid JSON: {exc}", path) from exc
     return circuit_from_dict(obj, path)
 
 

@@ -3,21 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from fredkinlab import analysis
 from fredkinlab.analysis import (
     AnalysisError,
     KNOWN_TARGET_IDEAL,
+    LINEARITY_INPUTS,
     PROBLEMS,
     OptimizationProblem,
     conditional_process_map,
     evaluate_known_target,
     gate_report,
+    linearity_check,
     optimize_gate,
     process_fidelity,
     random_inputs,
     reverify_outcome,
     success_probability_sweep,
 )
-from fredkinlab.catalog import get_gate, ideal_cnot, ideal_fredkin
+from fredkinlab.catalog import CATALOG, get_gate, ideal_cnot, ideal_fredkin
 from fredkinlab.circuits import (
     SIMPLIFIED_CNOT_PARAMS,
     SIMPLIFIED_PARAM_BOUNDS,
@@ -25,6 +28,7 @@ from fredkinlab.circuits import (
     Linear,
     build_fredkin_postselected,
     build_simplified_cnot,
+    run,
     simplified_mesh_sectors,
 )
 from fredkinlab.elements import Hwp
@@ -63,17 +67,20 @@ def test_process_map_identity_circuit():
     pm = conditional_process_map(circ, kets)
     assert process_fidelity(pm.matrix, np.eye(4)) == pytest.approx(1.0, abs=1e-12)
     assert pm.leakage < 1e-12
-    assert pm.superposition_residual < 1e-12
+    residual, _ = linearity_check(circ, kets, pm.matrix, random_inputs(2, LINEARITY_INPUTS, 1))
+    assert residual < 1e-12
 
 
 def test_process_map_heralded_fredkin_matches_permutation():
     info = get_gate("fredkin-postselected")
     circ = info.build()
-    pm = conditional_process_map(circ, info.output_kets(circ))
+    kets = info.output_kets(circ)
+    pm = conditional_process_map(circ, kets)
     k = pm.matrix
     # proportional to the controlled-swap permutation with factor 1/(2 sqrt 2)
     assert np.max(np.abs(k - ideal_fredkin() / (2 * math.sqrt(2)))) < 1e-12
-    assert pm.superposition_residual < 1e-12
+    residual, _ = linearity_check(circ, kets, k, random_inputs(3, LINEARITY_INPUTS, 1))
+    assert residual < 1e-12
 
 
 def test_process_map_ralph_prefactor_one_third():
@@ -113,6 +120,53 @@ def test_probability_fidelity_registered_values():
             assert abs(p - expected) < 1e-9, name
 
 
+@pytest.mark.parametrize("name", [n for n in sorted(CATALOG)
+                                  if CATALOG[n].kind != "known_target"])
+def test_every_qubit_gate_passes_its_linearity_check(name):
+    report = gate_report(get_gate(name))
+    assert report.linearity_residual <= 1e-12
+    assert report.matches_expectations()
+    assert report.to_dict()["linearity_residual"] == report.linearity_residual
+
+
+def test_linearity_residual_alone_fails_the_report():
+    report = gate_report(get_gate("cnot-ralph"))
+    assert report.matches_expectations(1e-9)
+    report.linearity_residual = 2e-9  # every other figure is within the tolerance
+    assert not report.matches_expectations(1e-9)
+    assert report.matches_expectations(1e-8)
+
+
+def test_linearity_check_is_linear_in_an_amplitude_error():
+    info = get_gate("cnot-ralph")
+    circ = info.build()
+    kets = info.output_kets(circ)
+    k = conditional_process_map(circ, kets).matrix
+    off = k.copy()
+    off[0, 0] += 3e-7
+    residual, _ = linearity_check(circ, kets, off, random_inputs(2, LINEARITY_INPUTS, 3))
+    assert 1e-8 < residual < 3e-7
+    assert process_fidelity(off, info.ideal) > 1 - 1e-9  # the quadratic figure misses it
+
+
+@pytest.mark.parametrize("name, d", [("fredkin-postselected", 8), ("cnot-ralph", 4)])
+@pytest.mark.parametrize("sweep", [0, 10])
+def test_gate_report_runs_basis_inputs_and_one_batch_of_superpositions(
+        monkeypatch, name, d, sweep):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run", counted)
+    report = gate_report(get_gate(name), sweep=sweep, sweep_seed=4)
+    assert len(calls) == d + max(sweep, LINEARITY_INPUTS)
+    assert len(report.probabilities) == (sweep or d)
+    # the sweep's inputs are the first ones of the linearity batch
+    assert calls[d:d + sweep] == random_inputs(d.bit_length() - 1, sweep, 4)
+
+
 def test_sweep_input_independence(rng):
     info = get_gate("cnot-sanaka")
     circ = info.build()
@@ -140,7 +194,6 @@ def test_tomography_consistency_random_inputs(rng):
     circ = info.build()
     kets = info.output_kets(circ)
     pm = conditional_process_map(circ, kets)
-    from fredkinlab.circuits import run
     for amps in random_inputs(2, 5, 99):
         res = run(circ, amps)
         got = np.array([res.state.amps.get(k, 0.0) for k in kets])
@@ -178,6 +231,8 @@ def test_known_target_gate_report():
     assert rep.spread == pytest.approx(1 / 6, abs=1e-12)
     assert rep.leakage == 0.0
     assert rep.metadata["uniform"] is False and rep.metadata["worst_case"] is True
+    # its sectors differ in photon number, so it has no superposition inputs
+    assert rep.linearity_residual is None and rep.to_dict()["linearity_residual"] is None
     assert rep.matches_expectations()
 
 

@@ -56,6 +56,22 @@ def test_verify_sweep_uniform():
     assert all(abs(p - 0.25) < 1e-10 for p in probs)
 
 
+@pytest.mark.parametrize("name", ["fredkin-heralded", "cnot-pittman"])
+@pytest.mark.parametrize("sweep", [1, 5])
+def test_verify_sweep_probabilities_are_the_sweep_of_its_seeded_inputs(
+        monkeypatch, capsys, name, sweep):
+    from fredkinlab.analysis import random_inputs, success_probability_sweep
+    from fredkinlab.cli import main
+    from fredkinlab.config import LabConfig
+
+    monkeypatch.delenv("PHOTONIC_LAB_CONFIG", raising=False)
+    assert main(["verify", name, "--sweep", str(sweep), "--format", "json"]) == 0
+    info = get_gate(name)
+    expected, _ = success_probability_sweep(
+        info.build(), random_inputs(info.n_qubits, sweep, LabConfig().sweep_seed))
+    assert json.loads(capsys.readouterr().out)["report"]["probabilities"] == expected
+
+
 def test_verify_negative_sweep_is_usage_error():
     code, out, err = run_cli(["verify", "cnot-ralph", "--sweep", "-1"])
     assert code == 2
@@ -118,6 +134,36 @@ def test_config_must_be_an_object(tmp_path):
                              env_extra={"PHOTONIC_LAB_CONFIG": str(cfg)})
     assert code == 2
     assert err == f"error: bad config: {cfg} must hold a JSON object\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"sweep_seed": 1' + "0" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+    ("{nope", "Expecting property name enclosed in double quotes"),
+], ids=["huge-integer", "invalid-json"])
+def test_config_that_is_no_json_names_its_file(tmp_path, monkeypatch, capsys, text, message):
+    from fredkinlab.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    monkeypatch.delenv("PHOTONIC_LAB_CONFIG", raising=False)
+    assert main(["--config", str(cfg), "verify", "cnot-ralph"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad config: {cfg}: {message}")
+    assert err.count("\n") == 1
+
+
+def test_circuit_file_integer_past_the_digit_limit_exit_2(tmp_path, monkeypatch, capsys):
+    # json.loads lets Python's int() refuse a literal of more than 4300 digits
+    # with a ValueError that is no JSONDecodeError
+    from fredkinlab.cli import main
+
+    path = tmp_path / "huge.json"
+    path.write_text('{"version": 1' + "0" * 5000 + "}")
+    monkeypatch.delenv("PHOTONIC_LAB_CONFIG", raising=False)
+    assert main(["simulate", str(path), "--input", "[1, 0]"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid JSON: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1
 
 
 def test_every_config_key_has_a_checked_parser():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -254,6 +255,17 @@ def test_rot_block_is_rotation():
     r = rot_block(0.3)
     assert np.allclose(r @ r.T, np.eye(2), atol=1e-12)
     assert np.linalg.det(r).real == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("element, ref", [
+    (Rot(0.3, "a", "b"), "'a'"),
+    (Rot(0.3, ("a", "H"), ("b",)), "('b',)"),
+    (Phase(("a",), 0.5), "('a',)"),
+])
+def test_mode_reference_that_is_no_label_is_an_element_error(element, ref):
+    # Rot takes only mode labels or dense indices; a beam name is no mode
+    with pytest.raises(ElementError, match=rf"mode reference {re.escape(ref)} is not an index"):
+        compile_element(register_modes(["a", "b"]), element)
 
 
 # -- composition ----------------------------------------------------------------

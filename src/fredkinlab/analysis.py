@@ -116,13 +116,6 @@ def process_fidelity(k: np.ndarray, ideal: np.ndarray) -> float:
     return float(abs(np.vdot(ideal, k)) ** 2 / (k.shape[1] * total))
 
 
-def success_probability_sweep(circuit: Circuit,
-                              inputs: Sequence[LogicalAmplitudes]) -> tuple[list[float], float]:
-    """Exact acceptance probability per input and the max-min spread."""
-    probs = [run(circuit, amps).probability for amps in inputs]
-    return probs, (max(probs) - min(probs) if probs else 0.0)
-
-
 def random_inputs(n_qubits: int, count: int, seed: int) -> list[LogicalAmplitudes]:
     rng = np.random.default_rng(seed)
     return [LogicalAmplitudes.random(n_qubits, rng) for _ in range(count)]

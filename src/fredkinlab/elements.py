@@ -16,6 +16,14 @@ Conventions (pinned by the gate verification suite):
 A ``Rot`` element is the rotation form of a beam splitter (a signed BS
 followed by a pi phase on one port); it is what interferometer meshes are
 parametrized with.
+
+`compile_element` is the one compiler.  Six kinds are one 2x2 block on pairs
+of modes and the identity elsewhere: ``Hwp`` and ``HvSwap`` (a 45-degree
+plate) on each bin's H/V pair, ``Pbs`` a swap of the two V modes per bin,
+``Bs`` and ``Rot`` on the named modes, ``DelayToL`` a swap of each
+polarization's S/L pair.  ``Rpbs`` is plates * PBS * plates, ``Route`` a
+permutation and ``Phase`` a diagonal.  `compose` multiplies a stage's
+elements in application order and checks that the product is unitary.
 """
 
 from __future__ import annotations
@@ -219,8 +227,14 @@ def _resolve_mode(registry: ModeRegistry, ref: ModeRef) -> int:
     return registry.index(*ref)
 
 
-def _bin_iter(registry: ModeRegistry):
-    return (TimeBin.S, TimeBin.L) if registry.time_resolved else (None,)
+def _bin_pairs(registry: ModeRegistry, a: tuple, b: tuple) -> list[tuple[int, int]]:
+    """The index pairs of labels ``a + (bin,)`` and ``b + (bin,)``, per time bin."""
+    bins = (TimeBin.S, TimeBin.L) if registry.time_resolved else (None,)
+    return [(registry.index(*a, tb), registry.index(*b, tb)) for tb in bins]
+
+
+_POLS = (Polarization.H, Polarization.V)
+_SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def _embed_pairs(registry: ModeRegistry, pairs: Sequence[tuple[int, int]],
@@ -233,28 +247,6 @@ def _embed_pairs(registry: ModeRegistry, pairs: Sequence[tuple[int, int]],
         u[i, i], u[i, j] = block[0, 0], block[0, 1]
         u[j, i], u[j, j] = block[1, 0], block[1, 1]
     return u
-
-
-def hwp_unitary(registry: ModeRegistry, beam: str, theta_deg: float) -> ModeUnitary:
-    block = hwp_matrix(theta_deg)
-    pairs = [
-        (registry.index(beam, Polarization.H, tb), registry.index(beam, Polarization.V, tb))
-        for tb in _bin_iter(registry)
-    ]
-    return ModeUnitary(registry, _embed_pairs(registry, pairs, block), check=False)
-
-
-def pbs_unitary(registry: ModeRegistry, beam_a: str, beam_b: str) -> ModeUnitary:
-    """H transmits (stays in its beam); V swaps beams with amplitude +1."""
-    if beam_a == beam_b:
-        raise ElementError("PBS needs two distinct beams")
-    u = np.eye(registry.size, dtype=complex)
-    for tb in _bin_iter(registry):
-        va = registry.index(beam_a, Polarization.V, tb)
-        vb = registry.index(beam_b, Polarization.V, tb)
-        u[va, va] = u[vb, vb] = 0.0
-        u[va, vb] = u[vb, va] = 1.0
-    return ModeUnitary(registry, u, check=False)
 
 
 def bs_block(eta: float, signed: str = "b") -> np.ndarray:
@@ -273,111 +265,79 @@ def rot_block(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def bs_unitary(registry: ModeRegistry, eta: float, a: ModeRef | str, b: ModeRef | str,
-               signed: str = "b") -> ModeUnitary:
-    block = bs_block(eta, signed)
-    pairs = _mode_pairs(registry, a, b)
-    return ModeUnitary(registry, _embed_pairs(registry, pairs, block), check=False)
-
-
 def _mode_pairs(registry: ModeRegistry, a: ModeRef | str, b: ModeRef | str) -> list[tuple[int, int]]:
     """Pair up the modes acted on: beam names pair pol/bin-wise, refs pair 1:1."""
     if isinstance(a, str) != isinstance(b, str):
         raise ElementError("mix of beam name and mode reference")
     if isinstance(a, str):
-        pairs = []
-        for pol in (Polarization.H, Polarization.V):
-            for tb in _bin_iter(registry):
-                pairs.append((registry.index(a, pol, tb), registry.index(b, pol, tb)))
-        return pairs
+        return [p for pol in _POLS for p in _bin_pairs(registry, (a, pol), (b, pol))]
     ia, ib = _resolve_mode(registry, a), _resolve_mode(registry, b)
     if ia == ib:
         raise ElementError("beam splitter needs two distinct modes")
     return [(ia, ib)]
 
 
-def rpbs_unitary(registry: ModeRegistry, beam_a: str, beam_b: str) -> ModeUnitary:
-    plates = hwp_unitary(registry, beam_a, 22.5).then(hwp_unitary(registry, beam_b, 22.5))
-    return plates.then(pbs_unitary(registry, beam_a, beam_b)).then(plates)
-
-
-def route_unitary(registry: ModeRegistry, mapping: Sequence[tuple[str, str]]) -> ModeUnitary:
-    """Beam relabeling permutation; mapping must be a permutation of beams."""
-    src = [m[0] for m in mapping]
-    dst = [m[1] for m in mapping]
-    if sorted(src) != sorted(dst):
-        raise ElementError("route mapping is not a beam permutation")
-    u = np.zeros((registry.size, registry.size), dtype=complex)
-    moved: dict[int, int] = {}
-    for old, new in mapping:
-        for pol in (Polarization.H, Polarization.V):
-            for tb in _bin_iter(registry):
-                moved[registry.index(old, pol, tb)] = registry.index(new, pol, tb)
-    for i in range(registry.size):
-        u[moved.get(i, i), i] = 1.0
-    return ModeUnitary(registry, u, check=False)
-
-
-def delay_unitary(registry: ModeRegistry, beam: str) -> ModeUnitary:
-    """Swap the S and L occupations of one beam.
-
-    Acting on states prepared in the S bin this is the one-hop delay of a
-    path-length difference; the L->S branch is never populated in scope.
-    """
-    if not registry.time_resolved:
-        raise ElementError("time-bin delay needs a time-resolved registry")
-    u = np.eye(registry.size, dtype=complex)
-    for pol in (Polarization.H, Polarization.V):
-        s = registry.index(beam, pol, TimeBin.S)
-        litem = registry.index(beam, pol, TimeBin.L)
-        u[s, s] = u[litem, litem] = 0.0
-        u[s, litem] = u[litem, s] = 1.0
-    return ModeUnitary(registry, u, check=False)
-
-
-def phase_unitary(registry: ModeRegistry, target: ModeRef | str, phi: float) -> ModeUnitary:
-    u = np.eye(registry.size, dtype=complex)
-    if isinstance(target, str):
-        idxs = registry.beam_modes(target)
-    else:
-        idxs = (_resolve_mode(registry, target),)
-    for i in idxs:
-        u[i, i] = complex(math.cos(phi), math.sin(phi))
-    return ModeUnitary(registry, u, check=False)
-
-
-def rot_unitary(registry: ModeRegistry, theta: float, a: ModeRef, b: ModeRef) -> ModeUnitary:
-    ia, ib = _resolve_mode(registry, a), _resolve_mode(registry, b)
-    if ia == ib:
-        raise ElementError("rotation needs two distinct modes")
-    return ModeUnitary(registry, _embed_pairs(registry, [(ia, ib)], rot_block(theta)), check=False)
+def _pairwise(registry: ModeRegistry,
+              element: Element) -> tuple[list[tuple[int, int]], np.ndarray] | None:
+    """The mode pairs and the 2x2 block of a pairwise element; None for the
+    other kinds (`Rpbs`, `Route`, `Phase`)."""
+    if isinstance(element, (Hwp, HvSwap)):
+        block = hwp_matrix(element.theta_deg if isinstance(element, Hwp) else 45.0)
+        return _bin_pairs(registry, (element.beam, Polarization.H),
+                          (element.beam, Polarization.V)), block
+    if isinstance(element, Pbs):  # H transmits; V swaps beams with amplitude +1
+        if element.beam_a == element.beam_b:
+            raise ElementError("PBS needs two distinct beams")
+        return _bin_pairs(registry, (element.beam_a, Polarization.V),
+                          (element.beam_b, Polarization.V)), _SWAP
+    if isinstance(element, Bs):
+        block = bs_block(element.eta, element.signed)
+        return _mode_pairs(registry, element.a, element.b), block
+    if isinstance(element, Rot):
+        ia, ib = _resolve_mode(registry, element.a), _resolve_mode(registry, element.b)
+        if ia == ib:
+            raise ElementError("rotation needs two distinct modes")
+        return [(ia, ib)], rot_block(element.theta)
+    if isinstance(element, DelayToL):
+        if not registry.time_resolved:
+            raise ElementError("time-bin delay needs a time-resolved registry")
+        return [(registry.index(element.beam, pol, TimeBin.S),
+                 registry.index(element.beam, pol, TimeBin.L)) for pol in _POLS], _SWAP
+    return None
 
 
 def compile_element(registry: ModeRegistry, element: Element) -> ModeUnitary:
-    if isinstance(element, Hwp):
-        return hwp_unitary(registry, element.beam, element.theta_deg)
-    if isinstance(element, Pbs):
-        return pbs_unitary(registry, element.beam_a, element.beam_b)
-    if isinstance(element, Bs):
-        return bs_unitary(registry, element.eta, element.a, element.b, element.signed)
+    """The unitary of one element on `registry` (see the module docstring)."""
+    pairwise = _pairwise(registry, element)
+    if pairwise is not None:
+        return ModeUnitary(registry, _embed_pairs(registry, *pairwise), check=False)
     if isinstance(element, Rpbs):
-        return rpbs_unitary(registry, element.beam_a, element.beam_b)
-    if isinstance(element, HvSwap):
-        return hwp_unitary(registry, element.beam, 45.0)
+        plates = compile_element(registry, Hwp(element.beam_a, 22.5)).then(
+            compile_element(registry, Hwp(element.beam_b, 22.5)))
+        pbs = compile_element(registry, Pbs(element.beam_a, element.beam_b))
+        return plates.then(pbs).then(plates)
+    u = np.eye(registry.size, dtype=complex)
     if isinstance(element, Route):
-        return route_unitary(registry, element.mapping)
-    if isinstance(element, DelayToL):
-        return delay_unitary(registry, element.beam)
+        if sorted(m[0] for m in element.mapping) != sorted(m[1] for m in element.mapping):
+            raise ElementError("route mapping is not a beam permutation")
+        moved = dict(p for old, new in element.mapping for pol in _POLS
+                     for p in _bin_pairs(registry, (old, pol), (new, pol)))
+        return ModeUnitary(registry, u[:, [moved.get(i, i) for i in range(registry.size)]],
+                           check=False)
     if isinstance(element, Phase):
-        return phase_unitary(registry, element.target, element.phi)
-    if isinstance(element, Rot):
-        return rot_unitary(registry, element.theta, element.a, element.b)
+        target = element.target
+        idxs = (registry.beam_modes(target) if isinstance(target, str)
+                else (_resolve_mode(registry, target),))
+        u[idxs, idxs] = complex(math.cos(element.phi), math.sin(element.phi))
+        return ModeUnitary(registry, u, check=False)
     raise ElementError(f"unknown element {element!r}")
 
 
 def compose(registry: ModeRegistry, elements: Sequence[Element]) -> ModeUnitary:
     """Product of element unitaries in application order (first acts first)."""
-    u = ModeUnitary.identity(registry)
-    for el in elements:
+    if not elements:
+        return ModeUnitary.identity(registry)
+    u = compile_element(registry, elements[0])
+    for el in elements[1:]:
         u = u.then(compile_element(registry, el))
     return ModeUnitary(registry, u.matrix)  # checks unitarity

@@ -36,7 +36,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .elements import ModeUnitary, hwp_unitary
+from .elements import Hwp, ModeUnitary, compile_element
 from .fock import (
     DEFAULT_PRUNE_EPS,
     ModeRegistry,
@@ -199,7 +199,10 @@ class PostSelectionRule:
                 seen.add(m)
 
     def matches(self, occ: Occupation) -> bool:
-        return all(sum(occ[m] for m in modes) == count for modes, count in self.constraints)
+        for modes, count in self.constraints:
+            if sum(map(occ.__getitem__, modes)) != count:
+                return False
+        return True
 
     @classmethod
     def beam_counts(cls, registry: ModeRegistry, counts: Mapping[str, int]) -> "PostSelectionRule":
@@ -228,10 +231,13 @@ def _kept(rules: Sequence[PostSelectionRule], occupations: dict[Occupation, bool
     union is not disjoint, and is never stored."""
     kept = occupations.get(occ)
     if kept is None:
-        n_hit = sum(1 for r in rules if r.matches(occ))
-        if n_hit > 1:
-            raise EngineError("post-selection rule union is not disjoint")
-        kept = occupations[occ] = n_hit == 1
+        kept = False
+        for rule in rules:
+            if rule.matches(occ):
+                if kept:
+                    raise EngineError("post-selection rule union is not disjoint")
+                kept = True
+        occupations[occ] = kept
     return kept
 
 
@@ -282,7 +288,7 @@ class DetectorSpec:
     def rotation(self, registry: ModeRegistry) -> ModeUnitary | None:
         """The plate that turns +/- counting into H/V counting (None for H/V)."""
         if self.basis == DetectorBasis.PLUS_MINUS:
-            return hwp_unitary(registry, self.beam, 22.5)
+            return compile_element(registry, Hwp(self.beam, 22.5))
         return None
 
 

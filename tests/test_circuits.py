@@ -464,8 +464,7 @@ def test_run_composes_nothing(name, monkeypatch):
     monkeypatch.setattr(elements, "compose", refuse)
     monkeypatch.setattr(elements, "compile_element", refuse)
     # the +/- detector rotation too is compiled once, with the circuit
-    monkeypatch.setattr(elements, "hwp_unitary", refuse)
-    monkeypatch.setattr(engine, "hwp_unitary", refuse)
+    monkeypatch.setattr(engine, "compile_element", refuse)
     for amps, want in zip(inputs, expected):
         got = run(circuit, amps)
         assert got.state.amps == want.state.amps

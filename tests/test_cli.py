@@ -1,23 +1,56 @@
+import io
 import json
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 
+from fredkinlab import cli
 from fredkinlab.cli import format_probability
 from fredkinlab.catalog import get_gate
 from fredkinlab.serialize import circuit_to_dict, save_circuit
 
 
-def run_cli(args, env_extra=None):
-    import os
+def _cli_env(env_extra):
     env = dict(os.environ)
     env.pop("PHOTONIC_LAB_CONFIG", None)
-    if env_extra:
-        env.update(env_extra)
+    env.update(env_extra or {})
+    return env
+
+
+def run_cli(args, env_extra=None):
+    """`cli.main(args)` in this process, as `python -m fredkinlab.cli` runs it:
+    the environment without PHOTONIC_LAB_CONFIG plus `env_extra`, stdout and
+    stderr captured, and an argparse exit taken as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, _cli_env(env_extra), clear=True), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_cli_process(args, env_extra=None):
+    """`python -m fredkinlab.cli args` in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-m", "fredkinlab.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_cli_env(env_extra))
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point_exit_codes():
+    code, out, err = run_cli_process(["verify", "cnot-sanaka"])
+    assert (code, err) == (0, "")
+    assert "PASS" in out
+    code, out, err = run_cli_process(["verify", "cnot-ralph", "--sweep", "-1"])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(
+        "error: argument --sweep: must be a non-negative integer, got '-1'")
 
 
 def test_format_probability_fraction_detection():
@@ -60,15 +93,17 @@ def test_verify_sweep_uniform():
 @pytest.mark.parametrize("sweep", [1, 5])
 def test_verify_sweep_probabilities_are_the_sweep_of_its_seeded_inputs(
         monkeypatch, capsys, name, sweep):
-    from fredkinlab.analysis import random_inputs, success_probability_sweep
+    from fredkinlab.analysis import random_inputs
+    from fredkinlab.circuits import run
     from fredkinlab.cli import main
     from fredkinlab.config import LabConfig
 
     monkeypatch.delenv("PHOTONIC_LAB_CONFIG", raising=False)
     assert main(["verify", name, "--sweep", str(sweep), "--format", "json"]) == 0
     info = get_gate(name)
-    expected, _ = success_probability_sweep(
-        info.build(), random_inputs(info.n_qubits, sweep, LabConfig().sweep_seed))
+    circuit = info.build()
+    expected = [run(circuit, amps).probability
+                for amps in random_inputs(info.n_qubits, sweep, LabConfig().sweep_seed)]
     assert json.loads(capsys.readouterr().out)["report"]["probabilities"] == expected
 
 
@@ -422,16 +457,17 @@ def test_optimize_writes_parameter_file(tmp_path):
 
 
 def test_cli_determinism_verify():
-    a = run_cli(["verify", "cnot-pittman", "--format", "json"])
-    b = run_cli(["verify", "cnot-pittman", "--format", "json"])
+    # two interpreters: hash randomization differs only across processes
+    a = run_cli_process(["verify", "cnot-pittman", "--format", "json"])
+    b = run_cli_process(["verify", "cnot-pittman", "--format", "json"])
     assert a == b
 
 
 def test_cli_determinism_optimize():
     args = ["optimize", "ralph-topology", "--seed", "11", "--restarts", "3",
             "--format", "json"]
-    a = run_cli(args)
-    b = run_cli(args)
+    a = run_cli_process(args)
+    b = run_cli_process(args)
     assert a == b
 
 

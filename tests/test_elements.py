@@ -24,7 +24,7 @@ from fredkinlab import (
     hwp_matrix,
     register_modes,
 )
-from fredkinlab.elements import bs_block, pbs_unitary, rot_block, rpbs_unitary
+from fredkinlab.elements import bs_block, rot_block
 
 S2 = 1 / math.sqrt(2)
 
@@ -73,7 +73,7 @@ def test_hwp_angle_mod_180():
 
 def test_pbs_transmits_h_reflects_v():
     reg = register_modes(["a", "b"])
-    u = pbs_unitary(reg, "a", "b")
+    u = compile_element(reg, Pbs("a", "b"))
     s = PhotonicState.from_occupation(reg, (1, 0, 0, 0))  # H_a
     out = apply_unitary(s, u)
     assert out.amps == {(1, 0, 0, 0): 1.0 + 0j}
@@ -84,7 +84,7 @@ def test_pbs_transmits_h_reflects_v():
 
 def test_pbs_splits_h_and_v_of_one_beam():
     reg = register_modes(["a", "b"])
-    u = pbs_unitary(reg, "a", "b")
+    u = compile_element(reg, Pbs("a", "b"))
     s = PhotonicState.from_occupation(reg, (1, 1, 0, 0))  # H_a and V_a
     out = apply_unitary(s, u)
     assert out.amps == {(1, 0, 0, 1): 1.0 + 0j}
@@ -92,7 +92,7 @@ def test_pbs_splits_h_and_v_of_one_beam():
 
 def test_pbs_is_permutation_matrix():
     reg = register_modes(["a", "b"])
-    m = pbs_unitary(reg, "a", "b").matrix
+    m = compile_element(reg, Pbs("a", "b")).matrix
     assert np.allclose(np.abs(m) @ np.ones(4), np.ones(4))
     assert np.allclose(np.sort(np.abs(m), axis=0)[-1], 1.0)
 
@@ -170,7 +170,7 @@ def test_bs_on_beams_acts_per_polarization():
 
 def test_rpbs_transmits_plus_reflects_minus():
     reg = register_modes(["a", "b"])
-    u = rpbs_unitary(reg, "a", "b")
+    u = compile_element(reg, Rpbs("a", "b"))
     plus_a = PhotonicState(reg, {(1, 0, 0, 0): S2, (0, 1, 0, 0): S2})
     out = apply_unitary(plus_a, u)
     assert out.amps[(1, 0, 0, 0)] == pytest.approx(S2)
@@ -215,23 +215,11 @@ def test_route_permutes_beams():
     assert out.amps == {(0, 0, 0, 1): 1.0 + 0j}
 
 
-def test_route_rejects_non_permutation():
-    reg = register_modes(["a", "b"])
-    with pytest.raises(ElementError):
-        compile_element(reg, Route((("a", "b"),)))
-
-
 def test_delay_moves_s_to_l():
     reg = register_modes(["a"], time_resolved=True)
     u = compile_element(reg, DelayToL("a"))
     out = apply_unitary(PhotonicState.from_occupation(reg, (1, 0, 0, 0)), u)
     assert out.amps == {(0, 1, 0, 0): 1.0 + 0j}
-
-
-def test_delay_needs_time_resolved_registry():
-    reg = register_modes(["a"])
-    with pytest.raises(ElementError):
-        compile_element(reg, DelayToL("a"))
 
 
 def test_hwp_acts_on_both_time_bins():
@@ -266,6 +254,100 @@ def test_mode_reference_that_is_no_label_is_an_element_error(element, ref):
     # Rot takes only mode labels or dense indices; a beam name is no mode
     with pytest.raises(ElementError, match=rf"mode reference {re.escape(ref)} is not an index"):
         compile_element(register_modes(["a", "b"]), element)
+
+
+# -- the compiler, pinned entry by entry -------------------------------------------
+
+T3, R3 = math.sqrt(2 / 3), math.sqrt(1 / 3)
+C3, S3 = math.cos(0.3), math.sin(0.3)
+PLAIN = register_modes(["a", "b"])  # H_a, V_a, H_b, V_b
+BINS = register_modes(["a", "b"], time_resolved=True)  # a: H^S H^L V^S V^L, then b
+THREE = register_modes(["a", "b", "c"])
+# the +/- PBS on (H_a, V_a, H_b, V_b): |+> stays in its beam, |-> changes beam
+RPBS = [[0.5, 0.5, 0.5, -0.5], [0.5, 0.5, -0.5, 0.5],
+        [0.5, -0.5, 0.5, 0.5], [-0.5, 0.5, 0.5, 0.5]]
+
+
+def _eye_with(size, entries):
+    """The size x size identity with the given (row, column) entries set."""
+    m = np.eye(size, dtype=complex)
+    for (i, j), value in entries.items():
+        m[i, j] = value
+    return m
+
+
+def _case_id(value):
+    for reg, name in ((PLAIN, "plain"), (BINS, "bins"), (THREE, "three")):
+        if value is reg:
+            return name
+    return None if isinstance(value, (dict, str)) else type(value).__name__
+
+
+def _swaps(*pairs):
+    """The entries that exchange the two modes of each (i, j) pair."""
+    return {e: v for i, j in pairs for e, v in (((i, i), 0), ((i, j), 1), ((j, i), 1), ((j, j), 0))}
+
+
+@pytest.mark.parametrize("reg, element, entries", [
+    (PLAIN, Hwp("b", 67.5), {(2, 2): -S2, (2, 3): S2, (3, 2): S2, (3, 3): S2}),
+    (BINS, Hwp("b", 67.5), {(4, 4): -S2, (4, 6): S2, (6, 4): S2, (6, 6): S2,
+                            (5, 5): -S2, (5, 7): S2, (7, 5): S2, (7, 7): S2}),
+    (PLAIN, HvSwap("a"), _swaps((0, 1))),
+    (BINS, HvSwap("a"), _swaps((0, 2), (1, 3))),
+    (PLAIN, Pbs("a", "b"), _swaps((1, 3))),
+    (BINS, Pbs("a", "b"), _swaps((2, 6), (3, 7))),
+    (PLAIN, Bs(1 / 3, "a", "b"), {(0, 0): T3, (0, 2): R3, (2, 0): R3, (2, 2): -T3,
+                                  (1, 1): T3, (1, 3): R3, (3, 1): R3, (3, 3): -T3}),
+    (BINS, Bs(1 / 3, "a", "b"), {e: v for i, j in ((0, 4), (1, 5), (2, 6), (3, 7)) for e, v in (
+        ((i, i), T3), ((i, j), R3), ((j, i), R3), ((j, j), -T3))}),
+    (PLAIN, Bs(0.5, ("a", "H"), ("b", "V"), "a"),
+     {(0, 0): -S2, (0, 3): S2, (3, 0): S2, (3, 3): S2}),
+    (BINS, Bs(0.5, ("a", "H", "L"), ("b", "V", "S"), "a"),
+     {(1, 1): -S2, (1, 6): S2, (6, 1): S2, (6, 6): S2}),
+    (PLAIN, Rpbs("a", "b"), {(i, j): RPBS[i][j] for i in range(4) for j in range(4)}),
+    (BINS, Rpbs("a", "b"), {(modes[i], modes[j]): RPBS[i][j]
+                            for modes in ((0, 2, 4, 6), (1, 3, 5, 7))  # per time bin
+                            for i in range(4) for j in range(4)}),
+    (PLAIN, Route((("a", "b"), ("b", "a"))), _swaps((0, 2), (1, 3))),
+    (BINS, Route((("a", "b"), ("b", "a"))), _swaps((0, 4), (1, 5), (2, 6), (3, 7))),
+    (THREE, Route((("a", "b"), ("b", "c"), ("c", "a"))),  # column i is e_(where i goes)
+     {**{(i, i): 0 for i in range(6)}, (2, 0): 1, (3, 1): 1, (4, 2): 1, (5, 3): 1,
+      (0, 4): 1, (1, 5): 1}),
+    (PLAIN, Route((("a", "a"),)), {}),  # an identity entry is allowed
+    (BINS, Route((("b", "b"), ("a", "a"))), {}),
+    (BINS, DelayToL("a"), _swaps((0, 1), (2, 3))),
+    (PLAIN, Phase("a", math.pi / 2), {(0, 0): 1j, (1, 1): 1j}),
+    (BINS, Phase("b", math.pi / 2), {(4, 4): 1j, (5, 5): 1j, (6, 6): 1j, (7, 7): 1j}),
+    (PLAIN, Phase(("b", "V"), math.pi), {(3, 3): -1}),
+    (BINS, Phase(("a", "V", "L"), math.pi), {(3, 3): -1}),
+    (PLAIN, Rot(0.3, ("a", "V"), ("b", "H")), {(1, 1): C3, (1, 2): -S3, (2, 1): S3, (2, 2): C3}),
+    (BINS, Rot(0.3, 2, 5), {(2, 2): C3, (2, 5): -S3, (5, 2): S3, (5, 5): C3}),
+], ids=_case_id)
+def test_compile_element_pins_every_kind(reg, element, entries):
+    got = compile_element(reg, element)
+    assert got.registry is reg
+    np.testing.assert_allclose(got.matrix, _eye_with(reg.size, entries), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("reg, element, message", [
+    (PLAIN, Pbs("a", "a"), "PBS needs two distinct beams"),
+    (PLAIN, Rpbs("b", "b"), "PBS needs two distinct beams"),
+    (PLAIN, Bs(0.5, "a", "a"), "degenerate mode pair"),
+    (PLAIN, Bs(0.5, ("a", "H"), 0), "beam splitter needs two distinct modes"),
+    (PLAIN, Bs(0.5, "a", ("b", "H")), "mix of beam name and mode reference"),
+    (PLAIN, Bs(1.5, "a", "b"), "reflectivity 1.5 outside [0, 1]"),
+    (PLAIN, Bs(0.5, "a", "b", "c"), "signed port must be 'a' or 'b', got 'c'"),
+    (BINS, Rot(0.3, 3, ("a", "V", "L")), "rotation needs two distinct modes"),
+    (PLAIN, Rot(0.3, 0, 4), "mode index 4 out of range"),
+    (PLAIN, Phase(-1, 0.5), "mode index -1 out of range"),
+    (PLAIN, DelayToL("a"), "time-bin delay needs a time-resolved registry"),
+    (BINS, Route((("a", "b"),)), "route mapping is not a beam permutation"),
+    (PLAIN, ("hwp", "a"), "unknown element ('hwp', 'a')"),
+], ids=_case_id)
+def test_compile_element_errors_name_their_cause(reg, element, message):
+    with pytest.raises(ElementError) as info:
+        compile_element(reg, element)
+    assert str(info.value) == message
 
 
 # -- composition ----------------------------------------------------------------
@@ -304,7 +386,7 @@ def test_compositions_are_unitary(elements):
 def test_plan_lists_only_moved_modes():
     reg = register_modes(["a", "b", "c"])
     assert ModeUnitary.identity(reg).plan.modes == ()
-    u = pbs_unitary(reg, "a", "c")
+    u = compile_element(reg, Pbs("a", "c"))
     plan = u.plan
     assert u.plan is plan  # built once, getters included
     assert plan.modes == (reg.index("a", Polarization.V), reg.index("c", Polarization.V))

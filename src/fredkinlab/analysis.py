@@ -116,6 +116,21 @@ def process_fidelity(k: np.ndarray, ideal: np.ndarray) -> float:
     return float(abs(np.vdot(ideal, k)) ** 2 / (k.shape[1] * total))
 
 
+def phase_fixed_map_deviation(got, expected) -> float:
+    """The largest entry difference of two equal-shape arrays, such as a
+    process map and its ideal, each scaled to unit Frobenius norm, once the
+    global phase of `expected` is turned onto that of `got`; infinite if
+    either is zero.  Linear in an amplitude error, where `process_fidelity`
+    is quadratic in it."""
+    got, expected = np.asarray(got, dtype=complex), np.asarray(expected, dtype=complex)
+    n_got, n_exp = np.vdot(got, got).real, np.vdot(expected, expected).real
+    if n_got <= 0.0 or n_exp <= 0.0:
+        return math.inf
+    overlap = np.vdot(expected, got)
+    phase = overlap / abs(overlap) if overlap else 1.0
+    return float(np.max(np.abs(got / math.sqrt(n_got) - expected * (phase / math.sqrt(n_exp)))))
+
+
 def random_inputs(n_qubits: int, count: int, seed: int) -> list[LogicalAmplitudes]:
     rng = np.random.default_rng(seed)
     return [LogicalAmplitudes.random(n_qubits, rng) for _ in range(count)]
@@ -149,6 +164,12 @@ def _known_target_fidelity(k2: np.ndarray, kv: np.ndarray) -> float:
         return min(process_fidelity(k2, _IDEAL_2), process_fidelity(kv, _IDEAL_VAC))
     except AnalysisError:  # the shapes are fixed, so only a zero sector gets here
         return 0.0
+
+
+def _known_target_deviation(k: np.ndarray) -> float:
+    """The worse sector's `phase_fixed_map_deviation` of a 6x4 known-target map."""
+    return max(phase_fixed_map_deviation(k[:4, [0, 2]], _IDEAL_2),
+               phase_fixed_map_deviation(k[4:, [1, 3]], _IDEAL_VAC))
 
 
 def evaluate_known_target(circuit: Circuit) -> KnownTargetEvaluation:
@@ -194,6 +215,7 @@ class GateReport:
     expected_probability: Fraction
     leakage: float
     linearity_residual: float | None  # worst |run - K·x|; None for a known-target gate
+    map_deviation: float  # `phase_fixed_map_deviation` of K from the ideal map
     metadata: dict
 
     def probability(self) -> float:
@@ -205,7 +227,8 @@ class GateReport:
             else abs(self.probability() - float(self.expected_probability)) <= tol
         return (p_ok and self.process_fidelity >= 1.0 - tol
                 and self.leakage <= max(tol, LEAKAGE_TOL)
-                and (self.linearity_residual is None or self.linearity_residual <= tol))
+                and (self.linearity_residual is None or self.linearity_residual <= tol)
+                and self.map_deviation <= tol)
 
     def to_dict(self) -> dict:
         return {
@@ -221,6 +244,7 @@ class GateReport:
                                      self.expected_probability.denominator],
             "leakage": self.leakage,
             "linearity_residual": self.linearity_residual,
+            "map_deviation": self.map_deviation,
             "metadata": self.metadata,
         }
 
@@ -244,7 +268,8 @@ def gate_report(info: GateInfo, sweep: int = 0,
     """Build the full verification report of a cataloged gate.  A qubit gate's
     map is checked on max(`sweep`, `LINEARITY_INPUTS`) seeded superpositions,
     the first `sweep` of which give its probabilities.  A known-target gate
-    has no superpositions or sweep; its fidelity is the worse sector's."""
+    has no superpositions or sweep; its fidelity and map deviation are the
+    worse sector's."""
     circuit = info.build()
     if info.kind == "known_target":
         ev = evaluate_known_target(circuit)
@@ -253,7 +278,7 @@ def gate_report(info: GateInfo, sweep: int = 0,
                        KNOWN_TARGET_INPUT_LABELS, KNOWN_TARGET_OUTPUT_LABELS,
                        [float(np.sum(np.abs(col) ** 2)) for col in ev.matrix.T],
                        probs, ev.p_min and (max(probs) - ev.p_min), 0.0, None,
-                       worst_case=True)
+                       _known_target_deviation(ev.matrix), worst_case=True)
     kets = info.output_kets(circuit)
     pm = conditional_process_map(circuit, kets)
     inputs = random_inputs(info.n_qubits, max(sweep, LINEARITY_INPUTS), sweep_seed)
@@ -263,13 +288,14 @@ def gate_report(info: GateInfo, sweep: int = 0,
                    [_bits_label(info.n_qubits, i) for i in range(2 ** info.n_qubits)],
                    [_ket_label(circuit, k) for k in kets],
                    pm.input_probabilities, probs, max(probs) - min(probs), pm.leakage,
-                   residual)
+                   residual, phase_fixed_map_deviation(pm.matrix, info.ideal))
 
 
 def _report(info: GateInfo, matrix: np.ndarray, fidelity: float,
             in_labels: Sequence[str], out_labels: Sequence[str], p_in: Sequence[float],
             probabilities: list[float], spread: float, leakage: float,
-            linearity_residual: float | None, **metadata) -> GateReport:
+            linearity_residual: float | None, map_deviation: float,
+            **metadata) -> GateReport:
     """A `GateReport` of the map `matrix` against `info.ideal`.
 
     Each input's truth-table row is its amplitude on the output the ideal
@@ -299,6 +325,7 @@ def _report(info: GateInfo, matrix: np.ndarray, fidelity: float,
         expected_probability=info.expected_probability,
         leakage=leakage,
         linearity_residual=linearity_residual,
+        map_deviation=map_deviation,
         metadata={"description": info.description,
                   "uniform": info.uniform,
                   **metadata,

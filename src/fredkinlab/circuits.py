@@ -203,11 +203,13 @@ AncillaPrep = Union[BellPair, SinglePhoton]
 
 class Step(NamedTuple):
     """One step of a run: a stage (for a fused run of `Linear` stages, its
-    last stage inside the cut), the unitary the circuit compiled for it (or
-    None), the stage's occupation table (a dict; for a `Linear` stage None,
-    its table being on its unitary's plan, or the `KeptRows` of the
-    post-selection folded into it), and the product of the ancillae
-    tensored in just before it (or None)."""
+    last stage inside the cut), the unitary the circuit compiled for it (for
+    a `Measure` folded into the linear run before it, that run's product,
+    followed by the detector's plate for a +/- detector; or None), the
+    stage's occupation table (a dict; for a `Linear` stage None, its table
+    being on its unitary's plan, or the `KeptRows` of the post-selection
+    folded into it), and the product of the ancillae tensored in just
+    before it (or None)."""
     stage: Stage
     unitary: ModeUnitary | None
     table: KeptRows | dict | None
@@ -220,6 +222,9 @@ class Program(NamedTuple):
     A full run that ends in a `Linear` step and then the `PostSelect` step,
     with no ancilla entering there, has one step for both: the linear step,
     building only the rows the post-selection keeps (`engine.KeptRows`).
+    Likewise a `Measure` step right after a `Linear` step, with no ancilla
+    entering at it, has no linear step before it: the measurement applies
+    that step's product, with its plate multiplied in once here.
     `first` is the product of the ancillae that the first step of a full run
     touches; `Circuit.prepare_input` tensors it in.  Each step tensors in the
     ancillae it is the first to touch, and `rest`, the ancillae no step
@@ -233,9 +238,9 @@ class Program(NamedTuple):
 
 
 def _touched_modes(registry: ModeRegistry, step: Stage, u: ModeUnitary | None) -> set[int]:
-    """The modes a step acts on: the active modes of its unitary, the beams
-    of a flip, a detector's beam and the beams its table corrects, or the
-    modes of a post-selection's rules."""
+    """The modes a step acts on: the active modes of its unitary (a
+    measurement's included), the beams of a flip, a detector's beam and the
+    beams its table corrects, or the modes of a post-selection's rules."""
     if isinstance(step, Linear):
         return set(u.plan.modes)
     if isinstance(step, ControlledFlip):
@@ -249,7 +254,8 @@ def _touched_modes(registry: ModeRegistry, step: Stage, u: ModeUnitary | None) -
         return {m for rule in step.rules for modes, _ in rule.constraints for m in modes}
     else:
         raise CircuitError(f"unknown stage {step!r}")
-    return {m for beam in beams for m in registry.beam_modes(beam)}
+    touched = {m for beam in beams for m in registry.beam_modes(beam)}
+    return touched if u is None else touched | set(u.plan.modes)
 
 
 @dataclass(frozen=True)
@@ -424,6 +430,12 @@ class Circuit:
             (st, u, _), (post, _, kept) = applied[-2:]
             applied[-2:] = [(st, u, KeptRows({}, post.rules, kept))]
             entering.pop()
+        for j in range(len(applied) - 1, 0, -1):
+            (before, product, _), (st, u, table) = applied[j - 1:j + 1]
+            if isinstance(st, Measure) and isinstance(before, Linear) and not entering[j]:
+                # fold the measurement into the linear step before it
+                applied[j - 1:j + 1] = [(st, product if u is None else product.then(u), table)]
+                del entering[j]
         if full:  # `prepare_input` tensors in what the first step touches
             late = self._product([k for k in everything if k not in entering[0]])
             first, entering[0] = self._product(entering[0]), []
@@ -472,7 +484,7 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
     explicitly.  `expected_photons` overrides the circuit's declared count
     for inputs that legitimately differ (the known-target gate accepts a
     present or absent target photon).  Linear stages and +/- detectors apply
-    the unitaries the circuit compiled when it was built: each run of
+    the unitaries the circuit compiled: each run of
     consecutive `Linear` stages is applied once, as the product stored at its
     last stage inside ``stages[:upto]``, so a cut inside a run applies that
     stage's prefix product.
@@ -486,7 +498,9 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
     ancilla.  Each step looks its action on an occupation up in the
     circuit's occupation tables (see `engine`).  A post-selection folded
     into a full run's last linear step (see `Program`) has no step of its
-    own; a cut before it gets every row of that linear step.
+    own; a cut before it gets every row of that linear step.  A measurement
+    right after a linear step takes that step in (see `Program`); a cut at
+    the linear step gets its product, unrotated, and every term.
     """
     prog = circuit.program(len(circuit.stages[:upto]))
     declared = circuit.photons if expected_photons is None else expected_photons

@@ -318,7 +318,9 @@ def compile_element(registry: ModeRegistry, element: Element) -> ModeUnitary:
         return plates.then(pbs).then(plates)
     u = np.eye(registry.size, dtype=complex)
     if isinstance(element, Route):
-        if sorted(m[0] for m in element.mapping) != sorted(m[1] for m in element.mapping):
+        sources = [old for old, _ in element.mapping]
+        if len(set(sources)) != len(sources) or sorted(sources) != sorted(
+                new for _, new in element.mapping):
             raise ElementError("route mapping is not a beam permutation")
         moved = dict(p for old, new in element.mapping for pol in _POLS
                      for p in _bin_pairs(registry, (old, pol), (new, pol)))

@@ -12,12 +12,22 @@ and must never be merged.
 Measurement fills its detector outcome branches, plain amplitude maps, in
 one pass with feed-forward corrected terms; all accepted branches of the
 gates in scope then carry the same conditional state, which is checked
-amplitude by amplitude before they are pooled with their probabilities.
+amplitude by amplitude before they are pooled with their probabilities.  A
+measurement right after a unitary takes that unitary in, with a +/-
+detector's plate multiplied into it once: `measure_and_feedforward` expands
+its incoming terms through the product into a list of output amplitudes,
+indexed as its expansion of the input support says, and fills the branches
+from it, with no state built in between.  Multiplying the plate in first
+can round differently from applying it after; for the plate-times-PBS
+products of the catalog every entry is a single term, so its results are
+bit-identical.
 
 Each step keeps an occupation table: a dict, filled on first sight, from an
 occupation entering the step to the step's action on it (a unitary's is on
-its plan; a measurement's is a pattern, corrected occupation and sign; a
-post-selection's whether it keeps it).  A terminal post-selection right
+its plan; a measurement's, keyed by the occupations its unitary puts out,
+is a pattern, corrected occupation and sign, and the same table maps each
+input support, the tuple of a state's occupations, to the expansion of its
+terms through the unitary; a post-selection's whether it keeps it).  A terminal post-selection right
 after a unitary is folded into it: the unitary keeps rows of its own, cut
 down to the occupations the post-selection keeps (`KeptRows`).  A `Circuit`
 keeps its tables across runs, so the inputs of a sweep or a process map
@@ -36,7 +46,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .elements import Hwp, ModeUnitary, compile_element
+from .elements import Hwp, ModePlan, ModeUnitary, compile_element
 from .fock import (
     DEFAULT_PRUNE_EPS,
     ModeRegistry,
@@ -73,24 +83,33 @@ def apply_unitary(state: PhotonicState, u: ModeUnitary,
     """
     if u.registry != state.registry:
         raise EngineError("unitary acts on a different registry")
-    _, cols, rows, take, splice, full_rows = u.plan
-    table = full_rows if kept is None else kept.rows
+    plan = u.plan
+    table = plan.full_rows if kept is None else kept.rows
     out: dict[Occupation, complex] = {}
     get = out.get
     for occ, amp in state.amps.items():
         row = table.get(occ)
         if row is None:
-            active_in = take(occ)
-            active_row = rows.get(active_in)
-            if active_row is None:
-                active_row = rows[active_in] = _transfer_row(cols, active_in)
-            row = ((splice(occ + key), t) for key, t in active_row)
-            if kept is not None:
-                row = (e for e in row if _kept(kept.rules, kept.occupations, e[0]))
-            row = table[occ] = tuple(row)
+            row = table[occ] = _row(plan, occ, kept)
         for full, t in row:
             out[full] = get(full, 0.0) + amp * t
     return PhotonicState(state.registry, out, validate=False)
+
+
+def _row(plan: ModePlan, occ: Occupation, kept: KeptRows | None = None,
+         ) -> tuple[tuple[Occupation, complex], ...]:
+    """The row of `occ` through the unitary of `plan`, ``((full output
+    occupation, amplitude), ...)``, from the transfer row of its active-mode
+    occupation; with `kept`, cut down to the outputs the post-selection keeps."""
+    _, cols, rows, take, splice, _ = plan
+    active_in = take(occ)
+    active_row = rows.get(active_in)
+    if active_row is None:
+        active_row = rows[active_in] = _transfer_row(cols, active_in)
+    row = ((splice(occ + key), t) for key, t in active_row)
+    if kept is not None:
+        row = (e for e in row if _kept(kept.rules, kept.occupations, e[0]))
+    return tuple(row)
 
 
 def _transfer_row(cols, active_in: Occupation):
@@ -367,51 +386,118 @@ def _measure_row(registry: ModeRegistry, modes: Sequence[int], table: FeedForwar
 FEEDFORWARD_CONSISTENCY_TOL = 1e-9
 
 
+class _Expansion(NamedTuple):
+    """How a measurement's unitary expands one input support, the state's
+    occupations in stored order: each term's row of ``(output index,
+    amplitude)`` pairs (None when no unitary acts), and each output's row in
+    the measurement's occupation table, outputs in first-reached order."""
+    rows: tuple[tuple[tuple[int, complex], ...], ...] | None
+    outputs: tuple[tuple[tuple[int, ...], Occupation, bool], ...]
+
+
+def _expansion(support: tuple[Occupation, ...], unitary: ModeUnitary | None,
+               registry: ModeRegistry, modes: Sequence[int], table: FeedForwardTable,
+               occupations: dict) -> _Expansion:
+    """The `_Expansion` of `support`, each output's row read from and into
+    `occupations` (see `_measure_row`)."""
+    def row_of(occ):
+        row = occupations.get(occ)
+        if row is None:
+            row = occupations[occ] = _measure_row(registry, modes, table, occ)
+        return row
+
+    if unitary is None:
+        return _Expansion(None, tuple(map(row_of, support)))
+    plan = unitary.plan
+    full_rows = plan.full_rows
+    index: dict[Occupation, int] = {}
+    rows = []
+    for occ in support:
+        row = full_rows.get(occ)
+        if row is None:
+            row = full_rows[occ] = _row(plan, occ)
+        rows.append(tuple((index.setdefault(full, len(index)), t) for full, t in row))
+    return _Expansion(tuple(rows), tuple(map(row_of, index)))
+
+
 def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
-                            table: FeedForwardTable, rotation: ModeUnitary | None,
+                            table: FeedForwardTable, unitary: ModeUnitary | None,
                             occupations: dict | None = None,
                             ) -> tuple[PhotonicState, float, list[BranchRecord]]:
-    """Measure one beam, apply outcome-conditioned corrections, pool branches.
+    """Apply `unitary`, measure one beam, apply outcome-conditioned
+    corrections, pool branches.
 
-    `rotation` is the detector's `DetectorSpec.rotation`, compiled once by the
-    caller (a `Circuit` does it when it is built), and `occupations` the
-    step's occupation table (see `_measure_row`): one pass fills each branch
-    with corrected amplitudes.  Each outcome is looked up in `table` on every
-    call, so an unlisted one raises every time.  Detected photons are
-    consumed.  Corrected accepted branches, normalized, must agree amplitude
-    by amplitude (to within `FEEDFORWARD_CONSISTENCY_TOL`); they are pooled
+    `unitary` is what acts before the counting, compiled once by the caller:
+    for a measurement right after a linear step, that step's product (with,
+    for a +/- detector, the detector's plate after it; a `Circuit` folds
+    them when it compiles a program), else the detector's
+    `DetectorSpec.rotation`, or None for an H/V detector.  `occupations` is
+    the step's occupation table: it maps each occupation the unitary puts
+    out to its row (see `_measure_row`), and each input support, the tuple
+    of a state's occupations, to its `_Expansion`, so it serves one unitary
+    and one detector and table.  The terms expand through
+    the unitary's rows into one list of output amplitudes; each, once
+    pruned, goes straight into its branch, so no rotated, uncorrected
+    `PhotonicState` is built.  Each pattern's action is looked up in `table`
+    once per call, so an unlisted outcome raises every time.  A rejected
+    branch keeps only its squared norm.  Detected photons are consumed.
+    Corrected accepted branches, normalized, must agree amplitude by
+    amplitude (to within `FEEDFORWARD_CONSISTENCY_TOL`); they are pooled
     with their outcome probabilities into one sub-normalized conditional
     state whose squared norm is the total acceptance probability times the
     incoming weight.  Only the pooled result is a `PhotonicState`.
     """
     reg = state.registry
-    if (rotation is None) != (detector.basis == DetectorBasis.HV):
-        raise EngineError(f"detector rotation does not match basis {detector.basis!r}")
-    working = state if rotation is None else apply_unitary(state, rotation)
+    if unitary is None:
+        if detector.basis != DetectorBasis.HV:
+            raise EngineError(f"a detector in basis {detector.basis!r} needs its plate")
+    elif unitary.registry != reg:
+        raise EngineError("unitary acts on a different registry")
 
     occupations = {} if occupations is None else occupations
-    n_in = working.norm_sq()
+    support = tuple(state.amps)
+    expansion = occupations.get(support)
+    if expansion is None:
+        expansion = occupations[support] = _expansion(
+            support, unitary, reg, reg.beam_modes(detector.beam), table, occupations)
+    rows, outputs = expansion
+    if rows is None:
+        values = list(state.amps.values())
+    else:
+        values = [0.0] * len(outputs)
+        for amp, row in zip(state.amps.values(), rows):
+            for j, t in row:
+                values[j] = values[j] + amp * t
+
+    # an accepted pattern's corrected amplitudes, a rejected one's squares
+    branches: dict[tuple[int, ...], dict[Occupation, complex] | list[float]] = {}
+    squares: list[float] = []
+    branch_of, add_square = branches.get, squares.append
+    for (pattern, corrected, negate), a in zip(outputs, values):
+        if abs(a) < DEFAULT_PRUNE_EPS:  # as the state `apply_unitary` returns drops it
+            continue
+        square = a.real * a.real + a.imag * a.imag
+        add_square(square)
+        branch = branch_of(pattern)
+        if branch is None:
+            branch = branches[pattern] = [] if table.lookup(pattern) == REJECT else {}
+        if branch.__class__ is list:
+            branch.append(square)
+        else:
+            branch[corrected] = -a if negate else a
+    n_in = float(sum(squares))  # `amplitudes_norm_sq` of the pruned output, in order
     if n_in <= 0.0:
         return PhotonicState(reg, {}, validate=False), 0.0, []
-
-    modes = reg.beam_modes(detector.beam)
-    branches: dict[tuple[int, ...], dict[Occupation, complex]] = {}
-    for occ, a in working.amps.items():
-        row = occupations.get(occ)
-        if row is None:
-            row = occupations[occ] = _measure_row(reg, modes, table, occ)
-        pattern, out, negate = row
-        branches.setdefault(pattern, {})[out] = -a if negate else a
 
     records: list[BranchRecord] = []
     accepted: list[tuple[float, float, dict[Occupation, complex]]] = []
     for pattern in sorted(branches):
         amps = branches[pattern]
+        if amps.__class__ is list:
+            records.append(BranchRecord(pattern, float(sum(amps)) / n_in, "reject"))
+            continue
         norm_sq = amplitudes_norm_sq(amps)
         p_branch = norm_sq / n_in
-        if table.lookup(pattern) == REJECT:
-            records.append(BranchRecord(pattern, p_branch, "reject"))
-            continue
         records.append(BranchRecord(pattern, p_branch, "accept"))
         accepted.append((p_branch, math.sqrt(norm_sq), amps))
 
@@ -421,15 +507,18 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
     # linear in any disagreement, unlike comparing the pooled norm with p_total;
     # each amplitude is normalized and pruned as `PhotonicState.normalized` does
     # (every branch holds a stored amplitude, so no norm is zero)
-    def unit(amps, scale, occ):
-        a = amps.get(occ, 0.0) * scale
-        return 0.0 if abs(a) < DEFAULT_PRUNE_EPS else a
-
-    units = [(amps, 1.0 / norm) for _, norm, amps in accepted]
-    ref, ref_scale = units[0]
-    deviation = max((abs(unit(amps, scale, occ) - unit(ref, ref_scale, occ))
-                     for amps, scale in units[1:] for occ in amps.keys() | ref.keys()),
-                    default=0.0)
+    (_, norm, ref), *others = accepted
+    ref_scale = 1.0 / norm
+    deviation = 0.0
+    for _, norm, amps in others:
+        scale = 1.0 / norm
+        for occ in amps.keys() | ref.keys():
+            a = amps.get(occ, 0.0) * scale
+            b = ref.get(occ, 0.0) * ref_scale
+            d = abs((0.0 if abs(a) < DEFAULT_PRUNE_EPS else a)
+                    - (0.0 if abs(b) < DEFAULT_PRUNE_EPS else b))
+            if d > deviation:
+                deviation = d
     if deviation > FEEDFORWARD_CONSISTENCY_TOL:
         raise FeedForwardError(
             "corrected branches disagree; feed-forward table does not make the "
@@ -437,10 +526,11 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
 
     p_total = sum(p for p, _, _ in accepted)
     pooled: dict[Occupation, complex] = {}
+    get = pooled.get
     for p_branch, norm, amps in accepted:
         w = p_branch / norm
         for occ, a in amps.items():
-            pooled[occ] = pooled.get(occ, 0.0) + w * a
+            pooled[occ] = get(occ, 0.0) + w * a
     pooled = {occ: a for occ, a in pooled.items() if not abs(a) < DEFAULT_PRUNE_EPS}
     scale = math.sqrt(p_total * n_in) / math.sqrt(amplitudes_norm_sq(pooled))
     return PhotonicState(reg, {occ: a * scale for occ, a in pooled.items()},

@@ -4,11 +4,10 @@ Everything here is built from the gates' stated logic rules, independent of
 the simulation path it is used to check.
 """
 
-import math
-
 import numpy as np
 
 from fredkinlab import PhotonicState, Polarization
+from fredkinlab.analysis import phase_fixed_map_deviation
 from fredkinlab.fock import ModeRegistry, Occupation
 
 
@@ -82,18 +81,3 @@ def phase_fixed_deviation(got: PhotonicState, expected: PhotonicState) -> float:
     keys = list(got.amps.keys() | expected.amps.keys())
     return phase_fixed_map_deviation([got.amps.get(k, 0.0) for k in keys],
                                      [expected.amps.get(k, 0.0) for k in keys])
-
-
-def phase_fixed_map_deviation(got, expected) -> float:
-    """`phase_fixed_deviation` of two equal-shape arrays, such as a process
-    map and its ideal: the largest entry difference, each array scaled to
-    unit Frobenius norm, once the global phase of `expected` is turned onto
-    that of `got`.  Linear in an amplitude error, where `process_fidelity` is
-    quadratic in it."""
-    got, expected = np.asarray(got, dtype=complex), np.asarray(expected, dtype=complex)
-    n_got, n_exp = np.vdot(got, got).real, np.vdot(expected, expected).real
-    if n_got <= 0.0 or n_exp <= 0.0:
-        return math.inf
-    overlap = np.vdot(expected, got)
-    phase = overlap / abs(overlap) if overlap else 1.0
-    return float(np.max(np.abs(got / math.sqrt(n_got) - expected * (phase / math.sqrt(n_exp)))))

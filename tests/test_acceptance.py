@@ -30,6 +30,7 @@ from fredkinlab.analysis import (
     evaluate_known_target,
     gate_report,
     optimize_gate,
+    phase_fixed_map_deviation,
     random_inputs,
 )
 from fredkinlab.catalog import get_gate
@@ -52,7 +53,6 @@ from helpers import (
     bits_of,
     fredkin_vec,
     phase_fixed_deviation,
-    phase_fixed_map_deviation,
     pol,
     qubit_ket,
     state_from_terms,

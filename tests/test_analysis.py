@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from fredkinlab.analysis import (
     gate_report,
     linearity_check,
     optimize_gate,
+    phase_fixed_map_deviation,
     process_fidelity,
     random_inputs,
     reverify_outcome,
@@ -30,10 +32,9 @@ from fredkinlab.circuits import (
     run,
     simplified_mesh_sectors,
 )
-from fredkinlab.elements import Hwp
+from fredkinlab.elements import Hwp, Phase
 from fredkinlab.fock import register_modes
 
-from helpers import phase_fixed_map_deviation
 
 
 # -- ideal maps ------------------------------------------------------------------
@@ -134,6 +135,36 @@ def test_linearity_residual_alone_fails_the_report():
     report.linearity_residual = 2e-9  # every other figure is within the tolerance
     assert not report.matches_expectations(1e-9)
     assert report.matches_expectations(1e-8)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_every_catalog_map_is_its_ideal_up_to_phase(name):
+    report = gate_report(get_gate(name))
+    assert report.map_deviation <= 1e-15
+    assert report.to_dict()["map_deviation"] == report.map_deviation
+
+
+def test_map_deviation_alone_fails_the_report():
+    report = gate_report(get_gate("cnot-ralph"))
+    report.map_deviation = 2e-9  # every other figure is within the tolerance
+    assert not report.matches_expectations(1e-9)
+    assert report.matches_expectations(1e-8)
+
+
+def test_a_small_output_phase_fails_only_on_the_map_deviation():
+    # a 1e-5 rad phase on the target's V output: the fidelity misses it by
+    # its square, the probabilities and the linearity check not at all
+    info = get_gate("cnot-ralph")
+    circuit = info.build()
+    shifted = Linear((Phase(("t", "V"), 1e-5),), label="phase-error")
+    circuit = dataclasses.replace(
+        circuit, stages=circuit.stages[:-1] + (shifted,) + circuit.stages[-1:])
+    report = gate_report(dataclasses.replace(info, build=lambda: circuit))
+    assert report.process_fidelity >= 1 - 1e-10
+    assert max(abs(p - float(report.expected_probability)) for p in report.probabilities) < 1e-15
+    assert report.leakage <= 1e-15 and report.linearity_residual <= 1e-15
+    assert 1e-6 < report.map_deviation < 1e-5
+    assert not report.matches_expectations(1e-9)
 
 
 def test_linearity_check_is_linear_in_an_amplitude_error():

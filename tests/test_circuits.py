@@ -536,6 +536,8 @@ def test_run_prefix_matches_stage_by_stage(name):
 
 
 def test_run_applies_one_unitary_per_linear_run(monkeypatch):
+    # each run of linear stages is applied once, as its product; a measurement
+    # right after one applies that product with the detector's plate after it
     from fredkinlab import circuits
 
     applied = []
@@ -544,22 +546,40 @@ def test_run_applies_one_unitary_per_linear_run(monkeypatch):
         applied.append(u)
         return apply_unitary(state, u, kept)
 
+    def measuring(state, detector, table, u, occupations=None):
+        applied.append(u)
+        return measure_and_feedforward(state, detector, table, u, occupations)
+
+    def matrices(us):
+        return [None if u is None else u.matrix.tolist() for u in us]
+
     monkeypatch.setattr(circuits, "apply_unitary", counting)
+    monkeypatch.setattr(circuits, "measure_and_feedforward", measuring)
     for name in sorted(CATALOG):
         circuit = get_gate(name).build()
-        linear = [isinstance(st, Linear) for st in circuit.stages]
+        stages, unitaries = circuit.stages, circuit.unitaries
+        linear = [isinstance(st, Linear) for st in stages]
         ends = [i for i, k in enumerate(linear) if k and (i + 1 == len(linear) or not linear[i + 1])]
+        want = []  # (stage index, unitary) of each step
+        for i, st in enumerate(stages):
+            if isinstance(st, Measure) and i > 0 and linear[i - 1]:
+                own = unitaries[i]
+                want.append((i, unitaries[i - 1] if own is None else unitaries[i - 1].then(own)))
+            elif isinstance(st, Measure):
+                want.append((i, unitaries[i]))
+            elif i in ends and not (i + 1 < len(stages) and isinstance(stages[i + 1], Measure)):
+                want.append((i, unitaries[i]))
         amps = LogicalAmplitudes.basis(len(circuit.qubit_beams), 0)
         applied.clear()
         run(circuit, amps)
-        assert applied == [circuit.unitaries[i] for i in ends], name
+        assert matrices(applied) == matrices(u for _, u in want), name
         # a cut inside a run applies the prefix product of the cut stage
         inside = next((i for i in ends if i > 0 and linear[i - 1]), None)
         if inside is not None:
             applied.clear()
             run(circuit, amps, upto=inside)
             assert applied[-1] is circuit.unitaries[inside - 1], name
-            assert len(applied) == sum(1 for i in ends if i < inside) + 1, name
+            assert matrices(applied[:-1]) == matrices(u for i, u in want if i < inside), name
 
 
 def test_run_injects_each_ancilla_at_first_use(monkeypatch):
@@ -573,7 +593,12 @@ def test_run_injects_each_ancilla_at_first_use(monkeypatch):
         entering.append(state.photon_numbers())
         return apply_unitary(state, u, kept)
 
+    def measuring(state, detector, table, u, occupations=None):
+        entering.append(state.photon_numbers())
+        return measure_and_feedforward(state, detector, table, u, occupations)
+
     monkeypatch.setattr(circuits, "apply_unitary", counting)
+    monkeypatch.setattr(circuits, "measure_and_feedforward", measuring)
     circuit = get_gate("fredkin-heralded").build()
     res = run(circuit, LogicalAmplitudes.basis(3, 0b101))
     assert entering == [{5}, {4}] * 4 + [{3}]

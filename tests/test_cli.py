@@ -357,6 +357,23 @@ def test_simulate_ancilla_on_qubit_beam_exit_2(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_verify_route_repeating_a_source_exit_2(tmp_path, monkeypatch, capsys):
+    from fredkinlab.cli import main
+    from fredkinlab.serialize import circuit_to_dict
+
+    obj = circuit_to_dict(get_gate("cnot-ralph").build())
+    obj["stages"][0]["elements"].append(
+        {"kind": "route", "mapping": [["c", "t"], ["c", "rc"], ["t", "c"], ["rc", "c"]]})
+    path = tmp_path / "route.json"
+    path.write_text(json.dumps(obj))
+    monkeypatch.delenv("PHOTONIC_LAB_CONFIG", raising=False)
+    assert main(["verify", str(path), "--input", "[1,0,0,0]"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "route mapping is not a beam permutation" in err
+    assert err.count("\n") == 1
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # only `optimize` needs scipy.optimize; every other command skips its import
     proc = subprocess.run(

@@ -342,6 +342,9 @@ def test_compile_element_pins_every_kind(reg, element, entries):
     (PLAIN, Phase(-1, 0.5), "mode index -1 out of range"),
     (PLAIN, DelayToL("a"), "time-bin delay needs a time-resolved registry"),
     (BINS, Route((("a", "b"),)), "route mapping is not a beam permutation"),
+    # sources and targets agree as multisets, but source a is sent twice
+    (THREE, Route((("a", "b"), ("a", "c"), ("b", "a"), ("c", "a"))),
+     "route mapping is not a beam permutation"),
     (PLAIN, ("hwp", "a"), "unknown element ('hwp', 'a')"),
 ], ids=_case_id)
 def test_compile_element_errors_name_their_cause(reg, element, message):

@@ -1,8 +1,10 @@
-"""The post-selection folded into the last linear step, and measurement with
-plain branch maps, against an unfused reference kept here.
+"""The steps a circuit fuses, against an unfused reference kept here: the
+post-selection folded into the last linear step, each measurement folded
+into the linear step before it, and measurement with plain branch maps.
 
 The reference runs a circuit's compiled steps with every linear step
-emitting all of its terms, the post-selection filtering them, and each
+emitting all of its terms, then the measurement on its own (its plate, if
+any, a second unitary), the post-selection filtering the terms, and each
 measurement branch a `PhotonicState` corrected one correction at a time.
 Every result must equal the reference's to the bit: `float.hex` of each
 amplitude, in the same order, of the probability and of each branch record.
@@ -22,10 +24,11 @@ from fredkinlab.circuits import (
     Linear,
     Measure,
     PostSelect,
+    SinglePhoton,
     _apply_controlled_flip,
     run,
 )
-from fredkinlab.elements import Bs
+from fredkinlab.elements import Bs, Hwp
 from fredkinlab.engine import (
     FEEDFORWARD_CONSISTENCY_TOL,
     REJECT,
@@ -107,9 +110,15 @@ def _reference_measure(state, detector, table, rotation):
                          validate=False), records
 
 
+def _stage_index(circuit: Circuit, stage) -> int:
+    return next(i for i, st in enumerate(circuit.stages) if st is stage)
+
+
 def _reference_run(circuit: Circuit, amplitudes: LogicalAmplitudes, upto=None):
     """`run` over the same compiled steps, with every step unfused: a
-    post-selection folded into the last linear step runs after it, on its own."""
+    measurement folded into the linear step before it runs after that step
+    has emitted every term, with its own plate, and a post-selection folded
+    into the last linear step runs after it, on its own."""
     prog = circuit.program(len(circuit.stages[:upto]))
     state = circuit.prepare_input(amplitudes)
     n0 = state.norm_sq() * prog.late[1]
@@ -122,7 +131,11 @@ def _reference_run(circuit: Circuit, amplitudes: LogicalAmplitudes, upto=None):
         elif isinstance(st, ControlledFlip):
             state = _apply_controlled_flip(state, st.control, st.target)
         elif isinstance(st, Measure):
-            state, records = _reference_measure(state, st.detector, st.table, u)
+            i = _stage_index(circuit, st)
+            plate = circuit.unitaries[i]
+            if u is not plate:  # folded: the linear run before it, on its own
+                state = apply_unitary(state, circuit.unitaries[i - 1])
+            state, records = _reference_measure(state, st.detector, st.table, plate)
             log.extend(records)
         elif isinstance(st, PostSelect):
             state, _ = post_select_any(state, st.rules)
@@ -187,6 +200,134 @@ def test_cut_at_the_last_linear_stage_gets_every_term(name):
     rules = circuit.stages[-1].rules
     dropped = [occ for occ in res.state.amps if not any(r.matches(occ) for r in rules)]
     assert dropped
+
+
+# -- measurements folded into the linear step before them ------------------------------
+
+
+def _steps(circuit: Circuit):
+    return circuit.program(len(circuit.stages)).steps
+
+
+def test_every_catalog_measurement_folds():
+    for name in sorted(CATALOG):
+        circuit = get_gate(name).build()
+        steps = _steps(circuit)
+        measured = [step for step in steps if isinstance(step.stage, Measure)]
+        assert [step.stage for step in measured] == [
+            st for st in circuit.stages if isinstance(st, Measure)], name
+        for before, step in zip(steps, steps[1:]):
+            assert not (isinstance(before.stage, Linear) and isinstance(step.stage, Measure)), name
+        for step in measured:
+            i = _stage_index(circuit, step.stage)
+            product, plate = circuit.unitaries[i - 1], circuit.unitaries[i]
+            assert isinstance(circuit.stages[i - 1], Linear), name
+            if plate is None:
+                assert step.unitary is product, name
+            else:
+                assert np.array_equal(step.unitary.matrix, plate.matrix @ product.matrix), name
+    assert len(_steps(get_gate("cnot-pittman").build())) == 2
+    assert len(_steps(get_gate("fredkin-heralded").build())) == 9
+
+
+@pytest.mark.parametrize("label", ["parity-pbs", "target-rpbs"])
+def test_cut_at_the_linear_stage_before_a_measurement_gets_every_term(label):
+    circuit = get_gate("cnot-pittman").build()
+    amps = _inputs(2, seed=45)[-1]
+    cut = circuit.stage_prefix(label)
+    run(circuit, amps)  # the folded rows exist before the cut runs
+    res = run(circuit, amps, upto=cut)
+    assert _bits(res.state, res.probability, res.branch_log) == _bits(
+        *_reference_run(circuit, amps, upto=cut))
+    # the linear run's product alone, unrotated, as the last step
+    last = circuit.program(cut).steps[-1]
+    assert isinstance(last.stage, Linear) and last.unitary is circuit.unitaries[cut - 1]
+
+
+def test_a_cut_after_a_folded_first_step_injects_no_ancilla_twice():
+    # the folded first step touches e through its linear run only; a cut run
+    # must count e among the ancillae `prepare_input` has already tensored in
+    reg = register_modes(("c", "d", "e"))
+    stages = (Linear((Hwp("d", 22.5), Hwp("e", 45.0)), label="plates"),
+              Measure(DetectorSpec("d"), FeedForwardTable.build({(1, 0): [], (0, 1): []}),
+                      label="detect"),
+              Linear((Hwp("c", 22.5),), label="rotate"))
+    circuit = Circuit(name="folded-head", registry=reg, photons=3, qubit_beams=("c",),
+                      output_beams=("c",), stages=stages,
+                      ancillae=(SinglePhoton("d", Polarization.H),
+                                SinglePhoton("e", Polarization.H)))
+    assert isinstance(_steps(circuit)[0].stage, Measure)
+    amps = LogicalAmplitudes((0.6, 0.8))
+    for upto in (2, 3):
+        res = run(circuit, amps, upto=upto)
+        assert _bits(res.state, res.probability, res.branch_log) == _bits(
+            *_reference_run(circuit, amps, upto=upto))
+        assert res.state.photon_numbers() == {2}
+        assert res.probability == pytest.approx(1.0, abs=1e-15)
+
+
+def _detector_circuit(basis: str, ancilla_at_measure: bool) -> Circuit:
+    """Qubits c, t and an H photon on beam d that a detector counts: after a
+    flip, or, with `ancilla_at_measure`, right after a linear step but with
+    the photon entering at the measurement.  The "-" or V outcome is
+    rejected."""
+    reg = register_modes(("c", "t", "d"))
+    detect = Measure(DetectorSpec("d", basis), FeedForwardTable.build({(1, 0): []}),
+                     label="detect")
+    if ancilla_at_measure:
+        stages = (Linear((Hwp("c", 22.5), Hwp("t", 67.5)), label="plates"), detect)
+    else:
+        stages = (Linear((Hwp("c", 22.5), Hwp("d", 22.5)), label="plates"),
+                  ControlledFlip("c", "t", label="flip"), detect)
+    return Circuit(name="detector", registry=reg, photons=3, qubit_beams=("c", "t"),
+                   output_beams=("c", "t"), stages=stages,
+                   ancillae=(SinglePhoton("d", Polarization.H),))
+
+
+@pytest.mark.parametrize("basis", ["HV", "PM"])
+@pytest.mark.parametrize("ancilla_at_measure", [False, True])
+def test_a_measurement_that_does_not_fold_matches_the_reference(basis, ancilla_at_measure):
+    circuit = _detector_circuit(basis, ancilla_at_measure)
+    steps = _steps(circuit)
+    assert [type(step.stage) for step in steps] == [type(st) for st in circuit.stages]
+    i = len(circuit.stages) - 1
+    assert steps[-1].unitary is circuit.unitaries[i]  # the plate alone, or None
+    assert (steps[-1].ancillae is not None) == ancilla_at_measure
+    for amps in _inputs(2, seed=46):
+        res = run(circuit, amps)
+        assert _bits(res.state, res.probability, res.branch_log) == _bits(
+            *_reference_run(circuit, amps))
+        assert 0.0 < res.probability <= 1.0
+
+
+@pytest.mark.parametrize("basis", ["HV", "PM"])
+def test_a_pattern_that_cancels_exactly_leaves_no_record(basis):
+    # a HOM pair: one photon in each of a, b, both H (or both V), meets at a
+    # balanced splitter and never leaves one photon in each beam.  With a
+    # plate the folded product rounds differently from splitter-then-plate,
+    # so only the H/V detector is compared to the bit.
+    reg = register_modes(("a", "b"))
+    circuit = Circuit(name="hom", registry=reg, photons=2, qubit_beams=("a", "b"),
+                      output_beams=("a", "b"),
+                      stages=(Linear((Bs(0.5, "a", "b"),)),
+                              Measure(DetectorSpec("a", basis),
+                                      FeedForwardTable.build({(2, 0): [], (0, 2): []}))))
+    assert isinstance(_steps(circuit)[0].stage, Measure)
+    for index in (0, 3):
+        amps = LogicalAmplitudes.basis(2, index)
+        res = run(circuit, amps)
+        ref_state, ref_p, ref_log = _reference_run(circuit, amps)
+        for log in (res.branch_log, ref_log):
+            assert log and all(sum(r.pattern) != 1 for r in log)
+        assert [(r.pattern, r.action) for r in res.branch_log] == [
+            (r.pattern, r.action) for r in ref_log]
+        if basis == "HV":
+            assert _bits(res.state, res.probability, res.branch_log) == _bits(
+                ref_state, ref_p, ref_log)
+        else:
+            assert res.probability == pytest.approx(ref_p, abs=1e-15)
+            assert res.state.amps.keys() == ref_state.amps.keys()
+        assert res.probability > 0.0
 
 
 # -- the post-selection that does not fold -------------------------------------------
@@ -368,4 +509,4 @@ def test_unused_correction_rules_match_the_reference_to_the_bit(time_resolved, c
     for _ in range(2):  # a cold table, then a warm one
         assert _bits(*measure_and_feedforward(state, detector, table, None, occupations)) == (
             _bits(ref_state, ref_p, ref_log))
-        assert len(occupations) == len(state.amps)
+        assert len(occupations) == len(state.amps) + 1  # and the support's expansion

@@ -38,3 +38,26 @@ def test_traced_registries_have_their_wrapped_fields():
         assert callable(info.build), info.name
     for name, problem in analysis.PROBLEMS.items():
         assert callable(problem.evaluate) and callable(problem.residuals), name
+
+
+def test_tracer_counts_each_measurement_of_a_run():
+    # a measurement the run reached without the traced name would read 0 here
+    from fredkinlab import circuits, engine
+    from fredkinlab.fock import LogicalAmplitudes
+
+    circuit = catalog.get_gate("cnot-pittman").build()
+    originals = (engine.measure_and_feedforward, circuits.measure_and_feedforward, circuits.run)
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.active, tracer.op = True, 0
+        res = circuits.run(circuit, LogicalAmplitudes.basis(2, 3))
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert (engine.measure_and_feedforward, circuits.measure_and_feedforward,
+            circuits.run) == originals
+    figures = tracer.layer_figures()
+    assert figures["circuits.run.calls"] == 1
+    assert figures["engine.measure_and_feedforward.calls"] == 2
+    assert figures["engine.measure_and_feedforward.branches"] == len(res.branch_log) > 0

@@ -48,6 +48,7 @@ from .engine import (
     DetectorSpec,
     FeedForwardTable,
     KeptRows,
+    MeasureRows,
     PostSelectionRule,
     REJECT,
     apply_unitary,
@@ -206,13 +207,13 @@ class Step(NamedTuple):
     last stage inside the cut), the unitary the circuit compiled for it (for
     a `Measure` folded into the linear run before it, that run's product,
     followed by the detector's plate for a +/- detector; or None), the
-    stage's occupation table (a dict; for a `Linear` stage None, its table
-    being on its unitary's plan, or the `KeptRows` of the post-selection
-    folded into it), and the product of the ancillae tensored in just
-    before it (or None)."""
+    stage's occupation table (a dict, or a `MeasureRows` for a `Measure`;
+    for a `Linear` stage None, its table being on its unitary's plan, or the
+    `KeptRows` of the post-selection folded into it), and the product of the
+    ancillae tensored in just before it (or None)."""
     stage: Stage
     unitary: ModeUnitary | None
-    table: KeptRows | dict | None
+    table: KeptRows | MeasureRows | dict | None
     ancillae: PhotonicState | None
 
 
@@ -273,9 +274,11 @@ class Circuit:
     #: `Measure` stage, its detector rotation; None for every other stage
     unitaries: tuple[ModeUnitary | None, ...] = field(init=False, compare=False, repr=False)
     #: each stage's occupation table (see `engine`), filled by its runs: a
-    #: dict for a `ControlledFlip`, `Measure` or `PostSelect`, or None for a
-    #: `Linear` stage, whose table is on its unitary's plan
-    occupation_tables: tuple[dict | None, ...] = field(
+    #: dict for a `ControlledFlip` or `PostSelect`, a `MeasureRows` for a
+    #: `Measure` (every program that reaches it folds it alike, so it meets
+    #: one unitary), or None for a `Linear` stage, whose table is on its
+    #: unitary's plan
+    occupation_tables: tuple[dict | MeasureRows | None, ...] = field(
         init=False, compare=False, repr=False)
     #: each ancilla's state, built once, with the modes it occupies
     prepared_ancillae: tuple[tuple[PhotonicState, frozenset[int]], ...] = field(
@@ -321,7 +324,7 @@ class Circuit:
                             f"needs {n_modes} non-negative counts")
                     for beam, _ in (() if action == REJECT else action):
                         self.registry.beam_modes(beam)
-                u = st.detector.rotation(self.registry)
+                u, table = st.detector.rotation(self.registry), MeasureRows({}, {}, [])
             prev = u if isinstance(st, Linear) else None
             unitaries.append(u)
             tables.append(table)

@@ -15,23 +15,21 @@ gates in scope then carry the same conditional state, which is checked
 amplitude by amplitude before they are pooled with their probabilities.  A
 measurement right after a unitary takes that unitary in, with a +/-
 detector's plate multiplied into it once: `measure_and_feedforward` expands
-its incoming terms through the product into a list of output amplitudes,
-indexed as its expansion of the input support says, and fills the branches
-from it, with no state built in between.  Multiplying the plate in first
-can round differently from applying it after; for the plate-times-PBS
+its incoming terms through the product into one amplitude per output and
+fills the branches from them, with no state built in between.  Multiplying the plate in
+first can round differently from applying it after; for the plate-times-PBS
 products of the catalog every entry is a single term, so its results are
 bit-identical.
 
 Each step keeps an occupation table: a dict, filled on first sight, from an
 occupation entering the step to the step's action on it (a unitary's is on
-its plan; a measurement's, keyed by the occupations its unitary puts out,
-is a pattern, corrected occupation and sign, and the same table maps each
-input support, the tuple of a state's occupations, to the expansion of its
-terms through the unitary; a post-selection's whether it keeps it).  A terminal post-selection right
-after a unitary is folded into it: the unitary keeps rows of its own, cut
-down to the occupations the post-selection keeps (`KeptRows`).  A `Circuit`
-keeps its tables across runs, so the inputs of a sweep or a process map
-share per-occupation work while each input stays its own run.  A table
+its plan; a measurement's is its row through the measurement's unitary,
+each output with its pattern, corrected occupation and sign
+(`MeasureRows`); a post-selection's whether it keeps it).  A terminal post-selection right after a unitary is folded into
+it: the unitary keeps rows of its own, cut down to the occupations the
+post-selection keeps (`KeptRows`).  A `Circuit` keeps its tables across
+runs, so the inputs of a sweep or a process map share per-occupation work
+while each input stays its own run.  A table
 holds the factors that would be worked out again, used in the same order,
 so results are bit-identical.  An occupation whose action raises, or a row
 that raises while it is built, is never stored.  A step called without a
@@ -366,10 +364,11 @@ def swap_hv(occ: Occupation, h_modes: Sequence[int], v_modes: Sequence[int]) -> 
 
 def _measure_row(registry: ModeRegistry, modes: Sequence[int], table: FeedForwardTable,
                  occ: Occupation) -> tuple[tuple[int, ...], Occupation, bool]:
-    """The row of `occ` in a measurement step's occupation table: its pattern
-    on the detector's `modes`, the occupation with those modes cleared and
-    then the pattern's whole correction list applied, and whether the
-    amplitude changes sign.  An outcome `table` cannot look up raises."""
+    """The row of an output `occ` in a measurement step's `MeasureRows`: its
+    pattern on the detector's `modes`, the occupation with those modes
+    cleared and then the pattern's whole correction list applied, and
+    whether the amplitude changes sign.  An outcome `table` cannot look up
+    raises."""
     pattern = tuple(occ[m] for m in modes)
     action = table.lookup(pattern)
     out = tuple(0 if m in modes else n for m, n in enumerate(occ))
@@ -383,46 +382,25 @@ def _measure_row(registry: ModeRegistry, modes: Sequence[int], table: FeedForwar
     return pattern, out, negate
 
 
+class MeasureRows(NamedTuple):
+    """A measurement step's occupation table: `rows` maps an incoming
+    occupation to its row through the step's unitary, ``((output index,
+    amplitude), ...)``; `index` maps each output occupation those rows reach
+    to its place in `outputs`, which holds, in first-reached order, ``[output
+    occupation, its row (see `_measure_row`) or None]``, the row being filled
+    once a run keeps an amplitude there.  It serves one unitary, detector and
+    feed-forward table."""
+    rows: dict[Occupation, tuple[tuple[int, complex], ...]]
+    index: dict[Occupation, int]
+    outputs: list[list]
+
+
 FEEDFORWARD_CONSISTENCY_TOL = 1e-9
-
-
-class _Expansion(NamedTuple):
-    """How a measurement's unitary expands one input support, the state's
-    occupations in stored order: each term's row of ``(output index,
-    amplitude)`` pairs (None when no unitary acts), and each output's row in
-    the measurement's occupation table, outputs in first-reached order."""
-    rows: tuple[tuple[tuple[int, complex], ...], ...] | None
-    outputs: tuple[tuple[tuple[int, ...], Occupation, bool], ...]
-
-
-def _expansion(support: tuple[Occupation, ...], unitary: ModeUnitary | None,
-               registry: ModeRegistry, modes: Sequence[int], table: FeedForwardTable,
-               occupations: dict) -> _Expansion:
-    """The `_Expansion` of `support`, each output's row read from and into
-    `occupations` (see `_measure_row`)."""
-    def row_of(occ):
-        row = occupations.get(occ)
-        if row is None:
-            row = occupations[occ] = _measure_row(registry, modes, table, occ)
-        return row
-
-    if unitary is None:
-        return _Expansion(None, tuple(map(row_of, support)))
-    plan = unitary.plan
-    full_rows = plan.full_rows
-    index: dict[Occupation, int] = {}
-    rows = []
-    for occ in support:
-        row = full_rows.get(occ)
-        if row is None:
-            row = full_rows[occ] = _row(plan, occ)
-        rows.append(tuple((index.setdefault(full, len(index)), t) for full, t in row))
-    return _Expansion(tuple(rows), tuple(map(row_of, index)))
 
 
 def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
                             table: FeedForwardTable, unitary: ModeUnitary | None,
-                            occupations: dict | None = None,
+                            occupations: MeasureRows | None = None,
                             ) -> tuple[PhotonicState, float, list[BranchRecord]]:
     """Apply `unitary`, measure one beam, apply outcome-conditioned
     corrections, pool branches.
@@ -432,20 +410,18 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
     for a +/- detector, the detector's plate after it; a `Circuit` folds
     them when it compiles a program), else the detector's
     `DetectorSpec.rotation`, or None for an H/V detector.  `occupations` is
-    the step's occupation table: it maps each occupation the unitary puts
-    out to its row (see `_measure_row`), and each input support, the tuple
-    of a state's occupations, to its `_Expansion`, so it serves one unitary
-    and one detector and table.  The terms expand through
-    the unitary's rows into one list of output amplitudes; each, once
-    pruned, goes straight into its branch, so no rotated, uncorrected
-    `PhotonicState` is built.  Each pattern's action is looked up in `table`
-    once per call, so an unlisted outcome raises every time.  A rejected
-    branch keeps only its squared norm.  Detected photons are consumed.
-    Corrected accepted branches, normalized, must agree amplitude by
-    amplitude (to within `FEEDFORWARD_CONSISTENCY_TOL`); they are pooled
-    with their outcome probabilities into one sub-normalized conditional
-    state whose squared norm is the total acceptance probability times the
-    incoming weight.  Only the pooled result is a `PhotonicState`.
+    the step's `MeasureRows`.  Each term expands through its row into one
+    amplitude per output; each output, once pruned, goes straight into its
+    branch, so no rotated, uncorrected `PhotonicState` is built and no
+    output that the pruning drops is looked up.  Each pattern's action is
+    looked up in `table` once per call, so an unlisted outcome raises every
+    time.  Every branch keeps its squares, summed into its probability, and
+    a rejected one nothing else.  Detected photons are consumed.  Corrected
+    accepted branches, normalized, must agree amplitude by amplitude (to
+    within `FEEDFORWARD_CONSISTENCY_TOL`); they are pooled with their
+    outcome probabilities into one sub-normalized conditional state whose
+    squared norm is the total acceptance probability times the incoming
+    weight.  Only the pooled result is a `PhotonicState`.
     """
     reg = state.registry
     if unitary is None:
@@ -454,37 +430,46 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
     elif unitary.registry != reg:
         raise EngineError("unitary acts on a different registry")
 
-    occupations = {} if occupations is None else occupations
-    support = tuple(state.amps)
-    expansion = occupations.get(support)
-    if expansion is None:
-        expansion = occupations[support] = _expansion(
-            support, unitary, reg, reg.beam_modes(detector.beam), table, occupations)
-    rows, outputs = expansion
-    if rows is None:
-        values = list(state.amps.values())
-    else:
-        values = [0.0] * len(outputs)
-        for amp, row in zip(state.amps.values(), rows):
-            for j, t in row:
-                values[j] = values[j] + amp * t
+    occupations = MeasureRows({}, {}, []) if occupations is None else occupations
+    rows, index, outputs = occupations
+    values: dict[int, complex] = {}  # by output index, in first-reached order
+    get = values.get
+    for occ, amp in state.amps.items():
+        row = rows.get(occ)
+        if row is None:
+            entries = []
+            for full, t in ((occ, 1.0),) if unitary is None else _row(unitary.plan, occ):
+                j = index.get(full)
+                if j is None:
+                    j = index[full] = len(outputs)
+                    outputs.append([full, None])
+                entries.append((j, t))
+            row = rows[occ] = tuple(entries)
+        for j, t in row:
+            values[j] = get(j, 0.0) + amp * t
 
-    # an accepted pattern's corrected amplitudes, a rejected one's squares
-    branches: dict[tuple[int, ...], dict[Occupation, complex] | list[float]] = {}
+    # each pattern's squares, and an accepted one's corrected amplitudes
+    modes = reg.beam_modes(detector.beam)
+    branches: dict[tuple[int, ...], tuple[list[float], dict[Occupation, complex] | None]] = {}
     squares: list[float] = []
     branch_of, add_square = branches.get, squares.append
-    for (pattern, corrected, negate), a in zip(outputs, values):
+    for j, a in values.items():
         if abs(a) < DEFAULT_PRUNE_EPS:  # as the state `apply_unitary` returns drops it
             continue
         square = a.real * a.real + a.imag * a.imag
         add_square(square)
+        output = outputs[j]
+        row = output[1]
+        if row is None:
+            row = output[1] = _measure_row(reg, modes, table, output[0])
+        pattern, corrected, negate = row
         branch = branch_of(pattern)
         if branch is None:
-            branch = branches[pattern] = [] if table.lookup(pattern) == REJECT else {}
-        if branch.__class__ is list:
-            branch.append(square)
-        else:
-            branch[corrected] = -a if negate else a
+            branch = branches[pattern] = ([], None if table.lookup(pattern) == REJECT else {})
+        sq, amps = branch
+        sq.append(square)
+        if amps is not None:
+            amps[corrected] = -a if negate else a
     n_in = float(sum(squares))  # `amplitudes_norm_sq` of the pruned output, in order
     if n_in <= 0.0:
         return PhotonicState(reg, {}, validate=False), 0.0, []
@@ -492,12 +477,12 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
     records: list[BranchRecord] = []
     accepted: list[tuple[float, float, dict[Occupation, complex]]] = []
     for pattern in sorted(branches):
-        amps = branches[pattern]
-        if amps.__class__ is list:
-            records.append(BranchRecord(pattern, float(sum(amps)) / n_in, "reject"))
-            continue
-        norm_sq = amplitudes_norm_sq(amps)
+        sq, amps = branches[pattern]
+        norm_sq = float(sum(sq))  # `amplitudes_norm_sq` of the branch
         p_branch = norm_sq / n_in
+        if amps is None:
+            records.append(BranchRecord(pattern, p_branch, "reject"))
+            continue
         records.append(BranchRecord(pattern, p_branch, "accept"))
         accepted.append((p_branch, math.sqrt(norm_sq), amps))
 

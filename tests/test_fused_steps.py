@@ -38,6 +38,7 @@ from fredkinlab.engine import (
     FeedForwardTable,
     DetectorSpec,
     KeptRows,
+    MeasureRows,
     PostSelectionRule,
     apply_unitary,
     measure_and_feedforward,
@@ -230,6 +231,21 @@ def test_every_catalog_measurement_folds():
     assert len(_steps(get_gate("fredkin-heralded").build())) == 9
 
 
+def test_every_program_meets_a_measurement_with_one_unitary():
+    # a measurement stage's `MeasureRows` holds rows through one unitary, and
+    # every cut program that reaches the stage shares it
+    for name in sorted(CATALOG):
+        circuit = get_gate(name).build()
+        met = {}
+        for n in range(1, len(circuit.stages) + 1):
+            for step in circuit.program(n).steps:
+                if isinstance(step.stage, Measure):
+                    assert isinstance(step.table, MeasureRows), name
+                    matrix = met.setdefault(id(step.table), step.unitary.matrix)
+                    assert np.array_equal(step.unitary.matrix, matrix), (name, n)
+        assert len(met) == sum(isinstance(st, Measure) for st in circuit.stages), name
+
+
 @pytest.mark.parametrize("label", ["parity-pbs", "target-rpbs"])
 def test_cut_at_the_linear_stage_before_a_measurement_gets_every_term(label):
     circuit = get_gate("cnot-pittman").build()
@@ -328,6 +344,23 @@ def test_a_pattern_that_cancels_exactly_leaves_no_record(basis):
             assert res.probability == pytest.approx(ref_p, abs=1e-15)
             assert res.state.amps.keys() == ref_state.amps.keys()
         assert res.probability > 0.0
+
+
+def test_an_unlisted_outcome_that_cancels_is_never_looked_up():
+    # the HOM pair of the test above: one photon in a can only arise from
+    # amplitudes that cancel, so a table without (1, 0) and with no default
+    # runs, and every run records the same two patterns
+    reg = register_modes(("a", "b"))
+    table = FeedForwardTable(entries=(((2, 0), ()), ((0, 0), REJECT)), default_reject=False)
+    circuit = Circuit(name="hom", registry=reg, photons=2, qubit_beams=("a", "b"),
+                      output_beams=("a", "b"),
+                      stages=(Linear((Bs(0.5, "a", "b"),)), Measure(DetectorSpec("a"), table)))
+    amps = LogicalAmplitudes.basis(2, 0)
+    for _ in range(2):
+        res = run(circuit, amps)
+        assert [(r.pattern, r.action) for r in res.branch_log] == [
+            ((0, 0), "reject"), ((2, 0), "accept")]
+        assert res.probability == pytest.approx(0.5, abs=1e-15)
 
 
 # -- the post-selection that does not fold -------------------------------------------
@@ -505,8 +538,8 @@ def test_unused_correction_rules_match_the_reference_to_the_bit(time_resolved, c
     ref_state, ref_log = _reference_measure(state, detector, table, None)
     ref_p = sum(r.probability for r in ref_log if r.action == "accept")
     assert [r.action for r in ref_log] == ["reject", "accept", "accept"]
-    occupations = {}
+    occupations = MeasureRows({}, {}, [])
     for _ in range(2):  # a cold table, then a warm one
         assert _bits(*measure_and_feedforward(state, detector, table, None, occupations)) == (
             _bits(ref_state, ref_p, ref_log))
-        assert len(occupations) == len(state.amps) + 1  # and the support's expansion
+        assert len(occupations.rows) == len(occupations.outputs) == len(state.amps)

@@ -65,7 +65,7 @@ from .fock import (
     PhotonicState,
     Polarization,
     TimeBin,
-    prepare_logical_input,
+    basis_occupation,
     register_modes,
     tensor,
 )
@@ -231,11 +231,14 @@ class Program(NamedTuple):
     ancillae it is the first to touch, and `rest`, the ancillae no step
     touches, goes in before `run` returns.  `late` is the photon number and
     the squared norm of all ancillae but `first`.  None means no ancilla.
+    `injections` holds the occupation table (see `fock.tensor`) of each
+    step's ancillae, then that of `rest`.
     """
     steps: tuple[Step, ...]
     first: PhotonicState | None
     rest: PhotonicState | None
     late: tuple[int, float]
+    injections: tuple[dict, ...]
 
 
 def _touched_modes(registry: ModeRegistry, step: Stage, u: ModeUnitary | None) -> set[int]:
@@ -380,13 +383,14 @@ class Circuit:
     def _input_row(self, i: int, first: PhotonicState | None):
         """The occupation of basis state |i>, or with `first` the terms
         ``((key, amplitude), ...)`` of |i> tensored with it."""
-        basis = prepare_logical_input(self.registry, LogicalAmplitudes.basis(
-            len(self.qubit_beams), i), self.qubit_beams)
+        n = len(self.qubit_beams)
+        bits = [(i >> (n - 1 - q)) & 1 for q in range(n)]  # as `LogicalAmplitudes.bits`
+        occ = basis_occupation(self.registry, self.qubit_beams, bits)
         if first is None:
-            (occ,) = basis.amps
             return occ
-        # `tensor` keeps the order of `first`'s terms; their amplitudes are the factors
-        return tuple(zip(tensor(basis, first).amps, first.amps.values()))
+        rows: dict[Occupation, tuple[tuple[Occupation, complex], ...]] = {}
+        tensor(PhotonicState(self.registry, {occ: 1.0}, validate=False), first, rows)
+        return rows[occ]
 
     def program(self, n: int) -> Program:
         """The `Program` of a run through ``stages[:n]``, worked out on first
@@ -446,7 +450,8 @@ class Circuit:
         else:
             first, late_info = full_program.first, full_program.late
         steps = tuple(Step(*step, self._product(group)) for step, group in zip(applied, entering))
-        return Program(steps, first, self._product(pending), late_info)
+        return Program(steps, first, self._product(pending), late_info,
+                       tuple({} for _ in range(len(steps) + 1)))
 
 
 @dataclass
@@ -505,7 +510,8 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
     right after a linear step takes that step in (see `Program`); a cut at
     the linear step gets its product, unrotated, and every term.
     """
-    prog = circuit.program(len(circuit.stages[:upto]))
+    n = len(circuit.stages)
+    prog = circuit.program(n if upto is None else len(range(n)[:upto]))
     declared = circuit.photons if expected_photons is None else expected_photons
     logical = isinstance(inp, LogicalAmplitudes)
     if logical:
@@ -525,9 +531,9 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
             f"{sorted(n + late_photons for n in state.photon_numbers())}, declared {declared}")
 
     log: list[BranchRecord] = []
-    for st, u, table, ancillae in prog.steps:
+    for (st, u, table, ancillae), injected in zip(prog.steps, prog.injections):
         if ancillae is not None and logical:
-            state = tensor(state, ancillae)
+            state = tensor(state, ancillae, injected)
         if isinstance(st, Linear):
             state = apply_unitary(state, u, table)
         elif isinstance(st, ControlledFlip):
@@ -540,7 +546,7 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
         else:
             raise CircuitError(f"unknown stage {st!r}")
     if prog.rest is not None and logical:
-        state = tensor(state, prog.rest)
+        state = tensor(state, prog.rest, prog.injections[-1])
     return RunResult(state=state, probability=state.norm_sq() / n0, branch_log=log)
 
 

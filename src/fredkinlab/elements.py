@@ -28,6 +28,7 @@ elements in application order and checks that the product is unitary.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -178,7 +179,7 @@ class ModeUnitary:
 
     @classmethod
     def identity(cls, registry: ModeRegistry) -> "ModeUnitary":
-        return cls(registry, np.eye(registry.size), check=False)
+        return cls(registry, _identity(registry.size).copy(), check=False)
 
     def then(self, other: "ModeUnitary") -> "ModeUnitary":
         """This unitary followed by `other` (matrix product other @ self)."""
@@ -187,8 +188,9 @@ class ModeUnitary:
         return ModeUnitary(self.registry, other.matrix @ self.matrix, check=False)
 
     def unitarity_deviation(self) -> float:
-        m = self.registry.size
-        return float(np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(m))))
+        gram = self.matrix.conj().T @ self.matrix
+        gram -= _identity(len(gram))
+        return float(np.abs(gram).max())
 
     @property
     def plan(self) -> ModePlan:
@@ -197,15 +199,19 @@ class ModeUnitary:
         if self._plan is None:
             mat = self.matrix
             m = self.registry.size
-            moved = (mat != np.eye(m)).any(axis=0)
+            moved = (mat != _identity(m)).any(axis=0)
             reached = (mat[:, moved] != 0.0).any(axis=1)
             modes = tuple(np.flatnonzero(moved | reached).tolist())
             src = list(range(m))
             for p, i in enumerate(modes):
                 src[i] = m + p
-            self._plan = ModePlan(modes, tuple(
-                tuple((q, complex(mat[j, i])) for q, j in enumerate(modes) if mat[j, i] != 0.0)
-                for i in modes), {}, _tuple_getter(modes), _tuple_getter(src), {})
+            block = mat[np.ix_(modes, modes)].T  # row p holds column p
+            ps, qs = np.nonzero(block)  # by p, then q ascending
+            columns: list[list[tuple[int, complex]]] = [[] for _ in modes]
+            for p, q, c in zip(ps.tolist(), qs.tolist(), block[ps, qs].tolist()):
+                columns[p].append((q, c))
+            self._plan = ModePlan(modes, tuple(map(tuple, columns)), {},
+                                  _tuple_getter(modes), _tuple_getter(src), {})
         return self._plan
 
 
@@ -237,15 +243,24 @@ _POLS = (Polarization.H, Polarization.V)
 _SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
+@functools.cache
+def _identity(m: int) -> np.ndarray:
+    """The complex m x m identity, read-only; callers copy it to write."""
+    u = np.eye(m, dtype=complex)
+    u.flags.writeable = False
+    return u
+
+
 def _embed_pairs(registry: ModeRegistry, pairs: Sequence[tuple[int, int]],
                  block: np.ndarray) -> np.ndarray:
     """Identity everywhere except the given 2x2 block on each index pair."""
-    u = np.eye(registry.size, dtype=complex)
+    u = _identity(registry.size).copy()
+    (b00, b01), (b10, b11) = block.tolist()
     for i, j in pairs:
         if i == j:
             raise ElementError("degenerate mode pair")
-        u[i, i], u[i, j] = block[0, 0], block[0, 1]
-        u[j, i], u[j, j] = block[1, 0], block[1, 1]
+        u[i, i], u[i, j] = b00, b01
+        u[j, i], u[j, j] = b10, b11
     return u
 
 
@@ -316,7 +331,7 @@ def compile_element(registry: ModeRegistry, element: Element) -> ModeUnitary:
             compile_element(registry, Hwp(element.beam_b, 22.5)))
         pbs = compile_element(registry, Pbs(element.beam_a, element.beam_b))
         return plates.then(pbs).then(plates)
-    u = np.eye(registry.size, dtype=complex)
+    u = _identity(registry.size).copy()
     if isinstance(element, Route):
         sources = [old for old, _ in element.mapping]
         if len(set(sources)) != len(sources) or sorted(sources) != sorted(

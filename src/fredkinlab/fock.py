@@ -89,20 +89,24 @@ class ModeRegistry:
                 raise DuplicateBeamError(f"duplicate beam id {b!r}")
             seen.add(b)
         labels: list[ModeLabel] = []
+        self._beam_modes: dict[str, tuple[int, ...]] = {}
+        self._hv_modes: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        bins = (TimeBin.S, TimeBin.L) if time_resolved else (None,)
         for beam in beams:
-            for pol in (Polarization.H, Polarization.V):
-                if time_resolved:
-                    for tbin in (TimeBin.S, TimeBin.L):
-                        labels.append(ModeLabel(beam, pol, tbin))
-                else:
-                    labels.append(ModeLabel(beam, pol))
+            h_modes, v_modes = [], []
+            for pol, modes in ((Polarization.H, h_modes), (Polarization.V, v_modes)):
+                for tbin in bins:
+                    modes.append(len(labels))
+                    labels.append(ModeLabel(beam, pol, tbin))
+            self._beam_modes[beam] = (*h_modes, *v_modes)
+            self._hv_modes[beam] = (tuple(h_modes), tuple(v_modes))
         self._beams = beams
         self._time_resolved = time_resolved
         self._labels = tuple(labels)
-        self._index = {label: i for i, label in enumerate(labels)}
-        self._beam_modes = {beam: self.modes_where([beam]) for beam in beams}
-        self._hv_modes = {beam: (self.modes_where([beam], Polarization.H),
-                                 self.modes_where([beam], Polarization.V)) for beam in beams}
+        # keyed by plain (beam, pol, bin) values; a str enum member hashes and
+        # compares as its value, so it finds them too
+        self._index = {(lab.beam, lab.pol.value, None if lab.bin is None else lab.bin.value): i
+                       for i, lab in enumerate(labels)}
 
     @property
     def beams(self) -> tuple[str, ...]:
@@ -122,6 +126,10 @@ class ModeRegistry:
 
     def index(self, beam: str, pol: Polarization | str, tbin: TimeBin | str | None = None) -> int:
         """Dense index of a mode.  `tbin` is required iff time-resolved."""
+        try:
+            return self._index[beam, pol, tbin]
+        except (KeyError, TypeError):  # not a registered mode: say why below
+            pass
         pol = Polarization(pol)
         if self._time_resolved:
             if tbin is None:
@@ -131,10 +139,7 @@ class ModeRegistry:
             if tbin is not None:
                 raise FockError("registry is not time-resolved")
             label = ModeLabel(beam, pol)
-        try:
-            return self._index[label]
-        except KeyError:
-            raise UnknownBeamError(f"mode {label} not registered") from None
+        raise UnknownBeamError(f"mode {label} not registered")
 
     def beam_modes(self, beam: str) -> tuple[int, ...]:
         """All mode indices belonging to one beam, in canonical order."""
@@ -170,7 +175,7 @@ class ModeRegistry:
         return (0,) * self.size
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, ModeRegistry)
+        return other is self or (isinstance(other, ModeRegistry)
                 and self._labels == other._labels)
 
     def __hash__(self) -> int:
@@ -227,9 +232,15 @@ class PhotonicState:
                     raise FockError(f"negative occupation in {occ}")
                 amps[occ] = a
         else:
-            # the caller passes complex amplitudes on well-formed keys; the
-            # pruning test is the one above, so a NaN amplitude stays visible
-            amps = {occ: a for occ, a in amplitudes.items() if not abs(a) < DEFAULT_PRUNE_EPS}
+            # the caller hands over a dict of complex amplitudes on well-formed
+            # keys, kept as it is unless something in it is pruned; the pruning
+            # test is the one above, so a NaN amplitude stays visible
+            amps = amplitudes
+            for a in amplitudes.values():
+                if abs(a) < DEFAULT_PRUNE_EPS:
+                    amps = {occ: a for occ, a in amplitudes.items()
+                            if not abs(a) < DEFAULT_PRUNE_EPS}
+                    break
         self.registry = registry
         self.amps = amps
 
@@ -366,30 +377,46 @@ def prepare_logical_input(registry: ModeRegistry, amplitudes: LogicalAmplitudes,
     for i, a in enumerate(amplitudes.values):
         if a == 0:
             continue
-        occ = [0] * registry.size
-        for beam, bit in zip(qubit_beams, amplitudes.bits(i)):
-            pol = Polarization.V if bit else Polarization.H
-            tbin = TimeBin.S if registry.time_resolved else None
-            occ[registry.index(beam, pol, tbin)] += 1
-        amps[tuple(occ)] = a
+        amps[basis_occupation(registry, qubit_beams, amplitudes.bits(i))] = a
     return PhotonicState(registry, amps)
 
 
-def tensor(s1: PhotonicState, s2: PhotonicState) -> PhotonicState:
+def basis_occupation(registry: ModeRegistry, qubit_beams: Sequence[str],
+                     bits: Sequence[int]) -> Occupation:
+    """The occupation of one basis state of `prepare_logical_input`."""
+    tbin = TimeBin.S if registry.time_resolved else None
+    occ = [0] * registry.size
+    for beam, bit in zip(qubit_beams, bits):
+        occ[registry.index(beam, Polarization.V if bit else Polarization.H, tbin)] += 1
+    return tuple(occ)
+
+
+def tensor(s1: PhotonicState, s2: PhotonicState,
+           rows: dict[Occupation, tuple[tuple[Occupation, complex], ...]] | None = None,
+           ) -> PhotonicState:
     """Product of two states on the same registry occupying disjoint modes.
 
     Raises `FockError` if any term of `s1` occupies a mode that any term of
-    `s2` occupies.
+    `s2` occupies.  `rows` is an occupation table for one `s2`: it maps an
+    occupation of `s1`, on first sight, to the terms ``((key, amplitude of
+    s2), ...)`` of it tensored with `s2`, in the order of `s2`.  An
+    occupation that overlaps `s2` is never stored, so it raises every time.
     """
     if s1.registry != s2.registry:
         raise RegistryMismatchError("tensor needs a shared registry")
-    right = s2.amps.items()
-    occupied = {m for occ in s2.amps for m, n in enumerate(occ) if n}
+    rows = {} if rows is None else rows
+    occupied = None
     amps: dict[Occupation, complex] = {}
+    get = amps.get
     for occ1, a1 in s1.amps.items():
-        if any(occ1[m] for m in occupied):
-            raise FockError("tensor factors overlap on a mode")
-        for occ2, a2 in right:
-            key = tuple(map(operator.add, occ1, occ2))
-            amps[key] = amps.get(key, 0.0) + a1 * a2
+        row = rows.get(occ1)
+        if row is None:
+            if occupied is None:
+                occupied = {m for occ in s2.amps for m, n in enumerate(occ) if n}
+            if any(occ1[m] for m in occupied):
+                raise FockError("tensor factors overlap on a mode")
+            row = rows[occ1] = tuple((tuple(map(operator.add, occ1, occ2)), a2)
+                                     for occ2, a2 in s2.amps.items())
+        for key, t in row:
+            amps[key] = get(key, 0.0) + a1 * t
     return PhotonicState(s1.registry, amps, validate=False)

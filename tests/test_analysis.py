@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,12 +28,13 @@ from fredkinlab.circuits import (
     SIMPLIFIED_PARAM_BOUNDS,
     Circuit,
     Linear,
+    build_fredkin_heralded,
     build_fredkin_postselected,
     build_simplified_cnot,
     run,
     simplified_mesh_sectors,
 )
-from fredkinlab.elements import Hwp, Phase
+from fredkinlab.elements import Hwp, Phase, Rot
 from fredkinlab.fock import register_modes
 
 
@@ -165,6 +167,35 @@ def test_a_small_output_phase_fails_only_on_the_map_deviation():
     assert report.leakage <= 1e-15 and report.linearity_residual <= 1e-15
     assert 1e-6 < report.map_deviation < 1e-5
     assert not report.matches_expectations(1e-9)
+
+
+def test_a_leaked_amplitude_of_1e_6_fails_on_the_leakage():
+    # a 1e-6 rad rotation between the target beams' H modes before the
+    # herald of the ideal-CNOT Fredkin sends an amplitude of about 1e-6 into
+    # accepted outputs with two photons in one target beam; as a probability
+    # (about 1e-12) that leak passed a 1e-9 tolerance
+    def build(theta):
+        circuit = build_fredkin_heralded("ideal")
+        leak = Linear((Rot(theta, ("t1", "H"), ("t2", "H")),), label="leak")
+        return dataclasses.replace(
+            circuit, stages=circuit.stages[:-1] + (leak,) + circuit.stages[-1:])
+
+    info = dataclasses.replace(get_gate("fredkin-heralded"), expected_probability=Fraction(1, 4))
+    clean = gate_report(dataclasses.replace(info, build=lambda: build(0.0)))
+    assert clean.leakage == 0.0 and clean.matches_expectations(1e-9)
+    leaky = gate_report(dataclasses.replace(info, build=lambda: build(1e-6)))
+    assert 5e-7 < leaky.leakage < 2e-6
+    assert leaky.process_fidelity >= 1 - 1e-10 and leaky.map_deviation < 1e-11
+    assert max(abs(p - 0.25) for p in leaky.probabilities) < 1e-11
+    assert not leaky.matches_expectations(1e-9)
+    assert leaky.matches_expectations(1e-5)
+
+
+def test_catalog_gates_leak_nothing():
+    for name in CATALOG:
+        circuit = get_gate(name).build()
+        if get_gate(name).kind == "qubit":
+            assert conditional_process_map(circuit, get_gate(name).output_kets(circuit)).leakage == 0.0
 
 
 def test_linearity_check_is_linear_in_an_amplitude_error():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -11,6 +12,8 @@ import pytest
 from fredkinlab import cli
 from fredkinlab.cli import format_probability
 from fredkinlab.catalog import get_gate
+from fredkinlab.circuits import Linear
+from fredkinlab.elements import Phase
 from fredkinlab.serialize import circuit_to_dict, save_circuit
 
 
@@ -223,6 +226,25 @@ def test_verify_single_input():
     code, out, err = run_cli(["verify", "cnot-ralph", "--input", "[1, 0, 0, 0]"])
     assert code == 0
     assert "PASS" in out
+
+
+def test_verify_single_input_fails_a_small_output_phase():
+    # a 1e-5 rad phase on the target's V output: the output fidelity,
+    # quadratic in it, read 0.999999999975 and passed
+    info = get_gate("cnot-ralph")
+    circuit = info.build()
+    shifted = Linear((Phase(("t", "V"), 1e-5),), label="phase-error")
+    circuit = dataclasses.replace(
+        circuit, stages=circuit.stages[:-1] + (shifted,) + circuit.stages[-1:])
+    mutant = dataclasses.replace(info, build=lambda: circuit)
+    x = "[0, 0, 0.7071067811865476, 0.7071067811865476]"
+    assert run_cli(["verify", "cnot-ralph", "--input", x])[0] == 0
+    with mock.patch.object(cli, "get_gate", return_value=mutant):
+        code, out, err = run_cli(["verify", "cnot-ralph", "--input", x, "--format", "json"])
+    report = json.loads(out)
+    assert code == 1 and not report["pass"]
+    assert 1e-6 < report["map_deviation"] < 1e-5
+    assert abs(report["probability"] - 1 / 9) < 1e-15
 
 
 def test_verify_single_input_of_known_target_gate_is_usage_error():

@@ -255,15 +255,15 @@ class GateReport:
 
 def _ket_label(circuit: Circuit, occ: Occupation) -> str:
     reg = circuit.registry
-    parts = []
+    labels, parts = reg.labels, []
     for beam in circuit.output_beams:
-        sub = [reg.labels[m] for m in reg.beam_modes(beam) if occ[m] > 0]
-        if not sub:
+        label = next((labels[m] for m in reg.beam_modes(beam) if occ[m] > 0), None)
+        if label is None:
             parts.append("-")
         elif reg.time_resolved:
-            parts.append(f"{sub[0].pol.value}^{sub[0].bin.value}")
+            parts.append(f"{label.pol.value}^{label.bin.value}")
         else:
-            parts.append(sub[0].pol.value)
+            parts.append(label.pol.value)
     return "".join(parts)
 
 
@@ -308,8 +308,7 @@ def _report(info: GateInfo, matrix: np.ndarray, fidelity: float,
     """
     table = []
     tt_fid = 1.0
-    for i, label in enumerate(in_labels):
-        j_star = int(np.argmax(info.ideal[:, i]))
+    for i, (label, j_star) in enumerate(zip(in_labels, info.ideal.argmax(axis=0).tolist())):
         amp = matrix[j_star, i]
         tt = float(abs(amp) ** 2 / p_in[i]) if p_in[i] > 0 else 0.0
         tt_fid = min(tt_fid, tt)

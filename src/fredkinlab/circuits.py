@@ -231,14 +231,14 @@ class Program(NamedTuple):
     ancillae it is the first to touch, and `rest`, the ancillae no step
     touches, goes in before `run` returns.  `late` is the photon number and
     the squared norm of all ancillae but `first`.  None means no ancilla.
-    `injections` holds the occupation table (see `fock.tensor`) of each
-    step's ancillae, then that of `rest`.
+    `injections` holds the modes that each step's ancillae occupy and their
+    occupation table (see `fock.tensor`), then those of `rest`.
     """
     steps: tuple[Step, ...]
     first: PhotonicState | None
     rest: PhotonicState | None
     late: tuple[int, float]
-    injections: tuple[dict, ...]
+    injections: tuple[tuple[frozenset[int], dict], ...]
 
 
 def _touched_modes(registry: ModeRegistry, step: Stage, u: ModeUnitary | None) -> set[int]:
@@ -246,7 +246,7 @@ def _touched_modes(registry: ModeRegistry, step: Stage, u: ModeUnitary | None) -
     measurement's included), the beams of a flip, a detector's beam and the
     beams its table corrects, or the modes of a post-selection's rules."""
     if isinstance(step, Linear):
-        return set(u.plan.modes)
+        return set(u.modes)
     if isinstance(step, ControlledFlip):
         beams = [step.control, step.target]
     elif isinstance(step, Measure):
@@ -259,7 +259,7 @@ def _touched_modes(registry: ModeRegistry, step: Stage, u: ModeUnitary | None) -
     else:
         raise CircuitError(f"unknown stage {step!r}")
     touched = {m for beam in beams for m in registry.beam_modes(beam)}
-    return touched if u is None else touched | set(u.plan.modes)
+    return touched if u is None else touched.union(u.modes)
 
 
 @dataclass(frozen=True)
@@ -426,7 +426,6 @@ class Circuit:
         for i, (st, u, table) in enumerate(zip(stages, self.unitaries, self.occupation_tables)):
             if isinstance(st, Linear) and i + 1 < len(stages) and isinstance(stages[i + 1], Linear):
                 continue  # applied with its run's product at the run's last stage
-            # a `Linear` step reads the plan of the unitary it applies
             left = self._untouched(pending, st, u) if pending else pending
             applied.append((st, u, table))
             entering.append([k for k in pending if k not in left])
@@ -435,7 +434,7 @@ class Circuit:
                 applied[-1][0], PostSelect) and isinstance(applied[-2][0], Linear):
             # fold the terminal post-selection into the linear step before it
             (st, u, _), (post, _, kept) = applied[-2:]
-            applied[-2:] = [(st, u, KeptRows({}, post.rules, kept))]
+            applied[-2:] = [(st, u, KeptRows({}, post.rules, kept, {}))]
             entering.pop()
         for j in range(len(applied) - 1, 0, -1):
             (before, product, _), (st, u, table) = applied[j - 1:j + 1]
@@ -450,8 +449,10 @@ class Circuit:
         else:
             first, late_info = full_program.first, full_program.late
         steps = tuple(Step(*step, self._product(group)) for step, group in zip(applied, entering))
+        taken = [frozenset().union(*(self.prepared_ancillae[k][1] for k in group))
+                 for group in (*entering, pending)]
         return Program(steps, first, self._product(pending), late_info,
-                       tuple({} for _ in range(len(steps) + 1)))
+                       tuple((modes, {}) for modes in taken))
 
 
 @dataclass
@@ -531,9 +532,9 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
             f"{sorted(n + late_photons for n in state.photon_numbers())}, declared {declared}")
 
     log: list[BranchRecord] = []
-    for (st, u, table, ancillae), injected in zip(prog.steps, prog.injections):
+    for (st, u, table, ancillae), (occupied, injected) in zip(prog.steps, prog.injections):
         if ancillae is not None and logical:
-            state = tensor(state, ancillae, injected)
+            state = tensor(state, ancillae, injected, occupied)
         if isinstance(st, Linear):
             state = apply_unitary(state, u, table)
         elif isinstance(st, ControlledFlip):
@@ -546,7 +547,8 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
         else:
             raise CircuitError(f"unknown stage {st!r}")
     if prog.rest is not None and logical:
-        state = tensor(state, prog.rest, prog.injections[-1])
+        occupied, injected = prog.injections[-1]
+        state = tensor(state, prog.rest, injected, occupied)
     return RunResult(state=state, probability=state.norm_sq() / n0, branch_log=log)
 
 

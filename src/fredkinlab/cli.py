@@ -33,6 +33,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
+#: why `verify FILE` checks nothing
+NO_CLAIM = "a circuit file declares no claim"
+
 
 def format_probability(p: float) -> str:
     """Decimal with 12 significant digits, plus the rational when exact."""
@@ -138,15 +141,18 @@ def _verify_single_input(info, circuit: Circuit, args, tol: float) -> int:
 
 
 def _verify_file(args, cfg: LabConfig, tol: float) -> int:
+    """Run the one input; a circuit file declares no claim, so nothing is
+    checked, and the output says so."""
     circuit = load_circuit(args.gate)
     if args.input is None:
         print("error: verifying a circuit file needs --input", file=sys.stderr)
         return EXIT_USAGE
     amps = _parse_input_amplitudes(args.input, len(circuit.qubit_beams))
     result = run(circuit, amps)
-    obj = {"circuit": circuit.name, "probability": result.probability}
+    obj = {"circuit": circuit.name, "probability": result.probability, "checked": False}
     lines = [f"circuit: {circuit.name}",
-             f"  acceptance probability: {format_probability(result.probability)}"]
+             f"  acceptance probability: {format_probability(result.probability)}",
+             f"  checked: nothing ({NO_CLAIM})"]
     _emit(obj, args.format, lines)
     return EXIT_OK
 
@@ -234,7 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="check a gate against its registered numbers")
-    p_verify.add_argument("gate", help=f"gate name ({', '.join(gate_names())}) or circuit file")
+    p_verify.add_argument("gate", help=f"gate name ({', '.join(gate_names())}) or circuit "
+                                       f"file; {NO_CLAIM}, so only its acceptance "
+                                       "probability for --input is printed")
     p_verify.add_argument("--input", help="JSON amplitudes for a single-input check")
     p_verify.add_argument("--sweep", type=_checked(non_negative_int), default=0,
                           help="report N random inputs' probabilities; max(N, 3) test the map")

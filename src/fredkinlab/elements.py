@@ -162,7 +162,7 @@ def _tuple_getter(idx: Sequence[int]):
 class ModeUnitary:
     """An M x M complex unitary tied to its registry."""
 
-    __slots__ = ("registry", "matrix", "_plan")
+    __slots__ = ("registry", "matrix", "_modes", "_plan")
 
     def __init__(self, registry: ModeRegistry, matrix: np.ndarray, check: bool = True):
         matrix = np.asarray(matrix, dtype=complex)
@@ -171,7 +171,7 @@ class ModeUnitary:
             raise ElementError(f"matrix shape {matrix.shape} != ({m}, {m})")
         self.registry = registry
         self.matrix = matrix
-        self._plan = None
+        self._modes = self._plan = None
         if check:
             dev = self.unitarity_deviation()
             if not dev <= UNITARITY_TOL:  # a NaN deviation fails too
@@ -193,19 +193,27 @@ class ModeUnitary:
         return float(np.abs(gram).max())
 
     @property
+    def modes(self) -> tuple[int, ...]:
+        """The active modes of `plan`, found on first use without building it
+        (`matrix` is never modified)."""
+        if self._modes is None:
+            # a column that differs from the identity's is moved, and a row
+            # that does is reached from one (or is itself moved)
+            diff = self.matrix != _identity(len(self.matrix))
+            self._modes = tuple(np.flatnonzero(diff.any(axis=0) | diff.any(axis=1)).tolist())
+        return self._modes
+
+    @property
     def plan(self) -> ModePlan:
-        """Active modes, sparse columns and getters, built once on first use
-        (`matrix` is never modified), with empty row and occupation tables."""
+        """Active modes, sparse columns and getters, built once on first use,
+        with empty row and occupation tables."""
         if self._plan is None:
-            mat = self.matrix
+            mat, modes = self.matrix, self.modes
             m = self.registry.size
-            moved = (mat != _identity(m)).any(axis=0)
-            reached = (mat[:, moved] != 0.0).any(axis=1)
-            modes = tuple(np.flatnonzero(moved | reached).tolist())
             src = list(range(m))
             for p, i in enumerate(modes):
                 src[i] = m + p
-            block = mat[np.ix_(modes, modes)].T  # row p holds column p
+            block = mat.take(modes, axis=1).take(modes, axis=0).T  # row p holds column p
             ps, qs = np.nonzero(block)  # by p, then q ascending
             columns: list[list[tuple[int, complex]]] = [[] for _ in modes]
             for p, q, c in zip(ps.tolist(), qs.tolist(), block[ps, qs].tolist()):

@@ -33,19 +33,36 @@ bit-identical.
 Each step keeps an occupation table: a dict, filled on first sight, from an
 occupation entering the step to the step's action on it (a unitary's is on
 its plan; a measurement's is its row through the measurement's unitary,
-each output with its pattern, corrected occupation, sign and whether the
-feed-forward table accepts the pattern (`MeasureRows`), the accept flag
-looked up once, when that output first keeps an amplitude; a
+each output with its pattern, the place of its corrected occupation, sign
+and whether the feed-forward table accepts the pattern (`MeasureRows`), the
+accept flag looked up once, when that output first keeps an amplitude; a
 post-selection's whether it keeps it; an ancilla injection's terms, see
 `fock.tensor`).  A terminal post-selection right after a unitary is folded
 into it: the unitary keeps rows of its own, cut down to the occupations the
-post-selection keeps (`KeptRows`).  A `Circuit` keeps its tables across
-runs, so the inputs of a sweep or a process map share per-occupation work
-while each input stays its own run.  A table holds the factors that would
-be worked out again, used in the same order, so results are bit-identical.
-An occupation whose action raises, or a row that raises while it is built
-(an outcome missing from a feed-forward table, say), is never stored, so it
-raises on every run.  A step called without a table works with a fresh one.
+post-selection keeps (`KeptRows`).
+
+Those rows expand only the photons the post-selection can keep.  For an
+occupation of N photons, mode m is forbidden when every rule of the union
+excludes a photon there: m lies in one of the rule's sets with count 0, or
+the rule's counts sum to N and m lies in none of its sets.  The folded step
+builds its transfer rows from the unitary's columns without the forbidden
+modes, cut once per N (`_cut_columns`), and `_kept` still decides every
+entry.  This is exact: a monomial with no forbidden photon can only be built
+from partial monomials with none, so it gets the same products, added in the
+same order, and the surviving keys keep their order of first insertion;
+`ROW_EPS` and the factorial scaling act per entry, so every kept row is the
+same tuple as the uncut row filtered by `_kept`.  An occupation that two
+rules match holds no forbidden photon, so it is still built and still raises
+on every run.  The cut rows live in the `KeptRows`, never in the plan's
+tables, so a run cut at that linear stage still gets every row.
+
+A `Circuit` keeps its tables across runs, so the inputs of a sweep or a
+process map share per-occupation work while each input stays its own run.
+A table holds the factors that would be worked out again, used in the same
+order, so results are bit-identical.  An occupation whose action raises, or
+a row that raises while it is built (an outcome missing from a feed-forward
+table, say), is never stored, so it raises on every run.  A step called
+without a table works with a fresh one.
 """
 
 from __future__ import annotations
@@ -109,15 +126,22 @@ def _row(plan: ModePlan, occ: Occupation, kept: KeptRows | None = None,
          ) -> tuple[tuple[Occupation, complex], ...]:
     """The row of `occ` through the unitary of `plan`, ``((full output
     occupation, amplitude), ...)``, from the transfer row of its active-mode
-    occupation; with `kept`, cut down to the outputs the post-selection keeps."""
+    occupation; with `kept`, from the columns cut for its photon number and
+    cut down to the outputs the post-selection keeps."""
     _, cols, rows, take, splice, _ = plan
     active_in = take(occ)
+    if kept is not None:
+        n = sum(occ)
+        cut = kept.cuts.get(n)
+        if cut is None:
+            cut = kept.cuts[n] = (_cut_columns(plan, kept.rules, n), {})
+        cols, rows = cut
     active_row = rows.get(active_in)
     if active_row is None:
         active_row = rows[active_in] = _transfer_row(cols, active_in)
-    row = ((splice(occ + key), t) for key, t in active_row)
+    row = [(splice(occ + key), t) for key, t in active_row]
     if kept is not None:
-        row = (e for e in row if _kept(kept.rules, kept.occupations, e[0]))
+        row = [e for e in row if _kept(kept.rules, kept.occupations, e[0])]
     return tuple(row)
 
 
@@ -143,8 +167,9 @@ def _transfer_row(cols, active_in: Occupation):
     bits = sum(active_in).bit_length()
     poly: dict[int, complex] = {0: 1.0}
     for p, n in enumerate(active_in):
-        if n:
-            col = [(1 << bits * q, uqp) for q, uqp in cols[p]]
+        if not n:
+            continue
+        col = [(1 << bits * q, uqp) for q, uqp in cols[p]]
         for _ in range(n):
             nxt: dict[int, complex] = {}
             get = nxt.get
@@ -158,14 +183,16 @@ def _transfer_row(cols, active_in: Occupation):
     # `mask ^ 1` in each mode's field: every bit of a count but its lowest,
     # which only a count above 1 sets
     above_one = (mask ^ 1) * (((1 << bits * n_modes) - 1) // mask) if bits else 0
+    unit = math.sqrt(1 / p_in)  # the scale of an output with no count above 1
     row = []
     for key, c in poly.items():
-        p_out = 1
         if key & above_one:  # some mode holds more than one photon
-            p_out = _factorial_product(_unpack(key, bits, n_modes))
-        t = c * math.sqrt(p_out / p_in)
+            out = _unpack(key, bits, n_modes)
+            t = c * math.sqrt(_factorial_product(out) / p_in)
+        else:
+            out, t = None, c * unit
         if not abs(t) < ROW_EPS:
-            row.append((_unpack(key, bits, n_modes), t))
+            row.append((_unpack(key, bits, n_modes) if out is None else out, t))
     return tuple(row)
 
 
@@ -280,11 +307,15 @@ class PostSelectionRule:
 class KeptRows(NamedTuple):
     """A terminal post-selection folded into the unitary just before it, in
     place of a step of its own: that unitary's rows cut down to the output
-    occupations the post-selection keeps, kept apart from its plan, and the
-    post-selection's rules and occupation table (see `_kept`)."""
+    occupations the post-selection keeps, kept apart from its plan, the
+    post-selection's rules and occupation table (see `_kept`), and `cuts`,
+    which maps a photon number N to the unitary's columns without the modes
+    forbidden for N photons and the transfer rows they give, by active
+    occupation (see the module docstring)."""
     rows: dict[Occupation, tuple[tuple[Occupation, complex], ...]]
     rules: tuple[PostSelectionRule, ...]
     occupations: dict[Occupation, bool]
+    cuts: dict[int, tuple[tuple, dict[Occupation, tuple[tuple[Occupation, complex], ...]]]]
 
 
 def _kept(rules: Sequence[PostSelectionRule], occupations: dict[Occupation, bool],
@@ -302,6 +333,23 @@ def _kept(rules: Sequence[PostSelectionRule], occupations: dict[Occupation, bool
                 kept = True
         occupations[occ] = kept
     return kept
+
+
+def _cut_columns(plan: ModePlan, rules: Sequence[PostSelectionRule], n: int):
+    """The columns of `plan` without its forbidden modes for an occupation
+    of `n` photons: those where every one of `rules` excludes a photon (see
+    the module docstring)."""
+    allowed: set[int] = set()  # modes some rule lets hold a photon
+    for rule in rules:
+        listed: set[int] = set()
+        for modes, count in rule.constraints:
+            listed.update(modes)
+            if count:
+                allowed.update(modes)
+        if sum(count for _, count in rule.constraints) != n:
+            allowed.update(m for m in plan.modes if m not in listed)
+    keep = [m in allowed for m in plan.modes]
+    return tuple([e for e in col if keep[e[0]]] for col in plan.columns)
 
 
 def post_select_any(state: PhotonicState, rules: Sequence[PostSelectionRule],
@@ -409,37 +457,48 @@ def swap_hv(occ: Occupation, h_modes: Sequence[int], v_modes: Sequence[int]) -> 
 
 
 def _measure_row(registry: ModeRegistry, modes: Sequence[int], table: FeedForwardTable,
-                 occ: Occupation) -> tuple[tuple[int, ...], Occupation, bool, bool]:
-    """The row of an output `occ` in a measurement step's `MeasureRows`: its
-    pattern on the detector's `modes`, the occupation with those modes
-    cleared and then the pattern's whole correction list applied, whether
-    the amplitude changes sign, and whether `table` accepts the pattern.  An
-    outcome `table` cannot look up raises."""
-    pattern = tuple(occ[m] for m in modes)
+                 occupations: MeasureRows, occ: Occupation,
+                 ) -> tuple[tuple[int, ...], int | None, bool, bool]:
+    """The row of an output `occ` in a measurement step's `occupations`: its
+    pattern on the detector's `modes`, the place in `occupations.outputs` of
+    the occupation with those modes cleared and then the pattern's whole
+    correction list applied (None for a rejected pattern, whose branch keeps
+    no amplitude), whether the amplitude changes sign, and whether `table`
+    accepts the pattern.  An outcome `table` cannot look up raises."""
+    pattern = tuple([occ[m] for m in modes])
     action = table.lookup(pattern)
+    if action == REJECT:
+        return pattern, None, False, False
     cleared = list(occ)
     for m in modes:
         cleared[m] = 0
     out = tuple(cleared)
     negate = False
-    for beam, kind in (() if action == REJECT else action):
+    for beam, kind in action:
         h_modes, v_modes = registry.hv_modes(beam)
         if kind in ("sign", "flip_sign") and sum(out[m] for m in v_modes) % 2 == 1:
             negate = not negate
         if kind in ("flip", "flip_sign"):
             out = swap_hv(out, h_modes, v_modes)
-    return pattern, out, negate, action != REJECT
+    _, index, outputs = occupations
+    k = index.get(out)
+    if k is None:
+        k = index[out] = len(outputs)
+        outputs.append([out, None])
+    return pattern, k, negate, True
 
 
 class MeasureRows(NamedTuple):
     """A measurement step's occupation table: `rows` maps an incoming
     occupation to its row through the step's unitary, ``((output index,
-    amplitude), ...)``; `index` maps each output occupation those rows reach
-    to its place in `outputs`, which holds, in first-reached order, ``[output
-    occupation, its row (see `_measure_row`: pattern, corrected occupation,
-    sign, accept flag) or None]``, the row being filled once a run keeps an
-    amplitude there.  It serves one unitary, detector and feed-forward
-    table."""
+    amplitude), ...)``; `index` maps each output occupation those rows reach,
+    and each corrected occupation of an accepted output, to its place in
+    `outputs`, which holds, in first-seen order, ``[occupation, its row as
+    an output (see `_measure_row`: pattern, place of the corrected
+    occupation, sign, accept flag) or None]``, the row being filled once a
+    run keeps an amplitude there.  The branches of a run key their
+    amplitudes by place, so no occupation is hashed again.  It serves one
+    unitary, detector and feed-forward table."""
     rows: dict[Occupation, tuple[tuple[int, complex], ...]]
     index: dict[Occupation, int]
     outputs: list[list]
@@ -500,9 +559,8 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
         for j, t in row:
             values[j] = get(j, 0.0) + amp * t
 
-    # each pattern's squares, and an accepted one's corrected amplitudes
-    modes = reg.beam_modes(detector.beam)
-    branches: dict[tuple[int, ...], tuple[list[float], dict[Occupation, complex] | None]] = {}
+    # each pattern's squares, and an accepted one's corrected amplitudes by place
+    branches: dict[tuple[int, ...], tuple[list[float], dict[int, complex] | None]] = {}
     squares: list[float] = []
     branch_of, add_square = branches.get, squares.append
     for j, a in values.items():
@@ -513,7 +571,8 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
         output = outputs[j]
         row = output[1]
         if row is None:
-            row = output[1] = _measure_row(reg, modes, table, output[0])
+            row = output[1] = _measure_row(reg, reg.beam_modes(detector.beam), table,
+                                           occupations, output[0])
         pattern, corrected, negate, accept = row
         branch = branch_of(pattern)
         if branch is None:
@@ -528,7 +587,7 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
         return PhotonicState(reg, {}, validate=False), 0.0, []
 
     records: list[BranchRecord] = []
-    accepted: list[tuple[float, float, dict[Occupation, complex]]] = []
+    accepted: list[tuple[float, float, dict[int, complex]]] = []
     for pattern, (sq, amps) in sorted(branches.items()):  # the patterns differ
         norm_sq = float(sum(sq))  # `amplitudes_norm_sq` of the branch
         p_branch = norm_sq / n_in
@@ -549,9 +608,9 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
     deviation = 0.0
     for _, norm, amps in others:
         scale = 1.0 / norm
-        for occ in ref if amps.keys() == ref.keys() else amps.keys() | ref.keys():
-            a = amps.get(occ, 0.0) * scale
-            b = ref.get(occ, 0.0) * ref_scale
+        for k in ref if amps.keys() == ref.keys() else amps.keys() | ref.keys():
+            a = amps.get(k, 0.0) * scale
+            b = ref.get(k, 0.0) * ref_scale
             d = abs((0.0 if abs(a) < DEFAULT_PRUNE_EPS else a)
                     - (0.0 if abs(b) < DEFAULT_PRUNE_EPS else b))
             if d > deviation:
@@ -561,18 +620,18 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
             "corrected branches disagree; feed-forward table does not make the "
             f"gate deterministic (amplitudes differ by {deviation:.3g})")
 
-    p_total = sum(p for p, _, _ in accepted)
-    pooled: dict[Occupation, complex] = {}
+    p_total = sum([p for p, _, _ in accepted])
+    pooled: dict[int, complex] = {}
     get = pooled.get
     for p_branch, norm, amps in accepted:
         w = p_branch / norm
-        for occ, a in amps.items():
-            pooled[occ] = get(occ, 0.0) + w * a
+        for k, a in amps.items():
+            pooled[k] = get(k, 0.0) + w * a
     kept, squares = {}, []  # pruned as `PhotonicState` prunes, and the squares of the rest
-    for occ, a in pooled.items():
+    for k, a in pooled.items():
         if not abs(a) < DEFAULT_PRUNE_EPS:
-            kept[occ] = a
+            kept[k] = a
             squares.append(a.real * a.real + a.imag * a.imag)
     scale = math.sqrt(p_total * n_in) / math.sqrt(float(sum(squares)))
-    return PhotonicState(reg, {occ: a * scale for occ, a in kept.items()},
+    return PhotonicState(reg, {outputs[k][0]: a * scale for k, a in kept.items()},
                          validate=False), p_total, records

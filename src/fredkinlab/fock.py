@@ -393,7 +393,7 @@ def basis_occupation(registry: ModeRegistry, qubit_beams: Sequence[str],
 
 def tensor(s1: PhotonicState, s2: PhotonicState,
            rows: dict[Occupation, tuple[tuple[Occupation, complex], ...]] | None = None,
-           ) -> PhotonicState:
+           occupied: Iterable[int] | None = None) -> PhotonicState:
     """Product of two states on the same registry occupying disjoint modes.
 
     Raises `FockError` if any term of `s1` occupies a mode that any term of
@@ -401,11 +401,11 @@ def tensor(s1: PhotonicState, s2: PhotonicState,
     occupation of `s1`, on first sight, to the terms ``((key, amplitude of
     s2), ...)`` of it tensored with `s2`, in the order of `s2`.  An
     occupation that overlaps `s2` is never stored, so it raises every time.
+    `occupied`, the modes `s2` occupies, is worked out from `s2` if not given.
     """
     if s1.registry != s2.registry:
         raise RegistryMismatchError("tensor needs a shared registry")
     rows = {} if rows is None else rows
-    occupied = None
     amps: dict[Occupation, complex] = {}
     get = amps.get
     for occ1, a1 in s1.amps.items():

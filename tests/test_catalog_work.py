@@ -5,13 +5,20 @@ catalog's basis inputs and seeded superpositions every stored row entry is a
 real amplitude and every amplitude that a linear step or a measurement puts
 out survives the pruning threshold.  Each step's outputs are worked out
 again here from the tables the step filled, with the engine's arithmetic.
+A catalog pass also stays within its budget of expansion work, counted by
+`tools/work_counts.py`, and builds no `ModePlan` that no step applies.
 """
+
+import importlib.util
+import json
+import os
 
 import pytest
 
-from fredkinlab import circuits
+from fredkinlab import circuits, engine
 from fredkinlab.analysis import LINEARITY_INPUTS, evaluate_known_target, random_inputs
-from fredkinlab.catalog import CATALOG, get_gate
+from fredkinlab.catalog import CATALOG, gate_names, get_gate
+from fredkinlab.engine import KeptRows
 from fredkinlab.fock import DEFAULT_PRUNE_EPS, LogicalAmplitudes
 
 #: far below the smallest real entry of any catalog row (0.102) and far above
@@ -60,5 +67,53 @@ def test_no_step_computes_an_amplitude_that_it_prunes(name, monkeypatch):
     steps = circuit.program(len(circuit.stages)).steps
     rows = [row for step in steps if step.unitary is not None
             for row in step.unitary.plan.rows.values()]
+    rows += [row for step in steps if isinstance(step.table, KeptRows)
+             for _, cut_rows in step.table.cuts.values() for row in cut_rows.values()]
     assert rows
     assert min(abs(t) for row in rows for _, t in row) >= SMALLEST_ENTRY
+
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "work_counts.py")
+_spec = importlib.util.spec_from_file_location("work_counts", _PATH)
+work_counts = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(work_counts)
+
+#: the work of one `gate_report` per catalog gate, summed (`tools/work_counts.py`):
+#: a folded post-selection expands only the photons it can keep
+BUDGET = {"products": 1036, "entries": 337, "kept_checks": 112}
+
+
+@pytest.fixture(scope="module")
+def work():
+    return work_counts.work_table()
+
+
+@pytest.mark.parametrize("field", sorted(BUDGET))
+def test_a_catalog_pass_stays_within_its_work_budget(work, field):
+    assert work["total"][field] <= BUDGET[field]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_every_plan_built_in_a_report_belongs_to_a_step_that_runs(work, name):
+    assert work[name]["plans_built"] == work[name]["plans_applied"] > 0
+
+
+def test_products_replay_the_expansion():
+    # two photons in mode 0, one in mode 1: 1 key times 2 entries, then 2 times
+    # 2 (keys 2q0, q0+q1 and 2q1 after two photons), then 3 times 1
+    cols = (((0, 0.6), (1, 0.8)), ((1, 1.0),))
+    assert work_counts.products(cols, (2, 1)) == 2 + 2 * 2 + 3 * 1
+    assert work_counts.products(cols, (0, 0)) == 0
+
+
+def test_the_tool_prints_every_gate_and_their_total(capsys):
+    assert work_counts.main(["--format", "json"]) == 0
+    table = json.loads(capsys.readouterr().out)
+    assert list(table) == [*gate_names(), "total"]
+    for field in work_counts.FIELDS:
+        assert table["total"][field] == sum(table[name][field] for name in gate_names())
+    assert engine._transfer_row.__name__ == "_transfer_row"  # the wrappers are gone
+    assert work_counts.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["gate", *work_counts.FIELDS]
+    assert [line.split()[0] for line in lines[1:]] == [*gate_names(), "total"]

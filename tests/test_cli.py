@@ -264,6 +264,31 @@ def test_verify_sweep_of_known_target_gate_is_usage_error():
     assert run_cli(["verify", "cnot-simplified", "--sweep", "0"])[0] == 0
 
 
+def test_verify_file_says_that_it_checks_nothing(tmp_path):
+    # both Hadamard splitters off 1/2: p stays 1/9, but the gate is no CNOT
+    obj = circuit_to_dict(get_gate("cnot-ralph").build())
+    hadamards = [element for stage in obj["stages"] for element in stage.get("elements", ())
+                 if element.get("eta") == 0.5]
+    assert len(hadamards) == 2
+    for element in hadamards:
+        element["eta"] = 0.2
+    path = tmp_path / "ralph.json"
+    path.write_text(json.dumps(obj))
+    args = ["verify", str(path), "--input", "[0, 0, 1, 0]"]
+    code, out, err = run_cli(args)
+    assert (code, err) == (0, "")
+    assert out == ("circuit: cnot-ralph\n"
+                   "  acceptance probability: 0.111111111111 (= 1/9)\n"
+                   "  checked: nothing (a circuit file declares no claim)\n")
+    code, out, err = run_cli(args + ["--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"circuit": "cnot-ralph", "checked": False,
+                               "probability": pytest.approx(1 / 9, abs=1e-12)}
+    code, out, err = run_cli(["verify", "--help"])
+    assert code == 0
+    assert "circuit file declares no claim" in " ".join(out.split())
+
+
 def test_verify_renormalizing_rule_file_exit_2(tmp_path):
     obj = circuit_to_dict(get_gate("cnot-ralph").build())
     index, post = next((i, st) for i, st in enumerate(obj["stages"])

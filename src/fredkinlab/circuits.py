@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -47,13 +47,14 @@ from .engine import (
     DetectorBasis,
     DetectorSpec,
     FeedForwardTable,
-    KeptRows,
-    MeasureRows,
     PostSelectionRule,
     REJECT,
+    StepTable,
     apply_unitary,
+    detection,
     measure_and_feedforward,
     post_select_any,
+    selection,
     swap_hv,
 )
 from .fock import (
@@ -203,29 +204,26 @@ AncillaPrep = Union[BellPair, SinglePhoton]
 
 
 class Step(NamedTuple):
-    """One step of a run: a stage (for a fused run of `Linear` stages, its
-    last stage inside the cut), the unitary the circuit compiled for it (for
-    a `Measure` folded into the linear run before it, that run's product,
-    followed by the detector's plate for a +/- detector; or None), the
-    stage's occupation table (a dict, or a `MeasureRows` for a `Measure`;
-    for a `Linear` stage None, its table being on its unitary's plan, or the
-    `KeptRows` of the post-selection folded into it), and the product of the
-    ancillae tensored in just before it (or None)."""
-    stage: Stage
+    """One step of a run: the stages it applies (a fused run of `Linear`
+    stages as its last stage inside the cut, then the stages folded into
+    it), its unitary (that run's product, times a folded +/- detector's
+    plate; else a detector's plate, or None), its occupation table, and the
+    product of the ancillae tensored in just before it (or None)."""
+    stages: tuple[Stage, ...]
     unitary: ModeUnitary | None
-    table: KeptRows | MeasureRows | dict | None
+    table: StepTable
     ancillae: PhotonicState | None
 
 
 class Program(NamedTuple):
     """How `run` carries a logical input through ``stages[:n]``.
 
-    A full run that ends in a `Linear` step and then the `PostSelect` step,
-    with no ancilla entering there, has one step for both: the linear step,
-    building only the rows the post-selection keeps (`engine.KeptRows`).
-    Likewise a `Measure` step right after a `Linear` step, with no ancilla
-    entering at it, has no linear step before it: the measurement applies
-    that step's product, with its plate multiplied in once here.
+    Every step is its unitary's rows into numbered outputs, then one action
+    per output (`engine.StepTable`).  One rule folds them: a stage with an
+    action folds into the step before it when no ancilla enters there and
+    that step ends in a linear stage or a flip, whose action it composes
+    with; a +/- detector's plate needs the linear stage, to multiply into
+    its product.  A run cut at a linear stage gets every row of its step.
     `first` is the product of the ancillae that the first step of a full run
     touches; `Circuit.prepare_input` tensors it in.  Each step tensors in the
     ancillae it is the first to touch, and `rest`, the ancillae no step
@@ -242,9 +240,9 @@ class Program(NamedTuple):
 
 
 def _touched_modes(registry: ModeRegistry, step: Stage, u: ModeUnitary | None) -> set[int]:
-    """The modes a step acts on: the active modes of its unitary (a
-    measurement's included), the beams of a flip, a detector's beam and the
-    beams its table corrects, or the modes of a post-selection's rules."""
+    """The modes a stage acts on: the active modes of a linear stage's `u`,
+    the beams of a flip, a detector's beam (all its plate moves) and those
+    its table corrects, or the modes of a post-selection's rules."""
     if isinstance(step, Linear):
         return set(u.modes)
     if isinstance(step, ControlledFlip):
@@ -258,8 +256,31 @@ def _touched_modes(registry: ModeRegistry, step: Stage, u: ModeUnitary | None) -
         return {m for rule in step.rules for modes, _ in rule.constraints for m in modes}
     else:
         raise CircuitError(f"unknown stage {step!r}")
-    touched = {m for beam in beams for m in registry.beam_modes(beam)}
-    return touched if u is None else touched.union(u.modes)
+    return {m for beam in beams for m in registry.beam_modes(beam)}
+
+
+def _in_turn(acts: Sequence[Callable]) -> Callable[[Occupation], object]:
+    """The actions `acts` composed, the first listed acting first."""
+    def act(occ: Occupation):
+        for f in acts:
+            occ = f(occ)
+        return occ
+    return act
+
+
+def _flip(registry: ModeRegistry, st: ControlledFlip) -> Callable[[Occupation], Occupation]:
+    """The action of an ideal flip: a V control photon swaps the target's H
+    and V occupations, an H one leaves them; any other count raises."""
+    (ctrl_h, ctrl_v), (tgt_h, tgt_v) = registry.hv_modes(st.control), registry.hv_modes(st.target)
+
+    def flip(occ: Occupation) -> Occupation:
+        nv = sum(occ[m] for m in ctrl_v)
+        n = nv + sum(occ[m] for m in ctrl_h)
+        if n != 1:
+            raise ControlFlipError(
+                f"control beam {st.control!r} carries {n} photons, needs exactly 1")
+        return swap_hv(occ, tgt_h, tgt_v) if nv == 1 else occ
+    return flip
 
 
 @dataclass(frozen=True)
@@ -276,18 +297,15 @@ class Circuit:
     #: stages from the run's first stage through this one; for a +/- basis
     #: `Measure` stage, its detector rotation; None for every other stage
     unitaries: tuple[ModeUnitary | None, ...] = field(init=False, compare=False, repr=False)
-    #: each stage's occupation table (see `engine`), filled by its runs: a
-    #: dict for a `ControlledFlip` or `PostSelect`, a `MeasureRows` for a
-    #: `Measure` (every program that reaches it folds it alike, so it meets
-    #: one unitary), or None for a `Linear` stage, whose table is on its
-    #: unitary's plan
-    occupation_tables: tuple[dict | MeasureRows | None, ...] = field(
-        init=False, compare=False, repr=False)
     #: each ancilla's state, built once, with the modes it occupies
     prepared_ancillae: tuple[tuple[PhotonicState, frozenset[int]], ...] = field(
         init=False, compare=False, repr=False)
     #: `program(n)` by cut n, each worked out on first use
     _programs: dict[int, Program] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+    #: each step's unitary and occupation table by its first and last
+    #: stage, shared by every program that applies those stages
+    _steps: dict[tuple[int, int], tuple[ModeUnitary | None, StepTable]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
     #: the input table of `prepare_input`: basis index i to the terms of
     #: |i> with the first step's ancillae
@@ -301,20 +319,19 @@ class Circuit:
             if beam not in self.registry.beams:
                 raise CircuitError(f"beam {beam!r} not registered")
         seen_postselect = False
-        unitaries, tables = [], []
+        unitaries = []
         prev = None  # product of the current run of Linear stages so far
         for st in self.stages:
             if isinstance(st, PostSelect):
                 seen_postselect = True
             elif seen_postselect:
                 raise CircuitError("post-selection must be the terminal stage chain")
-            u, table = None, {}
+            u = None
             if isinstance(st, Linear):
                 # the one compile of a linear stage; it also validates beams and unitarity
                 u = compose(self.registry, st.elements)
                 if prev is not None:
                     u = prev.then(u)
-                table = None
             elif isinstance(st, ControlledFlip):
                 self.registry.beam_modes(st.control)
                 self.registry.beam_modes(st.target)
@@ -327,12 +344,10 @@ class Circuit:
                             f"needs {n_modes} non-negative counts")
                     for beam, _ in (() if action == REJECT else action):
                         self.registry.beam_modes(beam)
-                u, table = st.detector.rotation(self.registry), MeasureRows({}, {}, [])
+                u = st.detector.rotation(self.registry)
             prev = u if isinstance(st, Linear) else None
             unitaries.append(u)
-            tables.append(table)
         object.__setattr__(self, "unitaries", tuple(unitaries))
-        object.__setattr__(self, "occupation_tables", tuple(tables))
         labels = self.registry.labels
         prepared = []
         taken: set[int] = set()
@@ -400,9 +415,8 @@ class Circuit:
             prog = self._programs[n] = self._compile_program(n)
         return prog
 
-    def _untouched(self, ancillae: Sequence[int], st: Stage, u: ModeUnitary | None) -> list[int]:
-        """The ancillae (indices into `ancillae`) whose modes a step leaves alone."""
-        touched = _touched_modes(self.registry, st, u)
+    def _untouched(self, ancillae: Sequence[int], touched: set[int]) -> list[int]:
+        """The ancillae (indices into `ancillae`) with no mode in `touched`."""
         return [k for k in ancillae if touched.isdisjoint(self.prepared_ancillae[k][1])]
 
     def _product(self, ancillae: Sequence[int]) -> PhotonicState | None:
@@ -418,41 +432,59 @@ class Circuit:
         full = len(stages) == len(self.stages)
         if full:
             pending = everything
-        else:  # `prepare_input` has tensored in what the full run's first step touches
+        else:  # `prepare_input` has tensored in the full run's `first`
             full_program = self.program(len(self.stages))
-            head = full_program.steps[0]
-            pending = self._untouched(everything, head.stage, head.unitary)
-        applied, entering = [], []
-        for i, (st, u, table) in enumerate(zip(stages, self.unitaries, self.occupation_tables)):
-            if isinstance(st, Linear) and i + 1 < len(stages) and isinstance(stages[i + 1], Linear):
+            first = full_program.first
+            pending = self._untouched(everything, set() if first is None else {
+                m for occ in first.amps for m, c in enumerate(occ) if c})
+        groups = []  # [first stage, last stage, ancillae entering] of each step
+        for i, st in enumerate(stages):
+            linear = isinstance(st, Linear)
+            if linear and i + 1 < len(stages) and isinstance(stages[i + 1], Linear):
                 continue  # applied with its run's product at the run's last stage
-            left = self._untouched(pending, st, u) if pending else pending
-            applied.append((st, u, table))
-            entering.append([k for k in pending if k not in left])
+            left = pending and self._untouched(
+                pending, _touched_modes(self.registry, st, self.unitaries[i]))
+            entering = [k for k in pending if k not in left]
             pending = left
-        if full and len(applied) > 1 and not entering[-1] and isinstance(
-                applied[-1][0], PostSelect) and isinstance(applied[-2][0], Linear):
-            # fold the terminal post-selection into the linear step before it
-            (st, u, _), (post, _, kept) = applied[-2:]
-            applied[-2:] = [(st, u, KeptRows({}, post.rules, kept, {}))]
-            entering.pop()
-        for j in range(len(applied) - 1, 0, -1):
-            (before, product, _), (st, u, table) = applied[j - 1:j + 1]
-            if isinstance(st, Measure) and isinstance(before, Linear) and not entering[j]:
-                # fold the measurement into the linear step before it
-                applied[j - 1:j + 1] = [(st, product if u is None else product.then(u), table)]
-                del entering[j]
+            before = groups and stages[groups[-1][1]]
+            if not (linear or entering) and (isinstance(before, Linear) or isinstance(
+                    before, ControlledFlip) and self.unitaries[i] is None):
+                groups[-1][1] = i  # fold it into the step before
+            else:
+                groups.append([i, i, entering])
         if full:  # `prepare_input` tensors in what the first step touches
-            late = self._product([k for k in everything if k not in entering[0]])
-            first, entering[0] = self._product(entering[0]), []
+            late = self._product([k for k in everything if k not in groups[0][2]])
+            first, groups[0][2] = self._product(groups[0][2]), []
             late_info = (0, 1.0) if late is None else (late.photon_numbers().pop(), late.norm_sq())
         else:
             first, late_info = full_program.first, full_program.late
-        steps = tuple(Step(*step, self._product(group)) for step, group in zip(applied, entering))
+        steps = tuple(Step(self.stages[i:last + 1], *self._step(i, last), self._product(group))
+                      for i, last, group in groups)
         taken = [frozenset().union(*(self.prepared_ancillae[k][1] for k in group))
-                 for group in (*entering, pending)]
+                 for group in (*(group for _, _, group in groups), pending)]
         return Program(steps, first, self._product(pending), late_info,
                        tuple((modes, {}) for modes in taken))
+
+    def _step(self, i: int, last: int) -> tuple[ModeUnitary | None, StepTable]:
+        """The unitary and occupation table of the step that applies
+        ``stages[i:last + 1]``, compiled on first use and kept.  The actions
+        after its linear stage, if any, compose, the first acting first;
+        all but the last are flips."""
+        step = self._steps.get((i, last))
+        if step is None:
+            reg, u = self.registry, self.unitaries[i]
+            linear = isinstance(self.stages[i], Linear)
+            actions = self.stages[i + linear:last + 1]
+            if linear and actions and self.unitaries[i + 1] is not None:
+                u = u.then(self.unitaries[i + 1])  # the plate of a +/- detector
+            acts = [_flip(reg, st) if isinstance(st, ControlledFlip)
+                    else selection(st.rules) if isinstance(st, PostSelect)
+                    else detection(reg, st.detector, st.table) for st in actions]
+            # a post-selection right after the unitary cuts the rows it drops
+            cut = linear and len(actions) == 1 and isinstance(actions[0], PostSelect)
+            step = self._steps[i, last] = (u, StepTable.fresh(
+                acts[0] if len(acts) == 1 else _in_turn(acts), actions[0].rules if cut else ()))
+        return step
 
 
 @dataclass
@@ -460,28 +492,6 @@ class RunResult:
     state: PhotonicState
     probability: float
     branch_log: list[BranchRecord] = field(default_factory=list)
-
-
-def _apply_controlled_flip(state: PhotonicState, control: str, target: str,
-                           occupations: dict[Occupation, Occupation] | None = None,
-                           ) -> PhotonicState:
-    """The ideal flip; `occupations`, the step's occupation table, maps an
-    occupation to the flipped one."""
-    occupations = {} if occupations is None else occupations
-    reg = state.registry
-    (ctrl_h, ctrl_v), (tgt_h, tgt_v) = reg.hv_modes(control), reg.hv_modes(target)
-    out: dict[Occupation, complex] = {}
-    for occ, a in state.amps.items():
-        flipped = occupations.get(occ)
-        if flipped is None:
-            nh = sum(occ[m] for m in ctrl_h)
-            nv = sum(occ[m] for m in ctrl_v)
-            if nh + nv != 1:
-                raise ControlFlipError(
-                    f"control beam {control!r} carries {nh + nv} photons, needs exactly 1")
-            flipped = occupations[occ] = swap_hv(occ, tgt_h, tgt_v) if nv == 1 else occ
-        out[flipped] = out.get(flipped, 0.0) + a
-    return PhotonicState(reg, out, validate=False)
 
 
 def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
@@ -504,12 +514,10 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
     does, just before the run returns, so the result equals that of an input
     prepared with every ancilla.  The photon-number check and the input norm
     refer to that fully prepared input.  A `PhotonicState` input gets no
-    ancilla.  Each step looks its action on an occupation up in the
-    circuit's occupation tables (see `engine`).  A post-selection folded
-    into a full run's last linear step (see `Program`) has no step of its
-    own; a cut before it gets every row of that linear step.  A measurement
-    right after a linear step takes that step in (see `Program`); a cut at
-    the linear step gets its product, unrotated, and every term.
+    ancilla.  Each step runs through its occupation table (see `engine`
+    and `Program`): `measure_and_feedforward` for a measurement,
+    `post_select_any` for a post-selection with no unitary in its step, and
+    `apply_unitary` for every other step.
     """
     n = len(circuit.stages)
     prog = circuit.program(n if upto is None else len(range(n)[:upto]))
@@ -532,20 +540,17 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
             f"{sorted(n + late_photons for n in state.photon_numbers())}, declared {declared}")
 
     log: list[BranchRecord] = []
-    for (st, u, table, ancillae), (occupied, injected) in zip(prog.steps, prog.injections):
+    for (stages, u, table, ancillae), (occupied, injected) in zip(prog.steps, prog.injections):
         if ancillae is not None and logical:
             state = tensor(state, ancillae, injected, occupied)
-        if isinstance(st, Linear):
-            state = apply_unitary(state, u, table)
-        elif isinstance(st, ControlledFlip):
-            state = _apply_controlled_flip(state, st.control, st.target, table)
-        elif isinstance(st, Measure):
+        st = stages[-1]
+        if isinstance(st, Measure):
             state, _, records = measure_and_feedforward(state, st.detector, st.table, u, table)
             log.extend(records)
-        elif isinstance(st, PostSelect):
+        elif isinstance(st, PostSelect) and u is None:
             state, _ = post_select_any(state, st.rules, table)
         else:
-            raise CircuitError(f"unknown stage {st!r}")
+            state = apply_unitary(state, u, table)
     if prog.rest is not None and logical:
         occupied, injected = prog.injections[-1]
         state = tensor(state, prog.rest, injected, occupied)

@@ -129,8 +129,7 @@ Element = Union[Hwp, Pbs, Bs, Rpbs, HvSwap, Route, DelayToL, Phase, Rot]
 
 class ModePlan(NamedTuple):
     """The modes a unitary moves, its sparse columns over them, its transfer
-    rows, the getters that cut and splice occupations, and its occupation
-    table.
+    rows, and the getters that cut and splice occupations.
 
     `modes` (ascending) are the modes whose column is not exactly the unit
     vector e_i, plus any mode those columns write to; every other mode passes
@@ -139,17 +138,14 @@ class ModePlan(NamedTuple):
     active modes to its transfer row ``((out, <out|U|in>), ...)``.
     ``take(occ)`` is the occupation of the active modes, and
     ``splice(occ + active)`` is `occ` with `active` written over them.
-    `full_rows`, the occupation table, maps a full input occupation to its
-    row over full output occupations, ``((splice(occ + out), <out|U|in>),
-    ...)``.  Both tables start empty and `engine.apply_unitary` fills them,
-    one entry per occupation it meets.
+    `rows` starts empty and the engine's steps fill it, one entry per active
+    occupation they meet.
     """
     modes: tuple[int, ...]
     columns: tuple[tuple[tuple[int, complex], ...], ...]
     rows: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], complex], ...]]
     take: Callable[[tuple[int, ...]], tuple[int, ...]]
     splice: Callable[[tuple[int, ...]], tuple[int, ...]]
-    full_rows: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], complex], ...]]
 
 
 def _tuple_getter(idx: Sequence[int]):
@@ -206,7 +202,7 @@ class ModeUnitary:
     @property
     def plan(self) -> ModePlan:
         """Active modes, sparse columns and getters, built once on first use,
-        with empty row and occupation tables."""
+        with an empty table of transfer rows."""
         if self._plan is None:
             mat, modes = self.matrix, self.modes
             m = self.registry.size
@@ -219,7 +215,7 @@ class ModeUnitary:
             for p, q, c in zip(ps.tolist(), qs.tolist(), block[ps, qs].tolist()):
                 columns[p].append((q, c))
             self._plan = ModePlan(modes, tuple(map(tuple, columns)), {},
-                                  _tuple_getter(modes), _tuple_getter(src), {})
+                                  _tuple_getter(modes), _tuple_getter(src))
         return self._plan
 
 

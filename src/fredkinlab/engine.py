@@ -18,58 +18,53 @@ reports); each would make every run compute an amplitude that the pruning
 moved no amplitude, probability or branch probability of a catalog run by
 more than 2.2e-16, far inside every verification tolerance.
 
-Measurement fills its detector outcome branches, plain amplitude maps, in
-one pass with feed-forward corrected terms; all accepted branches of the
-gates in scope then carry the same conditional state, which is checked
-amplitude by amplitude before they are pooled with their probabilities.  A
-measurement right after a unitary takes that unitary in, with a +/-
-detector's plate multiplied into it once: `measure_and_feedforward` expands
-its incoming terms through the product into one amplitude per output and
-fills the branches from them, with no state built in between.  Multiplying the plate in
-first can round differently from applying it after; for the plate-times-PBS
-products of the catalog every entry is a single term, so its results are
-bit-identical.
+Every step is one kind: its unitary's rows (the identity's, for none) into
+numbered outputs, then one action per output, worked out once: keep, drop,
+go to another output (a flip), or go to a detector pattern's branch with a
+corrected output and a sign (`StepTable`).  A term is its amplitude times
+its row, summed per output in first-reached order; an output that the
+pruning (1e-14) drops takes no action.  A `Circuit` folds a step with an
+action into the linear step before it, and composes actions after a flip
+(see `circuits.Program`).  A +/- detector's plate is multiplied into the
+linear product once, which can round differently from applying it after;
+for the plate-times-PBS products of the catalog every entry is a single
+term, so its results are bit-identical.  All accepted branches of the gates
+in scope carry the same conditional state, which is checked amplitude by
+amplitude before they are pooled.
 
-Each step keeps an occupation table: a dict, filled on first sight, from an
-occupation entering the step to the step's action on it (a unitary's is on
-its plan; a measurement's is its row through the measurement's unitary,
-each output with its pattern, the place of its corrected occupation, sign
-and whether the feed-forward table accepts the pattern (`MeasureRows`), the
-accept flag looked up once, when that output first keeps an amplitude; a
-post-selection's whether it keeps it; an ancilla injection's terms, see
-`fock.tensor`).  A terminal post-selection right after a unitary is folded
-into it: the unitary keeps rows of its own, cut down to the occupations the
-post-selection keeps (`KeptRows`).
+An action that can raise (an outcome missing from a feed-forward table, a
+flip whose control beam holds other than one photon) is worked out only
+for an output that survives the pruning, and is never stored when it
+raises, so it raises on every run and never for an amplitude that cancels.
+A post-selection right after a unitary instead decides each output when a
+row reaches it, so no row holds an output it drops.
 
 Those rows expand only the photons the post-selection can keep.  For an
 occupation of N photons, mode m is forbidden when every rule of the union
 excludes a photon there: m lies in one of the rule's sets with count 0, or
 the rule's counts sum to N and m lies in none of its sets.  The folded step
 builds its transfer rows from the unitary's columns without the forbidden
-modes, cut once per N (`_cut_columns`), and `_kept` still decides every
-entry.  This is exact: a monomial with no forbidden photon can only be built
-from partial monomials with none, so it gets the same products, added in the
-same order, and the surviving keys keep their order of first insertion;
-`ROW_EPS` and the factorial scaling act per entry, so every kept row is the
-same tuple as the uncut row filtered by `_kept`.  An occupation that two
-rules match holds no forbidden photon, so it is still built and still raises
-on every run.  The cut rows live in the `KeptRows`, never in the plan's
-tables, so a run cut at that linear stage still gets every row.
+modes, cut once per N (`_cut_columns`), and the rules still decide every
+output.  This is exact: a monomial with no forbidden photon can only be
+built from partial monomials with none, so it gets the same products, added
+in the same order, and the surviving keys keep their order of first
+insertion; `ROW_EPS` and the factorial scaling act per entry, so every kept
+row is the uncut row cut down to the outputs the rules keep.  An occupation
+that two rules match holds no forbidden photon, so it is still built and
+still raises on every run.  The cut rows live in the step's table, so a run
+cut at that linear stage still gets every row.
 
 A `Circuit` keeps its tables across runs, so the inputs of a sweep or a
-process map share per-occupation work while each input stays its own run.
-A table holds the factors that would be worked out again, used in the same
-order, so results are bit-identical.  An occupation whose action raises, or
-a row that raises while it is built (an outcome missing from a feed-forward
-table, say), is never stored, so it raises on every run.  A step called
-without a table works with a fresh one.
+process map share per-occupation work while each input stays its own run;
+the factors are used in the same order, so results are bit-identical.  A
+step called without a table works with a fresh one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -96,52 +91,110 @@ class FeedForwardError(EngineError):
     pass
 
 
-def apply_unitary(state: PhotonicState, u: ModeUnitary,
-                  kept: KeptRows | None = None) -> PhotonicState:
-    """Evolve a state through a mode unitary; preserves the norm.
+class StepTable(NamedTuple):
+    """A step's occupation table: `rows` maps an incoming occupation to
+    ``((output number, amplitude), ...)``; `index` numbers every output, and
+    every occupation an action sends one to, by its place in `outputs`,
+    ``[occupation, action or None]``.  An action is an output number, `DROP`,
+    or ``(pattern, corrected output number or None, sign flip)``, which
+    `act` works out from the occupation (returning occupations, not
+    numbers; by default it keeps each output).  `cut` holds the rules of a
+    post-selection right after the unitary, `cuts` their columns and
+    transfer rows by photon number (see `_cut_columns`)."""
+    rows: dict[Occupation, tuple[tuple[int, complex], ...]]
+    index: dict[Occupation, int]
+    outputs: list[list]
+    act: Callable[[Occupation], object]
+    cut: tuple[PostSelectionRule, ...]
+    cuts: dict[int, tuple[tuple, dict]]
 
-    Each term is multiplied into its row in the plan's occupation table, which
-    is built on first sight from the transfer row of the term's active-mode
-    occupation, the passive modes of the input key passing through.  For a
-    unitary with a terminal post-selection folded into it, `kept` holds the
-    table of rows cut down to the output occupations the post-selection
-    keeps; such a call is the whole post-selection.
-    """
-    if u.registry != state.registry:
+    @classmethod
+    def fresh(cls, act: Callable[[Occupation], object] = lambda occ: occ,
+              cut: Sequence[PostSelectionRule] = ()) -> "StepTable":
+        return cls({}, {}, [], act, tuple(cut), {})
+
+
+#: the action of an output a post-selection drops
+DROP = -1
+
+
+def apply_unitary(state: PhotonicState, u: ModeUnitary | None,
+                  table: StepTable | None = None) -> PhotonicState:
+    """Evolve a state through a mode unitary (the identity for None), then
+    keep, drop or move each output by the `act` of `table`, the step's
+    occupation table; without one, every output is kept."""
+    if u is not None and u.registry != state.registry:
         raise EngineError("unitary acts on a different registry")
-    plan = u.plan
-    table = plan.full_rows if kept is None else kept.rows
-    out: dict[Occupation, complex] = {}
-    get = out.get
-    for occ, amp in state.amps.items():
-        row = table.get(occ)
-        if row is None:
-            row = table[occ] = _row(plan, occ, kept)
-        for full, t in row:
-            out[full] = get(full, 0.0) + amp * t
+    return _apply(state, u, StepTable.fresh() if table is None else table)
+
+
+def _apply(state: PhotonicState, u: ModeUnitary | None, table: StepTable) -> PhotonicState:
+    outputs, out = table.outputs, {}
+    for j, a in _outputs(state, u, table).items():
+        if not abs(a) < DEFAULT_PRUNE_EPS:
+            k = outputs[j][1]
+            if k is None:
+                k = _moved(table, j)
+            if k != DROP:  # no two outputs go to one place, so none adds up
+                out[outputs[k][0]] = a
     return PhotonicState(state.registry, out, validate=False)
 
 
-def _row(plan: ModePlan, occ: Occupation, kept: KeptRows | None = None,
-         ) -> tuple[tuple[Occupation, complex], ...]:
-    """The row of `occ` through the unitary of `plan`, ``((full output
-    occupation, amplitude), ...)``, from the transfer row of its active-mode
-    occupation; with `kept`, from the columns cut for its photon number and
-    cut down to the outputs the post-selection keeps."""
-    _, cols, rows, take, splice, _ = plan
+def _outputs(state: PhotonicState, u: ModeUnitary | None, table: StepTable) -> dict[int, complex]:
+    """Each output's amplitude by number, in first-reached order."""
+    rows = table.rows
+    values: dict[int, complex] = {}
+    get = values.get
+    for occ, amp in state.amps.items():
+        row = rows.get(occ)
+        if row is None:
+            row = rows[occ] = _row(u, occ, table)
+        for j, t in row:
+            values[j] = get(j, 0.0) + amp * t
+    return values
+
+
+def _number(table: StepTable, occ: Occupation) -> int:
+    """The number of output `occ` in `table`, given on first sight."""
+    j = table.index.get(occ)
+    if j is None:
+        j = table.index[occ] = len(table.outputs)
+        table.outputs.append([occ, None])
+    return j
+
+
+def _moved(table: StepTable, j: int) -> int:
+    """The action of output number `j`, worked out on first sight: the
+    number it goes to, or `DROP`."""
+    output = table.outputs[j]
+    if output[1] is None:
+        to = table.act(output[0])
+        output[1] = DROP if to is None else _number(table, to)
+    return output[1]
+
+
+def _row(u: ModeUnitary | None, occ: Occupation, table: StepTable,
+         ) -> tuple[tuple[int, complex], ...]:
+    """The row of `occ` through `u`, ``((output number, amplitude), ...)``,
+    from the transfer row of its active-mode occupation; with `table.cut`,
+    from the columns cut for its photon number and without the outputs the
+    post-selection drops, each decided here."""
+    if u is None:
+        return ((_number(table, occ), 1.0),)
+    _, cols, rows, take, splice = u.plan
     active_in = take(occ)
-    if kept is not None:
+    if table.cut:
         n = sum(occ)
-        cut = kept.cuts.get(n)
+        cut = table.cuts.get(n)
         if cut is None:
-            cut = kept.cuts[n] = (_cut_columns(plan, kept.rules, n), {})
+            cut = table.cuts[n] = (_cut_columns(u.plan, table.cut, n), {})
         cols, rows = cut
     active_row = rows.get(active_in)
     if active_row is None:
         active_row = rows[active_in] = _transfer_row(cols, active_in)
-    row = [(splice(occ + key), t) for key, t in active_row]
-    if kept is not None:
-        row = [e for e in row if _kept(kept.rules, kept.occupations, e[0])]
+    row = [(_number(table, splice(occ + key)), t) for key, t in active_row]
+    if table.cut:
+        return tuple([e for e in row if _moved(table, e[0]) != DROP])
     return tuple(row)
 
 
@@ -304,35 +357,19 @@ class PostSelectionRule:
         return cls(tuple((tuple(ms), c) for ms, c in counts))
 
 
-class KeptRows(NamedTuple):
-    """A terminal post-selection folded into the unitary just before it, in
-    place of a step of its own: that unitary's rows cut down to the output
-    occupations the post-selection keeps, kept apart from its plan, the
-    post-selection's rules and occupation table (see `_kept`), and `cuts`,
-    which maps a photon number N to the unitary's columns without the modes
-    forbidden for N photons and the transfer rows they give, by active
-    occupation (see the module docstring)."""
-    rows: dict[Occupation, tuple[tuple[Occupation, complex], ...]]
-    rules: tuple[PostSelectionRule, ...]
-    occupations: dict[Occupation, bool]
-    cuts: dict[int, tuple[tuple, dict[Occupation, tuple[tuple[Occupation, complex], ...]]]]
-
-
-def _kept(rules: Sequence[PostSelectionRule], occupations: dict[Occupation, bool],
-          occ: Occupation) -> bool:
-    """Whether one of `rules` matches `occ`, from and into the occupation
-    table `occupations`.  An occupation two rules match raises, since the
-    union is not disjoint, and is never stored."""
-    kept = occupations.get(occ)
-    if kept is None:
-        kept = False
+def selection(rules: Sequence[PostSelectionRule]) -> Callable[[Occupation], Occupation | None]:
+    """The action of a post-selection on the union of disjoint `rules`: keep
+    an output one rule matches, drop one that none does.  An output that
+    two rules match raises, since the union is not disjoint."""
+    def select(occ: Occupation) -> Occupation | None:
+        kept = None
         for rule in rules:
             if rule.matches(occ):
-                if kept:
+                if kept is not None:
                     raise EngineError("post-selection rule union is not disjoint")
-                kept = True
-        occupations[occ] = kept
-    return kept
+                kept = occ
+        return kept
+    return select
 
 
 def _cut_columns(plan: ModePlan, rules: Sequence[PostSelectionRule], n: int):
@@ -353,21 +390,18 @@ def _cut_columns(plan: ModePlan, rules: Sequence[PostSelectionRule], n: int):
 
 
 def post_select_any(state: PhotonicState, rules: Sequence[PostSelectionRule],
-                    occupations: dict[Occupation, bool] | None = None,
-                    ) -> tuple[PhotonicState, float]:
+                    table: StepTable | None = None) -> tuple[PhotonicState, float]:
     """Keep the occupation states matched by a union of disjoint conjunctive
     rules (e.g. equal-time-bin coincidence); a single rule is a 1-tuple.
 
     Returns the surviving terms, their amplitudes unchanged, and their
     probability (squared surviving norm relative to the input norm).  A zero
-    survivor is an empty state with probability 0, not an error.
-    `occupations` is the step's occupation table (see `_kept`).  A `Circuit`
-    calls this only for a post-selection it cannot fold into the unitary
-    before it (`KeptRows`).
+    survivor is an empty state with probability 0, not an error.  `table`
+    is the step's occupation table, whose `act` ends in this post-selection;
+    by default a fresh one of `selection` (rules).
     """
-    occupations = {} if occupations is None else occupations
-    kept = {occ: a for occ, a in state.amps.items() if _kept(rules, occupations, occ)}
-    survived = PhotonicState(state.registry, kept, validate=False)
+    table = StepTable.fresh(selection(rules)) if table is None else table
+    survived = _apply(state, None, table)
     n_in = state.norm_sq()
     return survived, survived.norm_sq() / n_in if n_in > 0 else 0.0
 
@@ -456,52 +490,32 @@ def swap_hv(occ: Occupation, h_modes: Sequence[int], v_modes: Sequence[int]) -> 
     return tuple(lst)
 
 
-def _measure_row(registry: ModeRegistry, modes: Sequence[int], table: FeedForwardTable,
-                 occupations: MeasureRows, occ: Occupation,
-                 ) -> tuple[tuple[int, ...], int | None, bool, bool]:
-    """The row of an output `occ` in a measurement step's `occupations`: its
-    pattern on the detector's `modes`, the place in `occupations.outputs` of
-    the occupation with those modes cleared and then the pattern's whole
-    correction list applied (None for a rejected pattern, whose branch keeps
-    no amplitude), whether the amplitude changes sign, and whether `table`
-    accepts the pattern.  An outcome `table` cannot look up raises."""
-    pattern = tuple([occ[m] for m in modes])
-    action = table.lookup(pattern)
-    if action == REJECT:
-        return pattern, None, False, False
-    cleared = list(occ)
-    for m in modes:
-        cleared[m] = 0
-    out = tuple(cleared)
-    negate = False
-    for beam, kind in action:
-        h_modes, v_modes = registry.hv_modes(beam)
-        if kind in ("sign", "flip_sign") and sum(out[m] for m in v_modes) % 2 == 1:
-            negate = not negate
-        if kind in ("flip", "flip_sign"):
-            out = swap_hv(out, h_modes, v_modes)
-    _, index, outputs = occupations
-    k = index.get(out)
-    if k is None:
-        k = index[out] = len(outputs)
-        outputs.append([out, None])
-    return pattern, k, negate, True
+def detection(registry: ModeRegistry, detector: DetectorSpec, table: FeedForwardTable,
+              ) -> Callable[[Occupation], tuple[tuple[int, ...], Occupation | None, bool]]:
+    """The action of a measurement on an output: its pattern on the
+    detector's modes, the occupation with those modes cleared and the
+    pattern's corrections applied (None if `table` rejects the pattern),
+    and whether the sign flips.  An outcome `table` cannot look up raises."""
+    modes = registry.beam_modes(detector.beam)
 
-
-class MeasureRows(NamedTuple):
-    """A measurement step's occupation table: `rows` maps an incoming
-    occupation to its row through the step's unitary, ``((output index,
-    amplitude), ...)``; `index` maps each output occupation those rows reach,
-    and each corrected occupation of an accepted output, to its place in
-    `outputs`, which holds, in first-seen order, ``[occupation, its row as
-    an output (see `_measure_row`: pattern, place of the corrected
-    occupation, sign, accept flag) or None]``, the row being filled once a
-    run keeps an amplitude there.  The branches of a run key their
-    amplitudes by place, so no occupation is hashed again.  It serves one
-    unitary, detector and feed-forward table."""
-    rows: dict[Occupation, tuple[tuple[int, complex], ...]]
-    index: dict[Occupation, int]
-    outputs: list[list]
+    def detect(occ: Occupation) -> tuple[tuple[int, ...], Occupation | None, bool]:
+        pattern = tuple([occ[m] for m in modes])
+        action = table.lookup(pattern)
+        if action == REJECT:
+            return pattern, None, False
+        cleared = list(occ)
+        for m in modes:
+            cleared[m] = 0
+        out = tuple(cleared)
+        negate = False
+        for beam, kind in action:
+            h_modes, v_modes = registry.hv_modes(beam)
+            if kind in ("sign", "flip_sign") and sum(out[m] for m in v_modes) % 2 == 1:
+                negate = not negate
+            if kind in ("flip", "flip_sign"):
+                out = swap_hv(out, h_modes, v_modes)
+        return pattern, out, negate
+    return detect
 
 
 FEEDFORWARD_CONSISTENCY_TOL = 1e-9
@@ -509,7 +523,7 @@ FEEDFORWARD_CONSISTENCY_TOL = 1e-9
 
 def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
                             table: FeedForwardTable, unitary: ModeUnitary | None,
-                            occupations: MeasureRows | None = None,
+                            occupations: StepTable | None = None,
                             ) -> tuple[PhotonicState, float, list[BranchRecord]]:
     """Apply `unitary`, measure one beam, apply outcome-conditioned
     corrections, pool branches.
@@ -519,20 +533,17 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
     for a +/- detector, the detector's plate after it; a `Circuit` folds
     them when it compiles a program), else the detector's
     `DetectorSpec.rotation`, or None for an H/V detector.  `occupations` is
-    the step's `MeasureRows`.  Each term expands through its row into one
-    amplitude per output; each output, once pruned, goes straight into its
-    branch, so no rotated, uncorrected `PhotonicState` is built and no
-    output that the pruning drops is looked up.  An output's pattern is
-    looked up in `table` when its row is built, and the row carries the
-    accept flag; a row whose lookup raises is never stored, so an unlisted
-    outcome raises on every run.  Every branch keeps its squares, summed
-    into its probability, and a rejected one nothing else.  Detected photons
-    are consumed.  Corrected
+    the step's `StepTable`, whose `act` ends in this measurement's
+    `detection`; by default a fresh one.  Each term expands through its row
+    into one amplitude per output; each output, once pruned, goes straight
+    into its branch, so no rotated, uncorrected `PhotonicState` is built.
+    Every branch keeps its squares, summed into its probability, and a
+    rejected one nothing else.  Detected photons are consumed.  Corrected
     accepted branches, normalized, must agree amplitude by amplitude (to
     within `FEEDFORWARD_CONSISTENCY_TOL`); they are pooled with their
     outcome probabilities into one sub-normalized conditional state whose
     squared norm is the total acceptance probability times the incoming
-    weight.  Only the pooled result is a `PhotonicState`.
+    weight.
     """
     reg = state.registry
     if unitary is None:
@@ -541,24 +552,9 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
     elif unitary.registry != reg:
         raise EngineError("unitary acts on a different registry")
 
-    occupations = MeasureRows({}, {}, []) if occupations is None else occupations
-    rows, index, outputs = occupations
-    values: dict[int, complex] = {}  # by output index, in first-reached order
-    get = values.get
-    for occ, amp in state.amps.items():
-        row = rows.get(occ)
-        if row is None:
-            entries = []
-            for full, t in ((occ, 1.0),) if unitary is None else _row(unitary.plan, occ):
-                j = index.get(full)
-                if j is None:
-                    j = index[full] = len(outputs)
-                    outputs.append([full, None])
-                entries.append((j, t))
-            row = rows[occ] = tuple(entries)
-        for j, t in row:
-            values[j] = get(j, 0.0) + amp * t
-
+    if occupations is None:
+        occupations = StepTable.fresh(detection(reg, detector, table))
+    values, outputs = _outputs(state, unitary, occupations), occupations.outputs
     # each pattern's squares, and an accepted one's corrected amplitudes by place
     branches: dict[tuple[int, ...], tuple[list[float], dict[int, complex] | None]] = {}
     squares: list[float] = []
@@ -569,14 +565,16 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
         square = a.real * a.real + a.imag * a.imag
         add_square(square)
         output = outputs[j]
-        row = output[1]
-        if row is None:
-            row = output[1] = _measure_row(reg, reg.beam_modes(detector.beam), table,
-                                           occupations, output[0])
-        pattern, corrected, negate, accept = row
+        action = output[1]
+        if action is None:
+            pattern, corrected, negate = occupations.act(output[0])
+            action = output[1] = (
+                pattern, None if corrected is None else _number(occupations, corrected), negate)
+        pattern, corrected, negate = action
         branch = branch_of(pattern)
         if branch is None:
-            branches[pattern] = ([square], {corrected: -a if negate else a} if accept else None)
+            branches[pattern] = ([square], None if corrected is None else {
+                corrected: -a if negate else a})
             continue
         sq, amps = branch
         sq.append(square)

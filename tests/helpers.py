@@ -8,6 +8,7 @@ import numpy as np
 
 from fredkinlab import PhotonicState, Polarization
 from fredkinlab.analysis import phase_fixed_map_deviation
+from fredkinlab.circuits import ControlFlipError
 from fredkinlab.fock import ModeRegistry, Occupation
 
 
@@ -27,6 +28,27 @@ def cnot_vec(values) -> np.ndarray:
         c, t = (i >> 1) & 1, i & 1
         out[(c << 1) | (t ^ c)] += a
     return out
+
+
+def controlled_flip(state: PhotonicState, control: str, target: str) -> PhotonicState:
+    """The ideal flip, term by term: a V control photon swaps the target's H
+    and V occupations; a control beam holding other than one photon raises."""
+    reg = state.registry
+    (ctrl_h, ctrl_v), (tgt_h, tgt_v) = reg.hv_modes(control), reg.hv_modes(target)
+    out = {}
+    for occ, a in state.amps.items():
+        nh = sum(occ[m] for m in ctrl_h)
+        nv = sum(occ[m] for m in ctrl_v)
+        if nh + nv != 1:
+            raise ControlFlipError(
+                f"control beam {control!r} carries {nh + nv} photons, needs exactly 1")
+        if nv == 1:
+            flipped = list(occ)
+            for hm, vm in zip(tgt_h, tgt_v):
+                flipped[hm], flipped[vm] = occ[vm], occ[hm]
+            occ = tuple(flipped)
+        out[occ] = out.get(occ, 0.0) + a
+    return PhotonicState(reg, out, validate=False)
 
 
 def pol(bit: int) -> Polarization:

@@ -15,10 +15,11 @@ import os
 
 import pytest
 
-from fredkinlab import circuits, engine
-from fredkinlab.analysis import LINEARITY_INPUTS, evaluate_known_target, random_inputs
+from fredkinlab import circuits, elements, engine
+from fredkinlab.analysis import (
+    LINEARITY_INPUTS, evaluate_known_target, gate_report, random_inputs,
+)
 from fredkinlab.catalog import CATALOG, gate_names, get_gate
-from fredkinlab.engine import KeptRows
 from fredkinlab.fock import DEFAULT_PRUNE_EPS, LogicalAmplitudes
 
 #: far below the smallest real entry of any catalog row (0.102) and far above
@@ -39,9 +40,9 @@ def _outputs(state, rows):
 def test_no_step_computes_an_amplitude_that_it_prunes(name, monkeypatch):
     put_out = []
 
-    def apply_unitary(state, u, kept=None):
-        result = engine_apply(state, u, kept)
-        put_out.append(_outputs(state, u.plan.full_rows if kept is None else kept.rows))
+    def apply_unitary(state, u, table):
+        result = engine_apply(state, u, table)
+        put_out.append(_outputs(state, table.rows))
         return result
 
     def measure_and_feedforward(state, detector, table, unitary, occupations):
@@ -67,7 +68,7 @@ def test_no_step_computes_an_amplitude_that_it_prunes(name, monkeypatch):
     steps = circuit.program(len(circuit.stages)).steps
     rows = [row for step in steps if step.unitary is not None
             for row in step.unitary.plan.rows.values()]
-    rows += [row for step in steps if isinstance(step.table, KeptRows)
+    rows += [row for step in steps
              for _, cut_rows in step.table.cuts.values() for row in cut_rows.values()]
     assert rows
     assert min(abs(t) for row in rows for _, t in row) >= SMALLEST_ENTRY
@@ -117,3 +118,28 @@ def test_the_tool_prints_every_gate_and_their_total(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["gate", *work_counts.FIELDS]
     assert [line.split()[0] for line in lines[1:]] == [*gate_names(), "total"]
+
+
+def test_a_catalog_pass_scans_no_detector_plate(monkeypatch):
+    # a +/- detector's plate moves only the detector's beam, which placing the
+    # ancillae counts anyway, so no pass compares the registry-sized plate
+    # with the identity to find its active modes
+    plates, scanned = [], []
+    rotation, modes = engine.DetectorSpec.rotation, elements.ModeUnitary.modes
+
+    def recorded_rotation(detector, registry):
+        plate = rotation(detector, registry)
+        plates.append(plate)
+        return plate
+
+    def counted_modes(u):
+        if u._modes is None:
+            scanned.append(u)
+        return modes.fget(u)
+
+    monkeypatch.setattr(engine.DetectorSpec, "rotation", recorded_rotation)
+    monkeypatch.setattr(elements.ModeUnitary, "modes", property(counted_modes))
+    for name in gate_names():
+        gate_report(get_gate(name))
+    assert any(plate is not None for plate in plates) and scanned
+    assert [u for u in scanned if any(u is plate for plate in plates)] == []

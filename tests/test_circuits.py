@@ -26,7 +26,6 @@ from fredkinlab.circuits import (
     build_ralph_cnot,
     build_sanaka_cnot,
     build_simplified_cnot,
-    _apply_controlled_flip,
     run,
     simplified_mesh_amplitudes,
 )
@@ -54,6 +53,7 @@ from helpers import (
     assert_states_close,
     bits_of,
     cnot_vec,
+    controlled_flip,
     fredkin_vec,
     phase_fixed_deviation,
     pol,
@@ -508,7 +508,7 @@ def stage_by_stage(circuit, amps):
         if isinstance(st, Linear):
             state = apply_unitary(state, compose(reg, st.elements))
         elif isinstance(st, ControlledFlip):
-            state = _apply_controlled_flip(state, st.control, st.target)
+            state = controlled_flip(state, st.control, st.target)
         elif isinstance(st, Measure):
             det = st.detector
             state, _, records = measure_and_feedforward(state, det, st.table, det.rotation(reg))

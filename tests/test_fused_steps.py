@@ -1,13 +1,16 @@
 """The steps a circuit fuses, against an unfused reference kept here: the
 post-selection folded into the last linear step, each measurement folded
-into the linear step before it, and measurement with plain branch maps.
+into the linear step before it, flips folded into the linear step before
+them, and measurement with plain branch maps.
 
-The reference runs a circuit's compiled steps with every linear step
-emitting all of its terms, then the measurement on its own (its plate, if
-any, a second unitary), the post-selection filtering the terms, and each
-measurement branch a `PhotonicState` corrected one correction at a time.
-Every result must equal the reference's to the bit: `float.hex` of each
-amplitude, in the same order, of the probability and of each branch record.
+The reference runs the stages of a circuit's compiled steps one at a time:
+each linear step emitting all of its terms, then each flip term by term,
+the measurement on its own (its plate, if any, a second unitary), the
+post-selection filtering the terms, and each measurement branch a
+`PhotonicState` corrected one correction at a time.  Its flip,
+post-selection and measurement are its own, not the engine's.  Every result
+must equal the reference's to the bit: `float.hex` of each amplitude, in
+the same order, of the probability and of each branch record.
 """
 
 import dataclasses
@@ -20,12 +23,12 @@ from fredkinlab import LogicalAmplitudes, PhotonicState, Polarization, circuits
 from fredkinlab.catalog import CATALOG, get_gate
 from fredkinlab.circuits import (
     Circuit,
+    ControlFlipError,
     ControlledFlip,
     Linear,
     Measure,
     PostSelect,
     SinglePhoton,
-    _apply_controlled_flip,
     run,
 )
 from fredkinlab.elements import Bs, Hwp
@@ -37,15 +40,16 @@ from fredkinlab.engine import (
     FeedForwardError,
     FeedForwardTable,
     DetectorSpec,
-    KeptRows,
-    MeasureRows,
     PostSelectionRule,
+    StepTable,
     apply_unitary,
+    detection,
     measure_and_feedforward,
     post_select_any,
     swap_hv,
 )
 from fredkinlab.fock import register_modes, tensor
+from helpers import controlled_flip
 
 # -- the unfused reference -----------------------------------------------------
 
@@ -62,6 +66,18 @@ def _reference_correction(state: PhotonicState, beam: str, kind: str) -> Photoni
             occ = swap_hv(occ, h_modes, v_modes)
         out[occ] = out.get(occ, 0.0) + a
     return PhotonicState(reg, out, validate=False)
+
+
+def _reference_post_select(state: PhotonicState, rules) -> PhotonicState:
+    """The terms that exactly one of `rules` matches; two matching raise."""
+    kept = {}
+    for occ, a in state.amps.items():
+        matched = [rule for rule in rules if rule.matches(occ)]
+        if len(matched) > 1:
+            raise EngineError("post-selection rule union is not disjoint")
+        if matched:
+            kept[occ] = a
+    return PhotonicState(state.registry, kept, validate=False)
 
 
 def _reference_measure(state, detector, table, rotation):
@@ -116,36 +132,30 @@ def _stage_index(circuit: Circuit, stage) -> int:
 
 
 def _reference_run(circuit: Circuit, amplitudes: LogicalAmplitudes, upto=None):
-    """`run` over the same compiled steps, with every step unfused: a
-    measurement folded into the linear step before it runs after that step
-    has emitted every term, with its own plate, and a post-selection folded
-    into the last linear step runs after it, on its own."""
+    """`run` over the same compiled steps, with every stage of a step on its
+    own: a step's linear run emits every term, then each stage folded into
+    it runs after it, a measurement with its own plate."""
     prog = circuit.program(len(circuit.stages[:upto]))
     state = circuit.prepare_input(amplitudes)
     n0 = state.norm_sq() * prog.late[1]
     log = []
-    for st, u, _, ancillae in prog.steps:
-        if ancillae is not None:
-            state = tensor(state, ancillae)
-        if isinstance(st, Linear):
-            state = apply_unitary(state, u)
-        elif isinstance(st, ControlledFlip):
-            state = _apply_controlled_flip(state, st.control, st.target)
-        elif isinstance(st, Measure):
+    for step in prog.steps:
+        if step.ancillae is not None:
+            state = tensor(state, step.ancillae)
+        for st in step.stages:
             i = _stage_index(circuit, st)
-            plate = circuit.unitaries[i]
-            if u is not plate:  # folded: the linear run before it, on its own
-                state = apply_unitary(state, circuit.unitaries[i - 1])
-            state, records = _reference_measure(state, st.detector, st.table, plate)
-            log.extend(records)
-        elif isinstance(st, PostSelect):
-            state, _ = post_select_any(state, st.rules)
-        else:
-            raise AssertionError(f"no reference for {st!r}")
-    last = circuit.stages[:upto][-1]
-    if isinstance(last, PostSelect) and not any(
-            isinstance(step.stage, PostSelect) for step in prog.steps):
-        state, _ = post_select_any(state, last.rules)
+            if isinstance(st, Linear):
+                state = apply_unitary(state, circuit.unitaries[i])
+            elif isinstance(st, ControlledFlip):
+                state = controlled_flip(state, st.control, st.target)
+            elif isinstance(st, Measure):
+                state, records = _reference_measure(state, st.detector, st.table,
+                                                    circuit.unitaries[i])
+                log.extend(records)
+            elif isinstance(st, PostSelect):
+                state = _reference_post_select(state, st.rules)
+            else:
+                raise AssertionError(f"no reference for {st!r}")
     if prog.rest is not None:
         state = tensor(state, prog.rest)
     return state, state.norm_sq() / n0, log
@@ -166,7 +176,8 @@ def _inputs(n_qubits: int, seed: int):
 
 
 def _folded(circuit: Circuit) -> bool:
-    return isinstance(circuit.program(len(circuit.stages)).steps[-1].table, KeptRows)
+    last = circuit.program(len(circuit.stages)).steps[-1]
+    return isinstance(last.stages[-1], PostSelect) and last.unitary is not None
 
 
 # -- bit identity ----------------------------------------------------------------
@@ -214,13 +225,14 @@ def test_every_catalog_measurement_folds():
     for name in sorted(CATALOG):
         circuit = get_gate(name).build()
         steps = _steps(circuit)
-        measured = [step for step in steps if isinstance(step.stage, Measure)]
-        assert [step.stage for step in measured] == [
+        measured = [step for step in steps if isinstance(step.stages[-1], Measure)]
+        assert [step.stages[-1] for step in measured] == [
             st for st in circuit.stages if isinstance(st, Measure)], name
         for before, step in zip(steps, steps[1:]):
-            assert not (isinstance(before.stage, Linear) and isinstance(step.stage, Measure)), name
+            assert not (isinstance(before.stages[-1], Linear)
+                        and isinstance(step.stages[-1], Measure)), name
         for step in measured:
-            i = _stage_index(circuit, step.stage)
+            i = _stage_index(circuit, step.stages[-1])
             product, plate = circuit.unitaries[i - 1], circuit.unitaries[i]
             assert isinstance(circuit.stages[i - 1], Linear), name
             if plate is None:
@@ -232,15 +244,15 @@ def test_every_catalog_measurement_folds():
 
 
 def test_every_program_meets_a_measurement_with_one_unitary():
-    # a measurement stage's `MeasureRows` holds rows through one unitary, and
+    # a measurement step's `StepTable` holds rows through one unitary, and
     # every cut program that reaches the stage shares it
     for name in sorted(CATALOG):
         circuit = get_gate(name).build()
         met = {}
         for n in range(1, len(circuit.stages) + 1):
             for step in circuit.program(n).steps:
-                if isinstance(step.stage, Measure):
-                    assert isinstance(step.table, MeasureRows), name
+                if isinstance(step.stages[-1], Measure):
+                    assert isinstance(step.table, StepTable), name
                     matrix = met.setdefault(id(step.table), step.unitary.matrix)
                     assert np.array_equal(step.unitary.matrix, matrix), (name, n)
         assert len(met) == sum(isinstance(st, Measure) for st in circuit.stages), name
@@ -257,7 +269,7 @@ def test_cut_at_the_linear_stage_before_a_measurement_gets_every_term(label):
         *_reference_run(circuit, amps, upto=cut))
     # the linear run's product alone, unrotated, as the last step
     last = circuit.program(cut).steps[-1]
-    assert isinstance(last.stage, Linear) and last.unitary is circuit.unitaries[cut - 1]
+    assert isinstance(last.stages[-1], Linear) and last.unitary is circuit.unitaries[cut - 1]
 
 
 def test_a_cut_after_a_folded_first_step_injects_no_ancilla_twice():
@@ -272,7 +284,7 @@ def test_a_cut_after_a_folded_first_step_injects_no_ancilla_twice():
                       output_beams=("c",), stages=stages,
                       ancillae=(SinglePhoton("d", Polarization.H),
                                 SinglePhoton("e", Polarization.H)))
-    assert isinstance(_steps(circuit)[0].stage, Measure)
+    assert isinstance(_steps(circuit)[0].stages[-1], Measure)
     amps = LogicalAmplitudes((0.6, 0.8))
     for upto in (2, 3):
         res = run(circuit, amps, upto=upto)
@@ -303,12 +315,18 @@ def _detector_circuit(basis: str, ancilla_at_measure: bool) -> Circuit:
 @pytest.mark.parametrize("basis", ["HV", "PM"])
 @pytest.mark.parametrize("ancilla_at_measure", [False, True])
 def test_a_measurement_that_does_not_fold_matches_the_reference(basis, ancilla_at_measure):
+    # an H/V count after the flip composes with it, into the plates' step;
+    # a plate cannot follow a flip, and an ancilla entering keeps it apart
     circuit = _detector_circuit(basis, ancilla_at_measure)
     steps = _steps(circuit)
-    assert [type(step.stage) for step in steps] == [type(st) for st in circuit.stages]
-    i = len(circuit.stages) - 1
-    assert steps[-1].unitary is circuit.unitaries[i]  # the plate alone, or None
-    assert (steps[-1].ancillae is not None) == ancilla_at_measure
+    if basis == "HV" and not ancilla_at_measure:
+        assert [step.stages for step in steps] == [circuit.stages]
+        assert steps[0].unitary is circuit.unitaries[0]
+    else:
+        assert [step.stages[0] for step in steps] == [circuit.stages[0], circuit.stages[-1]]
+        assert steps[-1].stages == circuit.stages[-1:]
+        assert steps[-1].unitary is circuit.unitaries[-1]  # the plate alone, or None
+        assert (steps[-1].ancillae is not None) == ancilla_at_measure
     for amps in _inputs(2, seed=46):
         res = run(circuit, amps)
         assert _bits(res.state, res.probability, res.branch_log) == _bits(
@@ -328,7 +346,7 @@ def test_a_pattern_that_cancels_exactly_leaves_no_record(basis):
                       stages=(Linear((Bs(0.5, "a", "b"),)),
                               Measure(DetectorSpec("a", basis),
                                       FeedForwardTable.build({(2, 0): [], (0, 2): []}))))
-    assert isinstance(_steps(circuit)[0].stage, Measure)
+    assert isinstance(_steps(circuit)[0].stages[-1], Measure)
     for index in (0, 3):
         amps = LogicalAmplitudes.basis(2, index)
         res = run(circuit, amps)
@@ -363,6 +381,94 @@ def test_an_unlisted_outcome_that_cancels_is_never_looked_up():
         assert res.probability == pytest.approx(0.5, abs=1e-15)
 
 
+# -- flips folded into the linear step before them ------------------------------------
+
+
+def test_the_post_selected_fredkin_folds_its_flips_into_its_first_step():
+    circuit = get_gate("fredkin-postselected").build()
+    assert [[type(st) for st in step.stages] for step in _steps(circuit)] == [
+        [Linear, ControlledFlip, ControlledFlip], [Linear, PostSelect]]
+    amps = _inputs(3, seed=47)[-1]
+    run(circuit, amps)  # the folded tables exist before the cuts run
+    for upto in range(1, len(circuit.stages) + 1):
+        res = run(circuit, amps, upto=upto)
+        assert _bits(res.state, res.probability, res.branch_log) == _bits(
+            *_reference_run(circuit, amps, upto=upto))
+    # a cut at the linear stage the flips fold into gets every row, unflipped
+    cut = circuit.stage_prefix("split-t2")
+    (step,) = circuit.program(cut).steps
+    assert step.stages == (circuit.stages[cut - 1],)
+    through = run(circuit, amps, upto=cut).state
+    unflipped = apply_unitary(circuit.prepare_input(amps), circuit.unitaries[cut - 1])
+    assert _bits(through, 1.0, []) == _bits(unflipped, 1.0, [])
+
+
+def _mixed_control() -> Circuit:
+    """Beams c, d and t: a balanced splitter on c and d, then a flip of t
+    controlled by c, folded into one step."""
+    reg = register_modes(("c", "d", "t"))
+    circuit = Circuit(name="mixed-control", registry=reg, photons=3, qubit_beams=("t",),
+                      output_beams=("c", "d", "t"),
+                      stages=(Linear((Bs(0.5, "c", "d"),), label="mix"),
+                              ControlledFlip("c", "t", label="flip")))
+    assert [step.stages for step in _steps(circuit)] == [circuit.stages]
+    return circuit
+
+
+def _photons(reg, terms) -> PhotonicState:
+    """A state of terms ``(amplitude, [(beam, pol), ...])``, a photon each."""
+    amps = {}
+    for amp, photons in terms:
+        occ = [0] * reg.size
+        for beam, pol in photons:
+            occ[reg.index(beam, pol)] += 1
+        amps[tuple(occ)] = amp
+    return PhotonicState(reg, amps)
+
+
+def _singlet(reg) -> PhotonicState:
+    """(|H_c V_d> - |V_c H_d>)/sqrt2 with an H photon on t: the splitter
+    leaves one photon in each of c and d, since every amplitude of two
+    photons in one beam cancels."""
+    s2 = 1 / math.sqrt(2)
+    return _photons(reg, [(s2, [("c", "H"), ("d", "V"), ("t", "H")]),
+                          (-s2, [("c", "V"), ("d", "H"), ("t", "H")])])
+
+
+@pytest.mark.parametrize("pols", [("H", "H"), ("V", "H")])
+def test_a_folded_flip_raises_on_a_bad_control_count_on_every_run(pols):
+    # two photons meeting at the splitter leave c with 0 or 2 of them
+    circuit = _mixed_control()
+    reg = circuit.registry
+    bad = _photons(reg, [(1.0, [("c", pols[0]), ("d", pols[1]), ("t", "H")])])
+    with pytest.raises(ControlFlipError, match="needs exactly 1"):
+        controlled_flip(apply_unitary(bad, circuit.unitaries[0]), "c", "t")
+    good = run(circuit, _singlet(reg))
+    for _ in range(2):
+        with pytest.raises(ControlFlipError, match=r"control beam 'c' carries [02] photons"):
+            run(circuit, bad)
+    again = run(circuit, _singlet(reg))
+    assert _bits(again.state, again.probability, []) == _bits(good.state, good.probability, [])
+
+
+def test_a_control_count_that_cancels_is_never_checked():
+    # the splitter reaches outputs with 0 or 2 photons in c, but their
+    # amplitudes cancel, so the flip never looks at them and every run passes
+    circuit = _mixed_control()
+    reg = circuit.registry
+    state = _singlet(reg)
+    reference = controlled_flip(apply_unitary(state, circuit.unitaries[0]), "c", "t")
+    for _ in range(2):
+        res = run(circuit, state)
+        assert _bits(res.state, 1.0, []) == _bits(reference, 1.0, [])
+    (step,) = _steps(circuit)
+    control = reg.beam_modes("c")
+    bad = [action for occ, action in step.table.outputs
+           if sum(occ[m] for m in control) != 1]
+    assert bad and all(action is None for action in bad)
+    assert res.probability == pytest.approx(1.0, abs=1e-15)
+
+
 # -- the post-selection that does not fold -------------------------------------------
 
 
@@ -384,7 +490,7 @@ def _control_h_or_v_with_target_h(reg):
 def test_post_selection_after_a_measurement_matches_the_reference_to_the_bit():
     circuit = _pittman_post_selected(_control_h_or_v_with_target_h)
     assert not _folded(circuit)
-    assert isinstance(circuit.program(len(circuit.stages)).steps[-1].stage, PostSelect)
+    assert isinstance(circuit.program(len(circuit.stages)).steps[-1].stages[-1], PostSelect)
     dropped = False
     for amps in _inputs(2, seed=31):
         res = run(circuit, amps)
@@ -538,7 +644,7 @@ def test_unused_correction_rules_match_the_reference_to_the_bit(time_resolved, c
     ref_state, ref_log = _reference_measure(state, detector, table, None)
     ref_p = sum(r.probability for r in ref_log if r.action == "accept")
     assert [r.action for r in ref_log] == ["reject", "accept", "accept"]
-    occupations = MeasureRows({}, {}, [])
+    occupations = StepTable.fresh(detection(reg, detector, table))
     for _ in range(2):  # a cold table, then a warm one
         assert _bits(*measure_and_feedforward(state, detector, table, None, occupations)) == (
             _bits(ref_state, ref_p, ref_log))

@@ -2,7 +2,7 @@
 
 The last linear step of a circuit that ends in a post-selection builds its
 rows from columns without the forbidden modes (see `engine`).  On random
-small circuits, each such row must be the uncut row filtered by `_kept`,
+small circuits, each such row must be the uncut row filtered by the rules,
 entry for entry and bit for bit; an occupation that two rules match must
 still raise on every run; and a run cut at the folded linear stage must
 still get every row.
@@ -17,7 +17,7 @@ from fredkinlab import engine
 from fredkinlab.circuits import Circuit, Linear, PostSelect, run
 from fredkinlab.elements import Bs, Hwp, ModeUnitary, Rot
 from fredkinlab.engine import (
-    EngineError, KeptRows, PostSelectionRule, apply_unitary, post_select_any,
+    EngineError, PostSelectionRule, StepTable, apply_unitary, post_select_any,
 )
 from fredkinlab.fock import PhotonicState, register_modes
 
@@ -33,6 +33,11 @@ def _hex(t):
 
 def _bits(entries):
     return [(occ, _hex(t)) for occ, t in entries]
+
+
+def _occupations(table, row):
+    """`row` with each output number replaced by its occupation."""
+    return [(table.outputs[j][0], t) for j, t in row]
 
 
 @st.composite
@@ -93,20 +98,21 @@ def folded_circuits(draw):
 def test_cut_rows_are_the_uncut_rows_that_the_post_selection_keeps(case):
     circuit, state, n = case
     (step,) = circuit.program(len(circuit.stages)).steps
-    assert isinstance(step.table, KeptRows)
-    rules = step.table.rules
+    assert isinstance(step.table, StepTable) and step.table.cut
+    rules = circuit.stages[-1].rules
     fresh = ModeUnitary(circuit.registry, step.unitary.matrix, check=False)
+    uncut = StepTable.fresh()
     overlap = False
     for occ in state.amps:
-        try:
-            expected = [e for e in engine._row(fresh.plan, occ)
-                        if engine._kept(rules, {}, e[0])]
-        except EngineError:  # an output that two rules match
+        row = _occupations(uncut, engine._row(fresh, occ, uncut))
+        if any(sum(rule.matches(out) for rule in rules) > 1 for out, _ in row):
             overlap = True
             with pytest.raises(EngineError, match="not disjoint"):
-                engine._row(step.unitary.plan, occ, step.table)
+                engine._row(step.unitary, occ, step.table)
             continue
-        assert _bits(engine._row(step.unitary.plan, occ, step.table)) == _bits(expected)
+        expected = [e for e in row if any(rule.matches(e[0]) for rule in rules)]
+        got = _occupations(step.table, engine._row(step.unitary, occ, step.table))
+        assert _bits(got) == _bits(expected)
 
     if overlap:
         for _ in range(2):  # never stored, so it raises on every run

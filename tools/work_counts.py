@@ -7,8 +7,8 @@ For each catalog gate, and in total, it counts what one
 
 * ``products``: term-by-column products of `engine._transfer_row`;
 * ``entries``: entries of the transfer rows it returns, which are stored;
-* ``kept_checks``: calls of `engine._kept`, one per output occupation a
-  post-selection decides;
+* ``kept_checks``: post-selection decisions, one per output occupation a
+  post-selection decides (calls of the actions `engine.selection` makes);
 * ``put_out``: amplitudes put out by linear steps and measurements, one per
   distinct output of a call;
 * ``plans_built`` and ``plans_applied``: the `elements.ModePlan`s built, and
@@ -54,9 +54,9 @@ def counting(counts: dict):
     for name in FIELDS:
         counts.setdefault(name, 0)
     built, applied = [], {}
-    originals = (engine._transfer_row, engine._kept, elements.ModePlan,
+    originals = (engine._transfer_row, engine.selection, circuits.selection, elements.ModePlan,
                  circuits.apply_unitary, circuits.measure_and_feedforward)
-    transfer_row, kept, plan_type, apply_unitary, measure = originals
+    transfer_row, selection, _, plan_type, apply_unitary, measure = originals
 
     def counted_transfer_row(cols, active_in):
         row = transfer_row(cols, active_in)
@@ -64,20 +64,24 @@ def counting(counts: dict):
         counts["entries"] += len(row)
         return row
 
-    def counted_kept(rules, occupations, occ):
-        counts["kept_checks"] += 1
-        return kept(rules, occupations, occ)
+    def counted_selection(rules):
+        select = selection(rules)
+
+        def counted_select(occ):
+            counts["kept_checks"] += 1
+            return select(occ)
+        return counted_select
 
     def counted_plan(*args):
         plan = plan_type(*args)
         built.append(plan)
         return plan
 
-    def counted_apply(state, u, kept_rows=None):
-        result = apply_unitary(state, u, kept_rows)
-        applied[id(u.plan)] = u.plan
-        rows = u.plan.full_rows if kept_rows is None else kept_rows.rows
-        counts["put_out"] += _distinct_outputs(state, rows)
+    def counted_apply(state, u, table):
+        result = apply_unitary(state, u, table)
+        if u is not None:
+            applied[id(u.plan)] = u.plan
+        counts["put_out"] += _distinct_outputs(state, table.rows)
         return result
 
     def counted_measure(state, detector, table, unitary, occupations):
@@ -87,13 +91,14 @@ def counting(counts: dict):
         counts["put_out"] += _distinct_outputs(state, occupations.rows)
         return result
 
-    engine._transfer_row, engine._kept = counted_transfer_row, counted_kept
+    engine._transfer_row = counted_transfer_row
+    engine.selection = circuits.selection = counted_selection
     elements.ModePlan = counted_plan
     circuits.apply_unitary, circuits.measure_and_feedforward = counted_apply, counted_measure
     try:
         yield counts
     finally:
-        (engine._transfer_row, engine._kept, elements.ModePlan,
+        (engine._transfer_row, engine.selection, circuits.selection, elements.ModePlan,
          circuits.apply_unitary, circuits.measure_and_feedforward) = originals
         counts["plans_built"] += len(built)
         counts["plans_applied"] += sum(1 for plan in built if id(plan) in applied)

@@ -62,6 +62,8 @@ from .fock import (
     FockError,
     LogicalAmplitudes,
     ModeRegistry,
+    NumberedState,
+    Numbering,
     Occupation,
     PhotonicState,
     Polarization,
@@ -219,8 +221,10 @@ class Program(NamedTuple):
     """How `run` carries a logical input through ``stages[:n]``.
 
     Every step is its unitary's rows into numbered outputs, then one action
-    per output (`engine.StepTable`).  One rule folds them: a stage with an
-    action folds into the step before it when no ancilla enters there and
+    per output (`engine.StepTable`); every table of a circuit numbers
+    occupations in the circuit's one `numbering`, so a number means the same
+    occupation in every step and every program.  One rule folds them: a
+    stage with an action folds into the step before it when no ancilla enters there and
     that step ends in a linear stage or a flip, whose action it composes
     with; a +/- detector's plate needs the linear stage, to multiply into
     its product.  A run cut at a linear stage gets every row of its step.
@@ -230,13 +234,17 @@ class Program(NamedTuple):
     touches, goes in before `run` returns.  `late` is the photon number and
     the squared norm of all ancillae but `first`.  None means no ancilla.
     `injections` holds the modes that each step's ancillae occupy and their
-    occupation table (see `fock.tensor`), then those of `rest`.
+    numbered occupation table (see `fock.tensor`), then those of `rest`.
+    `photons` is the photon number of every term of a logical input prepared
+    with every ancilla (a basis state holds a photon per qubit beam), or
+    None if the ancillae's terms differ in it.
     """
     steps: tuple[Step, ...]
     first: PhotonicState | None
     rest: PhotonicState | None
     late: tuple[int, float]
     injections: tuple[tuple[frozenset[int], dict], ...]
+    photons: int | None
 
 
 def _touched_modes(registry: ModeRegistry, step: Stage, u: ModeUnitary | None) -> set[int]:
@@ -300,6 +308,8 @@ class Circuit:
     #: each ancilla's state, built once, with the modes it occupies
     prepared_ancillae: tuple[tuple[PhotonicState, frozenset[int]], ...] = field(
         init=False, compare=False, repr=False)
+    #: the numbering of every occupation the circuit's tables meet
+    numbering: Numbering = field(default_factory=Numbering, init=False, compare=False, repr=False)
     #: `program(n)` by cut n, each worked out on first use
     _programs: dict[int, Program] = field(
         default_factory=dict, init=False, compare=False, repr=False)
@@ -307,9 +317,9 @@ class Circuit:
     #: stage, shared by every program that applies those stages
     _steps: dict[tuple[int, int], tuple[ModeUnitary | None, StepTable]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
-    #: the input table of `prepare_input`: basis index i to the terms of
-    #: |i> with the first step's ancillae
-    _input_rows: dict[int, Occupation | tuple[tuple[Occupation, complex], ...]] = field(
+    #: the input table: basis index i to the number of |i>, or with the
+    #: first step's ancillae the numbered terms of their product
+    _input_rows: dict[int, int | tuple[tuple[int, complex], ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -376,36 +386,50 @@ class Circuit:
         """The logical input with the ancillae the first step of a run
         touches; `run` tensors in every other ancilla later.  Each basis
         state's terms come from the circuit's input table."""
+        state, _ = self.numbered_input(amplitudes)
+        return state.state()
+
+    def numbered_input(self, amplitudes: LogicalAmplitudes) -> tuple[NumberedState, float]:
+        """The terms of `prepare_input` numbered in `numbering`, and their
+        squared norm, summed in their order as `PhotonicState.norm_sq` sums
+        it.  Basis states differ on the qubit beams, which no ancilla
+        occupies, so no two terms share an occupation, and each is pruned as
+        it is made."""
         n = len(self.qubit_beams)
-        if amplitudes.n_qubits != n:
+        if len(amplitudes.values) != 1 << n:
             raise FockError(f"{n} beams for {amplitudes.n_qubits} qubits")
         first = self.program(len(self.stages)).first
         rows = self._input_rows
-        amps: dict[Occupation, complex] = {}
+        amps: dict[int, complex] = {}
+        squares: list[float] = []
         for i, a in enumerate(amplitudes.values):
             if abs(a) < DEFAULT_PRUNE_EPS:  # as `prepare_logical_input` drops it
                 continue
-            row = rows.get(i)
-            if row is None:
-                row = rows[i] = self._input_row(i, first)
+            terms = rows.get(i)
+            if terms is None:
+                terms = rows[i] = self._input_row(i, first)
             if first is None:  # `a` itself, as `prepare_logical_input` stores it
-                amps[row] = a
-            else:
-                for key, t in row:
-                    amps[key] = amps.get(key, 0.0) + a * t
-        return PhotonicState(self.registry, amps, validate=False)
+                amps[terms] = a
+                squares.append(a.real * a.real + a.imag * a.imag)
+                continue
+            for key, t in terms:
+                v = 0.0 + a * t  # a sum into an empty entry, as `fock.tensor` makes it
+                if not abs(v) < DEFAULT_PRUNE_EPS:
+                    amps[key] = v
+                    squares.append(v.real * v.real + v.imag * v.imag)
+        return NumberedState(self.registry, amps, self.numbering), float(sum(squares))
 
     def _input_row(self, i: int, first: PhotonicState | None):
-        """The occupation of basis state |i>, or with `first` the terms
-        ``((key, amplitude), ...)`` of |i> tensored with it."""
+        """The number of basis state |i>, or with `first` the terms
+        ``((number, amplitude), ...)`` of |i> tensored with it."""
         n = len(self.qubit_beams)
         bits = [(i >> (n - 1 - q)) & 1 for q in range(n)]  # as `LogicalAmplitudes.bits`
-        occ = basis_occupation(self.registry, self.qubit_beams, bits)
+        number = self.numbering.number(basis_occupation(self.registry, self.qubit_beams, bits))
         if first is None:
-            return occ
-        rows: dict[Occupation, tuple[tuple[Occupation, complex], ...]] = {}
-        tensor(PhotonicState(self.registry, {occ: 1.0}, validate=False), first, rows)
-        return rows[occ]
+            return number
+        rows: dict[int, tuple[tuple[int, complex], ...]] = {}
+        tensor(NumberedState(self.registry, {number: 1.0}, self.numbering), first, rows)
+        return rows[number]
 
     def program(self, n: int) -> Program:
         """The `Program` of a run through ``stages[:n]``, worked out on first
@@ -456,14 +480,17 @@ class Circuit:
             late = self._product([k for k in everything if k not in groups[0][2]])
             first, groups[0][2] = self._product(groups[0][2]), []
             late_info = (0, 1.0) if late is None else (late.photon_numbers().pop(), late.norm_sq())
+            counts = {0} if first is None else first.photon_numbers()
+            photons = len(self.qubit_beams) + counts.pop() + late_info[0] if len(counts) == 1 \
+                else None
         else:
-            first, late_info = full_program.first, full_program.late
+            first, late_info, photons = full_program.first, full_program.late, full_program.photons
         steps = tuple(Step(self.stages[i:last + 1], *self._step(i, last), self._product(group))
                       for i, last, group in groups)
         taken = [frozenset().union(*(self.prepared_ancillae[k][1] for k in group))
                  for group in (*(group for _, _, group in groups), pending)]
         return Program(steps, first, self._product(pending), late_info,
-                       tuple((modes, {}) for modes in taken))
+                       tuple((modes, {}) for modes in taken), photons)
 
     def _step(self, i: int, last: int) -> tuple[ModeUnitary | None, StepTable]:
         """The unitary and occupation table of the step that applies
@@ -483,7 +510,8 @@ class Circuit:
             # a post-selection right after the unitary cuts the rows it drops
             cut = linear and len(actions) == 1 and isinstance(actions[0], PostSelect)
             step = self._steps[i, last] = (u, StepTable.fresh(
-                acts[0] if len(acts) == 1 else _in_turn(acts), actions[0].rules if cut else ()))
+                acts[0] if len(acts) == 1 else _in_turn(acts), actions[0].rules if cut else (),
+                self.numbering))
         return step
 
 
@@ -508,36 +536,44 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
     last stage inside ``stages[:upto]``, so a cut inside a run applies that
     stage's prefix product.
 
-    A logical input comes from `Circuit.prepare_input`, with the ancillae the
-    first step touches.  Each other ancilla is tensored in just before the
-    first step that touches its modes, or, if no step of ``stages[:upto]``
-    does, just before the run returns, so the result equals that of an input
-    prepared with every ancilla.  The photon-number check and the input norm
-    refer to that fully prepared input.  A `PhotonicState` input gets no
-    ancilla.  Each step runs through its occupation table (see `engine`
-    and `Program`): `measure_and_feedforward` for a measurement,
-    `post_select_any` for a post-selection with no unitary in its step, and
-    `apply_unitary` for every other step.
+    The run carries numbered terms (`fock.NumberedState`) from start to
+    finish and builds one `PhotonicState`, at the end.  A logical input is
+    the numbered form of `Circuit.prepare_input`, with the ancillae the first
+    step touches, from the circuit's input table.  Each other ancilla is
+    tensored in just before the first step that touches its modes, or, if
+    no step of ``stages[:upto]`` does, just before the run returns, so the
+    result equals that of an input prepared with every ancilla.  The
+    photon-number check and the input norm refer to that fully prepared
+    input; the photon number of a logical input is `Program.photons`,
+    worked out once per program, and only a mismatch, or ancillae of mixed
+    photon number, counts the input's terms.  A `PhotonicState` input is
+    numbered on entry and gets no ancilla.  Each step runs through its occupation table (see
+    `engine` and `Program`) and hands its numbered output to the next:
+    `measure_and_feedforward` for a measurement, `post_select_any` for a
+    post-selection with no unitary in its step, and `apply_unitary` for
+    every other step.
     """
     n = len(circuit.stages)
     prog = circuit.program(n if upto is None else len(range(n)[:upto]))
     declared = circuit.photons if expected_photons is None else expected_photons
     logical = isinstance(inp, LogicalAmplitudes)
     if logical:
-        state = circuit.prepare_input(inp)
-        late_photons, late_norm_sq = prog.late
+        state, norm_sq = circuit.numbered_input(inp)
+        photons, (late_photons, late_norm_sq) = prog.photons, prog.late
     else:
         if inp.registry != circuit.registry:
             raise CircuitError("input state lives on a different registry")
-        state = inp
-        late_photons, late_norm_sq = 0, 1.0
-    n0 = state.norm_sq() * late_norm_sq
+        state, photons = NumberedState.of(inp, circuit.numbering), None
+        norm_sq, (late_photons, late_norm_sq) = state.norm_sq(), (0, 1.0)
+    n0 = norm_sq * late_norm_sq
     if n0 <= 0:
         raise CircuitError("input state has zero norm")
-    if state.photon_numbers() != {declared - late_photons}:
-        raise CircuitError(
-            f"input carries photon numbers "
-            f"{sorted(n + late_photons for n in state.photon_numbers())}, declared {declared}")
+    if photons != declared:  # else every term of the input carries `declared`
+        photons = state.photon_numbers()
+        if photons != {declared - late_photons}:
+            raise CircuitError(
+                f"input carries photon numbers "
+                f"{sorted(n + late_photons for n in photons)}, declared {declared}")
 
     log: list[BranchRecord] = []
     for (stages, u, table, ancillae), (occupied, injected) in zip(prog.steps, prog.injections):
@@ -554,7 +590,8 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
     if prog.rest is not None and logical:
         occupied, injected = prog.injections[-1]
         state = tensor(state, prog.rest, injected, occupied)
-    return RunResult(state=state, probability=state.norm_sq() / n0, branch_log=log)
+    state, norm_sq = state.settled()
+    return RunResult(state, norm_sq / n0, log)
 
 
 # -- shared sub-assemblies -------------------------------------------------------

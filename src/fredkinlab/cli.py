@@ -51,6 +51,9 @@ def _parse_input_amplitudes(text: str, n_qubits: int) -> LogicalAmplitudes:
         raw = json.loads(text)
         values = []
         for item in raw:
+            parts = item if isinstance(item, list) else [item]
+            if any(isinstance(part, bool) for part in parts):  # JSON true/false is no number
+                raise ValueError(f"bad amplitude entry {item!r}")
             if isinstance(item, (int, float)):
                 values.append(complex(item))
             elif isinstance(item, list) and len(item) == 2:

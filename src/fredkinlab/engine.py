@@ -54,6 +54,18 @@ that two rules match holds no forbidden photon, so it is still built and
 still raises on every run.  The cut rows live in the step's table, so a run
 cut at that linear stage still gets every row.
 
+Every step works on a `fock.NumberedState`: amplitudes keyed by the
+numbers that its table's `fock.Numbering` gives their occupations, so a
+step finds each term's row, and each output's action, by number, and an
+occupation is hashed only when it is first numbered.  A `Circuit` gives all
+its tables one numbering, so a number means one occupation in every step
+and every cut program, and a run hands each step's numbered output to the
+next as it is (a measurement's pooled state and an ancilla injection
+included) and builds one `PhotonicState`, at the end.  Given a
+`PhotonicState`, `apply_unitary`, `measure_and_feedforward` and
+`post_select_any` number it on entry and return a `PhotonicState`, around
+the same core; a numbered state must share its table's numbering.
+
 A `Circuit` keeps its tables across runs, so the inputs of a sweep or a
 process map share per-occupation work while each input stays its own run;
 the factors are used in the same order, so results are bit-identical.  A
@@ -72,8 +84,11 @@ from .elements import Hwp, ModePlan, ModeUnitary, compile_element
 from .fock import (
     DEFAULT_PRUNE_EPS,
     ModeRegistry,
+    NumberedState,
+    Numbering,
     Occupation,
     PhotonicState,
+    pruned,
 )
 
 _FACTORIALS = [math.factorial(n) for n in range(21)]
@@ -91,86 +106,102 @@ class FeedForwardError(EngineError):
     pass
 
 
+def _keep(occ: Occupation) -> Occupation:
+    """The action that keeps each output where it is."""
+    return occ
+
+
 class StepTable(NamedTuple):
-    """A step's occupation table: `rows` maps an incoming occupation to
-    ``((output number, amplitude), ...)``; `index` numbers every output, and
-    every occupation an action sends one to, by its place in `outputs`,
-    ``[occupation, action or None]``.  An action is an output number, `DROP`,
-    or ``(pattern, corrected output number or None, sign flip)``, which
-    `act` works out from the occupation (returning occupations, not
-    numbers; by default it keeps each output).  `cut` holds the rules of a
-    post-selection right after the unitary, `cuts` their columns and
-    transfer rows by photon number (see `_cut_columns`)."""
-    rows: dict[Occupation, tuple[tuple[int, complex], ...]]
-    index: dict[Occupation, int]
-    outputs: list[list]
+    """A step's occupation table over `numbering`, which numbers every
+    output and every occupation an action sends one to: `rows` maps an
+    incoming occupation's number to ``((output number, amplitude), ...)``,
+    and `actions` an output's number, once worked out, to its action: an
+    output number, `DROP`, or ``(pattern, corrected output number or None,
+    sign flip)``.  `act` works it out from the occupation (returning
+    occupations, not numbers; by default it keeps each output).  `cut`
+    holds the rules of a post-selection right after the unitary, `cuts`
+    their columns and transfer rows by photon number (see `_cut_columns`)."""
+    numbering: Numbering
+    rows: dict[int, tuple[tuple[int, complex], ...]]
+    actions: dict[int, object]
     act: Callable[[Occupation], object]
     cut: tuple[PostSelectionRule, ...]
     cuts: dict[int, tuple[tuple, dict]]
 
     @classmethod
-    def fresh(cls, act: Callable[[Occupation], object] = lambda occ: occ,
-              cut: Sequence[PostSelectionRule] = ()) -> "StepTable":
-        return cls({}, {}, [], act, tuple(cut), {})
+    def fresh(cls, act: Callable[[Occupation], object] = _keep,
+              cut: Sequence[PostSelectionRule] = (),
+              numbering: Numbering | None = None) -> "StepTable":
+        return cls(Numbering() if numbering is None else numbering, {}, {}, act, tuple(cut), {})
 
 
 #: the action of an output a post-selection drops
 DROP = -1
 
 
-def apply_unitary(state: PhotonicState, u: ModeUnitary | None,
-                  table: StepTable | None = None) -> PhotonicState:
+def _table(state: PhotonicState | NumberedState, table: StepTable | None,
+           act: Callable[[Occupation], object] = _keep,
+           ) -> tuple[NumberedState, StepTable]:
+    """`state` numbered in the numbering of `table`, and `table`, by default
+    a fresh one of `act`: a `PhotonicState` is numbered at the boundary, a
+    numbered state must already share the numbering."""
+    if isinstance(state, PhotonicState):
+        table = StepTable.fresh(act) if table is None else table
+        return NumberedState.of(state, table.numbering), table
+    if table is None:
+        return state, StepTable.fresh(act, numbering=state.numbering)
+    if state.numbering is not table.numbering:
+        raise EngineError("state and step table number occupations differently")
+    return state, table
+
+
+def apply_unitary(state: PhotonicState | NumberedState, u: ModeUnitary | None,
+                  table: StepTable | None = None) -> PhotonicState | NumberedState:
     """Evolve a state through a mode unitary (the identity for None), then
     keep, drop or move each output by the `act` of `table`, the step's
-    occupation table; without one, every output is kept."""
+    occupation table; without one, every output is kept.  The result has
+    the form of `state`."""
     if u is not None and u.registry != state.registry:
         raise EngineError("unitary acts on a different registry")
-    return _apply(state, u, StepTable.fresh() if table is None else table)
+    numbered, table = _table(state, table)
+    out = _apply(numbered, u, table)
+    return out if numbered is state else out.state()
 
 
-def _apply(state: PhotonicState, u: ModeUnitary | None, table: StepTable) -> PhotonicState:
-    outputs, out = table.outputs, {}
+def _apply(state: NumberedState, u: ModeUnitary | None, table: StepTable) -> NumberedState:
+    actions, out = table.actions, {}
     for j, a in _outputs(state, u, table).items():
         if not abs(a) < DEFAULT_PRUNE_EPS:
-            k = outputs[j][1]
+            k = actions.get(j)
             if k is None:
                 k = _moved(table, j)
             if k != DROP:  # no two outputs go to one place, so none adds up
-                out[outputs[k][0]] = a
-    return PhotonicState(state.registry, out, validate=False)
+                out[k] = a
+    return NumberedState(state.registry, out, table.numbering)
 
 
-def _outputs(state: PhotonicState, u: ModeUnitary | None, table: StepTable) -> dict[int, complex]:
+def _outputs(state: NumberedState, u: ModeUnitary | None, table: StepTable) -> dict[int, complex]:
     """Each output's amplitude by number, in first-reached order."""
-    rows = table.rows
+    rows, occupations = table.rows, table.numbering.occupations
     values: dict[int, complex] = {}
     get = values.get
-    for occ, amp in state.amps.items():
-        row = rows.get(occ)
+    for i, amp in state.amps.items():
+        row = rows.get(i)
         if row is None:
-            row = rows[occ] = _row(u, occ, table)
+            row = rows[i] = _row(u, occupations[i], table)
         for j, t in row:
             values[j] = get(j, 0.0) + amp * t
     return values
 
 
-def _number(table: StepTable, occ: Occupation) -> int:
-    """The number of output `occ` in `table`, given on first sight."""
-    j = table.index.get(occ)
-    if j is None:
-        j = table.index[occ] = len(table.outputs)
-        table.outputs.append([occ, None])
-    return j
-
-
 def _moved(table: StepTable, j: int) -> int:
     """The action of output number `j`, worked out on first sight: the
     number it goes to, or `DROP`."""
-    output = table.outputs[j]
-    if output[1] is None:
-        to = table.act(output[0])
-        output[1] = DROP if to is None else _number(table, to)
-    return output[1]
+    k = table.actions.get(j)
+    if k is None:
+        to = table.act(table.numbering.occupations[j])
+        k = table.actions[j] = DROP if to is None else table.numbering.number(to)
+    return k
 
 
 def _row(u: ModeUnitary | None, occ: Occupation, table: StepTable,
@@ -179,8 +210,9 @@ def _row(u: ModeUnitary | None, occ: Occupation, table: StepTable,
     from the transfer row of its active-mode occupation; with `table.cut`,
     from the columns cut for its photon number and without the outputs the
     post-selection drops, each decided here."""
+    number = table.numbering.number
     if u is None:
-        return ((_number(table, occ), 1.0),)
+        return ((number(occ), 1.0),)
     _, cols, rows, take, splice = u.plan
     active_in = take(occ)
     if table.cut:
@@ -192,7 +224,7 @@ def _row(u: ModeUnitary | None, occ: Occupation, table: StepTable,
     active_row = rows.get(active_in)
     if active_row is None:
         active_row = rows[active_in] = _transfer_row(cols, active_in)
-    row = [(_number(table, splice(occ + key)), t) for key, t in active_row]
+    row = [(number(splice(occ + key)), t) for key, t in active_row]
     if table.cut:
         return tuple([e for e in row if _moved(table, e[0]) != DROP])
     return tuple(row)
@@ -389,8 +421,9 @@ def _cut_columns(plan: ModePlan, rules: Sequence[PostSelectionRule], n: int):
     return tuple([e for e in col if keep[e[0]]] for col in plan.columns)
 
 
-def post_select_any(state: PhotonicState, rules: Sequence[PostSelectionRule],
-                    table: StepTable | None = None) -> tuple[PhotonicState, float]:
+def post_select_any(state: PhotonicState | NumberedState, rules: Sequence[PostSelectionRule],
+                    table: StepTable | None = None,
+                    ) -> tuple[PhotonicState | NumberedState, float]:
     """Keep the occupation states matched by a union of disjoint conjunctive
     rules (e.g. equal-time-bin coincidence); a single rule is a 1-tuple.
 
@@ -398,12 +431,14 @@ def post_select_any(state: PhotonicState, rules: Sequence[PostSelectionRule],
     probability (squared surviving norm relative to the input norm).  A zero
     survivor is an empty state with probability 0, not an error.  `table`
     is the step's occupation table, whose `act` ends in this post-selection;
-    by default a fresh one of `selection` (rules).
+    by default a fresh one of `selection` (rules).  The surviving terms have
+    the form of `state`.
     """
-    table = StepTable.fresh(selection(rules)) if table is None else table
-    survived = _apply(state, None, table)
-    n_in = state.norm_sq()
-    return survived, survived.norm_sq() / n_in if n_in > 0 else 0.0
+    numbered, table = _table(state, table, selection(rules))
+    survived = _apply(numbered, None, table)
+    n_in = numbered.norm_sq()
+    p = survived.norm_sq() / n_in if n_in > 0 else 0.0
+    return (survived if numbered is state else survived.state()), p
 
 
 # -- measurement with feed-forward -------------------------------------------
@@ -521,10 +556,10 @@ def detection(registry: ModeRegistry, detector: DetectorSpec, table: FeedForward
 FEEDFORWARD_CONSISTENCY_TOL = 1e-9
 
 
-def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
+def measure_and_feedforward(state: PhotonicState | NumberedState, detector: DetectorSpec,
                             table: FeedForwardTable, unitary: ModeUnitary | None,
                             occupations: StepTable | None = None,
-                            ) -> tuple[PhotonicState, float, list[BranchRecord]]:
+                            ) -> tuple[PhotonicState | NumberedState, float, list[BranchRecord]]:
     """Apply `unitary`, measure one beam, apply outcome-conditioned
     corrections, pool branches.
 
@@ -543,7 +578,7 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
     within `FEEDFORWARD_CONSISTENCY_TOL`); they are pooled with their
     outcome probabilities into one sub-normalized conditional state whose
     squared norm is the total acceptance probability times the incoming
-    weight.
+    weight, and has the form of `state`.
     """
     reg = state.registry
     if unitary is None:
@@ -552,9 +587,15 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
     elif unitary.registry != reg:
         raise EngineError("unitary acts on a different registry")
 
-    if occupations is None:
-        occupations = StepTable.fresh(detection(reg, detector, table))
-    values, outputs = _outputs(state, unitary, occupations), occupations.outputs
+    numbered, occupations = _table(state, occupations, detection(reg, detector, table))
+    result = _measure(numbered, unitary, occupations)
+    return result if numbered is state else (result[0].state(), *result[1:])
+
+
+def _measure(state: NumberedState, unitary: ModeUnitary | None, occupations: StepTable,
+             ) -> tuple[NumberedState, float, list[BranchRecord]]:
+    reg, numbering = state.registry, occupations.numbering
+    values, actions = _outputs(state, unitary, occupations), occupations.actions
     # each pattern's squares, and an accepted one's corrected amplitudes by place
     branches: dict[tuple[int, ...], tuple[list[float], dict[int, complex] | None]] = {}
     squares: list[float] = []
@@ -564,12 +605,11 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
             continue
         square = a.real * a.real + a.imag * a.imag
         add_square(square)
-        output = outputs[j]
-        action = output[1]
+        action = actions.get(j)
         if action is None:
-            pattern, corrected, negate = occupations.act(output[0])
-            action = output[1] = (
-                pattern, None if corrected is None else _number(occupations, corrected), negate)
+            pattern, corrected, negate = occupations.act(numbering.occupations[j])
+            action = actions[j] = (
+                pattern, None if corrected is None else numbering.number(corrected), negate)
         pattern, corrected, negate = action
         branch = branch_of(pattern)
         if branch is None:
@@ -582,7 +622,7 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
             amps[corrected] = -a if negate else a
     n_in = float(sum(squares))  # `amplitudes_norm_sq` of the pruned output, in order
     if n_in <= 0.0:
-        return PhotonicState(reg, {}, validate=False), 0.0, []
+        return NumberedState(reg, {}, numbering), 0.0, []
 
     records: list[BranchRecord] = []
     accepted: list[tuple[float, float, dict[int, complex]]] = []
@@ -596,7 +636,7 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
         accepted.append((p_branch, math.sqrt(norm_sq), amps))
 
     if not accepted:
-        return PhotonicState(reg, {}, validate=False), 0.0, records
+        return NumberedState(reg, {}, numbering), 0.0, records
 
     # linear in any disagreement, unlike comparing the pooled norm with p_total;
     # each amplitude is normalized and pruned as `PhotonicState.normalized` does
@@ -631,5 +671,5 @@ def measure_and_feedforward(state: PhotonicState, detector: DetectorSpec,
             kept[k] = a
             squares.append(a.real * a.real + a.imag * a.imag)
     scale = math.sqrt(p_total * n_in) / math.sqrt(float(sum(squares)))
-    return PhotonicState(reg, {outputs[k][0]: a * scale for k, a in kept.items()},
-                         validate=False), p_total, records
+    return NumberedState(reg, pruned({k: a * scale for k, a in kept.items()}), numbering), \
+        p_total, records

@@ -9,7 +9,9 @@ stable.
 
 States are sparse maps from occupation tuples to complex amplitudes.  A state
 may be sub-normalized; its squared norm is then the probability weight
-accumulated by post-selection and heralding.
+accumulated by post-selection and heralding.  A `NumberedState` holds the
+same amplitudes keyed by numbers that a `Numbering` gives the occupations,
+so a run of many steps hashes each occupation once, not once per step.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -232,15 +234,8 @@ class PhotonicState:
                     raise FockError(f"negative occupation in {occ}")
                 amps[occ] = a
         else:
-            # the caller hands over a dict of complex amplitudes on well-formed
-            # keys, kept as it is unless something in it is pruned; the pruning
-            # test is the one above, so a NaN amplitude stays visible
-            amps = amplitudes
-            for a in amplitudes.values():
-                if abs(a) < DEFAULT_PRUNE_EPS:
-                    amps = {occ: a for occ, a in amplitudes.items()
-                            if not abs(a) < DEFAULT_PRUNE_EPS}
-                    break
+            # the caller hands over a dict of complex amplitudes on well-formed keys
+            amps = pruned(amplitudes)
         self.registry = registry
         self.amps = amps
 
@@ -285,9 +280,73 @@ class PhotonicState:
         return f"PhotonicState({len(self.amps)} terms, norm^2={self.norm_sq():.12g})"
 
 
+def pruned(amps: dict) -> dict:
+    """`amps` as it is, or a copy without the amplitudes a stored state
+    drops; the test is the one `PhotonicState` makes, so a NaN amplitude
+    stays visible."""
+    for a in amps.values():
+        if abs(a) < DEFAULT_PRUNE_EPS:
+            return {k: a for k, a in amps.items() if not abs(a) < DEFAULT_PRUNE_EPS}
+    return amps
+
+
+class Numbering:
+    """Numbers occupations in the order first seen: `index` maps an
+    occupation to its number and `occupations` a number to its occupation.
+    A number, once given, keeps its occupation."""
+
+    __slots__ = ("index", "occupations")
+
+    def __init__(self):
+        self.index: dict[Occupation, int] = {}
+        self.occupations: list[Occupation] = []
+
+    def number(self, occ: Occupation) -> int:
+        j = self.index.get(occ)
+        if j is None:
+            j = self.index[occ] = len(self.occupations)
+            self.occupations.append(occ)
+        return j
+
+
+class NumberedState(NamedTuple):
+    """The amplitudes of a `PhotonicState`, pruned and in the same order,
+    keyed by the numbers `numbering` gives their occupations."""
+    registry: ModeRegistry
+    amps: dict[int, complex]
+    numbering: Numbering
+
+    @classmethod
+    def of(cls, state: PhotonicState, numbering: Numbering) -> "NumberedState":
+        number = numbering.number
+        return cls(state.registry, {number(occ): a for occ, a in state.amps.items()}, numbering)
+
+    def settled(self) -> tuple[PhotonicState, float]:
+        """The `PhotonicState` of these amplitudes and its squared norm, in
+        one pass; the amplitudes need no pruning."""
+        occupations = self.numbering.occupations
+        amps, squares = {}, []
+        for j, a in self.amps.items():
+            amps[occupations[j]] = a
+            squares.append(a.real * a.real + a.imag * a.imag)
+        state = PhotonicState.__new__(PhotonicState)
+        state.registry, state.amps = self.registry, amps
+        return state, float(sum(squares))  # as `amplitudes_norm_sq` sums them
+
+    def state(self) -> PhotonicState:
+        return self.settled()[0]
+
+    def norm_sq(self) -> float:
+        return amplitudes_norm_sq(self.amps)
+
+    def photon_numbers(self) -> set[int]:
+        occupations = self.numbering.occupations
+        return {sum(occupations[j]) for j in self.amps}
+
+
 def amplitudes_norm_sq(amps: Mapping[Occupation, complex]) -> float:
     """Sum of |a|^2 over an amplitude map, in its order."""
-    return float(sum((a.real * a.real + a.imag * a.imag) for a in amps.values()))
+    return float(sum([a.real * a.real + a.imag * a.imag for a in amps.values()]))
 
 
 def inner_product(s1: PhotonicState, s2: PhotonicState) -> complex:
@@ -391,32 +450,40 @@ def basis_occupation(registry: ModeRegistry, qubit_beams: Sequence[str],
     return tuple(occ)
 
 
-def tensor(s1: PhotonicState, s2: PhotonicState,
-           rows: dict[Occupation, tuple[tuple[Occupation, complex], ...]] | None = None,
-           occupied: Iterable[int] | None = None) -> PhotonicState:
-    """Product of two states on the same registry occupying disjoint modes.
+def tensor(s1: PhotonicState | NumberedState, s2: PhotonicState,
+           rows: dict[int, tuple[tuple[int, complex], ...]] | None = None,
+           occupied: Iterable[int] | None = None) -> PhotonicState | NumberedState:
+    """Product of two states on the same registry occupying disjoint modes,
+    of the same form as `s1`: a `NumberedState` is numbered in the
+    numbering of `s1`, a `PhotonicState` numbered afresh.
 
     Raises `FockError` if any term of `s1` occupies a mode that any term of
-    `s2` occupies.  `rows` is an occupation table for one `s2`: it maps an
-    occupation of `s1`, on first sight, to the terms ``((key, amplitude of
-    s2), ...)`` of it tensored with `s2`, in the order of `s2`.  An
-    occupation that overlaps `s2` is never stored, so it raises every time.
-    `occupied`, the modes `s2` occupies, is worked out from `s2` if not given.
+    `s2` occupies.  `rows` is an occupation table for one `s2` and a
+    numbered `s1`: it maps the number of an occupation of `s1`, on first
+    sight, to the terms ``((number, amplitude of s2), ...)`` of it tensored
+    with `s2`, in the order of `s2`.  An occupation that overlaps `s2` is
+    never stored, so it raises every time.  `occupied`, the modes `s2`
+    occupies, is worked out from `s2` if not given.
     """
     if s1.registry != s2.registry:
         raise RegistryMismatchError("tensor needs a shared registry")
+    if isinstance(s1, PhotonicState):
+        return tensor(NumberedState.of(s1, Numbering()), s2, None, occupied).state()
     rows = {} if rows is None else rows
-    amps: dict[Occupation, complex] = {}
+    numbering = s1.numbering
+    occupations, number = numbering.occupations, numbering.number
+    amps: dict[int, complex] = {}
     get = amps.get
-    for occ1, a1 in s1.amps.items():
-        row = rows.get(occ1)
+    for j1, a1 in s1.amps.items():
+        row = rows.get(j1)
         if row is None:
+            occ1 = occupations[j1]
             if occupied is None:
                 occupied = {m for occ in s2.amps for m, n in enumerate(occ) if n}
             if any(occ1[m] for m in occupied):
                 raise FockError("tensor factors overlap on a mode")
-            row = rows[occ1] = tuple((tuple(map(operator.add, occ1, occ2)), a2)
-                                     for occ2, a2 in s2.amps.items())
+            row = rows[j1] = tuple((number(tuple(map(operator.add, occ1, occ2))), a2)
+                                   for occ2, a2 in s2.amps.items())
         for key, t in row:
             amps[key] = get(key, 0.0) + a1 * t
-    return PhotonicState(s1.registry, amps, validate=False)
+    return NumberedState(s1.registry, pruned(amps), numbering)

@@ -20,19 +20,22 @@ from fredkinlab.analysis import (
     LINEARITY_INPUTS, evaluate_known_target, gate_report, random_inputs,
 )
 from fredkinlab.catalog import CATALOG, gate_names, get_gate
-from fredkinlab.fock import DEFAULT_PRUNE_EPS, LogicalAmplitudes
+from fredkinlab.fock import DEFAULT_PRUNE_EPS, LogicalAmplitudes, NumberedState
 
 #: far below the smallest real entry of any catalog row (0.102) and far above
 #: the largest residue (2.2e-16)
 SMALLEST_ENTRY = 0.05
 
 
-def _outputs(state, rows):
-    """The amplitudes a step puts out: each term times its row, summed per output."""
+def _outputs(state, table):
+    """The amplitudes a step puts out: each numbered term times its row,
+    summed per output number.  A run hands each step terms numbered as its
+    table numbers them."""
+    assert isinstance(state, NumberedState) and state.numbering is table.numbering
     values = {}
-    for occ, amp in state.amps.items():
-        for out, t in rows[occ]:
-            values[out] = values.get(out, 0.0) + amp * t
+    for i, amp in state.amps.items():
+        for j, t in table.rows[i]:
+            values[j] = values.get(j, 0.0) + amp * t
     return values
 
 
@@ -42,12 +45,12 @@ def test_no_step_computes_an_amplitude_that_it_prunes(name, monkeypatch):
 
     def apply_unitary(state, u, table):
         result = engine_apply(state, u, table)
-        put_out.append(_outputs(state, table.rows))
+        put_out.append(_outputs(state, table))
         return result
 
     def measure_and_feedforward(state, detector, table, unitary, occupations):
         result = engine_measure(state, detector, table, unitary, occupations)
-        put_out.append(_outputs(state, occupations.rows))
+        put_out.append(_outputs(state, occupations))
         return result
 
     engine_apply, engine_measure = circuits.apply_unitary, circuits.measure_and_feedforward

@@ -1,5 +1,6 @@
 import gc
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -751,3 +752,58 @@ def test_errors_survive_warm_tables():
     heralded = get_gate("fredkin-heralded").build()
     raises_twice(FockError, heralded, LogicalAmplitudes.basis(2, 0),
                  LogicalAmplitudes.basis(3, 0))
+
+
+@dataclass(frozen=True)
+class _MaybePhoton:
+    """An ancilla of mixed photon number: vacuum or one H photon on `beam`."""
+    beam: str
+
+    def state(self, registry):
+        occ = [0] * registry.size
+        occ[registry.index(self.beam, Polarization.H)] = 1
+        return PhotonicState(registry, {registry.vacuum(): S2, tuple(occ): S2})
+
+
+def _photon_error(circuit, inp, **kw) -> str:
+    with pytest.raises(CircuitError) as exc:
+        run(circuit, inp, **kw)
+    return str(exc.value)
+
+
+def test_the_photon_number_check_raises_alike_on_every_run():
+    # a logical input's photon number is worked out once per program, not per
+    # run: a mismatch raises the same error on a cold circuit and a warm one,
+    # on the full program and on a cut
+    for name, upto in (("cnot-ralph", None), ("cnot-pittman", None), ("cnot-pittman", 1)):
+        circuit = get_gate(name).build()
+        amps = LogicalAmplitudes.basis(2, 1)
+        want = f"input carries photon numbers [{circuit.photons}], declared 3"
+        assert [_photon_error(circuit, amps, upto=upto, expected_photons=3)
+                for _ in range(2)] == [want, want]
+        run(circuit, amps, upto=upto)
+        assert _photon_error(circuit, amps, upto=upto, expected_photons=3) == want
+    # the known-target gate declares the control alone; a run with a target
+    # photon passes only with its count overridden
+    simplified = get_gate("cnot-simplified").build()
+    reg = simplified.registry
+    with_target = PhotonicState(reg, {qubit_ket(reg, ("c", "t"), (1, 1)): 1.0})
+    for _ in range(2):
+        assert _photon_error(simplified, with_target) == (
+            "input carries photon numbers [2], declared 1")
+        assert run(simplified, with_target, expected_photons=2).probability > 0.0
+        assert run(simplified, LogicalAmplitudes.basis(1, 1)).probability > 0.0
+    # an ancilla of mixed photon number leaves the count to the input's terms
+    reg = register_modes(["c", "a"])
+    mixed = Circuit("mixed", reg, 2, ("c",), ("c",),
+                    (Linear((Hwp("c", 22.5), Hwp("a", 45.0))),), ancillae=(_MaybePhoton("a"),))
+    assert mixed.program(1).photons is None
+    for _ in range(2):
+        assert _photon_error(mixed, LogicalAmplitudes.basis(1, 0)) == (
+            "input carries photon numbers [1, 2], declared 2")
+    # a zero-norm input is refused before its photons are counted
+    for circuit in (simplified, get_gate("cnot-ralph").build()):
+        for _ in range(2):
+            assert _photon_error(circuit, PhotonicState(circuit.registry, {})) == (
+                "input state has zero norm")
+

@@ -309,6 +309,16 @@ def test_verify_rejects_unnormalized_input():
     assert "normaliz" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("text, entry", [("[true, false, 0, 0]", "True"),
+                                         ("[[true, 0], 0, 0, 0]", "[True, 0]"),
+                                         ("[0, 0, [1, false], 0]", "[1, False]")])
+def test_boolean_input_amplitudes_exit_2(command, text, entry):
+    code, out, err = run_cli([command, "cnot-ralph", "--input", text])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse input amplitudes: bad amplitude entry {entry}\n"
+
+
 def test_simulate_rejects_nan_input():
     code, out, err = run_cli(["simulate", "cnot-ralph", "--input", "[NaN, 0, 0, 1]"])
     assert code == 2

@@ -410,3 +410,24 @@ def test_measure_branches_a_small_rotation_apart_raise():
     table = FeedForwardTable.build({(1, 0): [], (0, 1): [("b", "flip")]})
     with pytest.raises(FeedForwardError, match="differ by 1e-06"):
         measure_and_feedforward(s, det, table, det.rotation(reg))
+
+
+def test_a_numbered_state_keeps_its_form_and_its_numbering():
+    # a numbered state comes back numbered, in its own numbering; a table that
+    # numbers occupations otherwise is refused, since a number would mean
+    # another occupation there
+    from fredkinlab.engine import StepTable
+    from fredkinlab.fock import NumberedState, Numbering
+
+    reg = register_modes(["a", "b"])
+    state = PhotonicState(reg, {(1, 0, 0, 1): 0.6, (0, 1, 1, 0): 0.8})
+    u = ModeUnitary(reg, haar_unitary(reg.size, np.random.default_rng(3)))
+    numbered = NumberedState.of(state, Numbering())
+    out = apply_unitary(numbered, u)
+    assert isinstance(out, NumberedState) and out.numbering is numbered.numbering
+    assert list(out.state().amps.items()) == list(apply_unitary(state, u).amps.items())
+    kept, p = post_select_any(numbered, (PostSelectionRule.mode_counts(reg, [((0,), 1)]),))
+    assert isinstance(kept, NumberedState) and kept.state().amps == {(1, 0, 0, 1): 0.6}
+    assert p == pytest.approx(0.36, abs=1e-15)
+    with pytest.raises(EngineError, match="number occupations differently"):
+        apply_unitary(numbered, u, StepTable.fresh())

@@ -48,7 +48,7 @@ from fredkinlab.engine import (
     post_select_any,
     swap_hv,
 )
-from fredkinlab.fock import register_modes, tensor
+from fredkinlab.fock import prepare_logical_input, register_modes, tensor
 from helpers import controlled_flip
 
 # -- the unfused reference -----------------------------------------------------
@@ -131,16 +131,18 @@ def _stage_index(circuit: Circuit, stage) -> int:
     return next(i for i, st in enumerate(circuit.stages) if st is stage)
 
 
-def _reference_run(circuit: Circuit, amplitudes: LogicalAmplitudes, upto=None):
+def _reference_run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState, upto=None):
     """`run` over the same compiled steps, with every stage of a step on its
     own: a step's linear run emits every term, then each stage folded into
-    it runs after it, a measurement with its own plate."""
+    it runs after it, a measurement with its own plate.  A `PhotonicState`
+    input gets no ancilla."""
     prog = circuit.program(len(circuit.stages[:upto]))
-    state = circuit.prepare_input(amplitudes)
-    n0 = state.norm_sq() * prog.late[1]
+    logical = isinstance(inp, LogicalAmplitudes)
+    state = circuit.prepare_input(inp) if logical else inp
+    n0 = state.norm_sq() * (prog.late[1] if logical else 1.0)
     log = []
     for step in prog.steps:
-        if step.ancillae is not None:
+        if step.ancillae is not None and logical:
             state = tensor(state, step.ancillae)
         for st in step.stages:
             i = _stage_index(circuit, st)
@@ -156,7 +158,7 @@ def _reference_run(circuit: Circuit, amplitudes: LogicalAmplitudes, upto=None):
                 state = _reference_post_select(state, st.rules)
             else:
                 raise AssertionError(f"no reference for {st!r}")
-    if prog.rest is not None:
+    if prog.rest is not None and logical:
         state = tensor(state, prog.rest)
     return state, state.norm_sq() / n0, log
 
@@ -190,6 +192,26 @@ def test_catalog_runs_match_the_unfused_reference_to_the_bit(name):
         res = run(circuit, amps)
         assert _bits(res.state, res.probability, res.branch_log) == _bits(
             *_reference_run(circuit, amps))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_every_cut_matches_the_unfused_reference_to_the_bit(name):
+    # every program of a circuit numbers occupations in its one numbering, so
+    # the full run goes first and each cut then meets the numbers it gave
+    circuit = get_gate(name).build()
+    n = len(circuit.qubit_beams)
+    rng = np.random.default_rng(2024)
+    run(circuit, LogicalAmplitudes.random(n, rng))
+    prepared = prepare_logical_input(circuit.registry, LogicalAmplitudes.random(n, rng),
+                                     circuit.qubit_beams)
+    for ancilla in circuit.ancillae:
+        prepared = tensor(prepared, ancilla.state(circuit.registry))
+    for upto in range(1, len(circuit.stages) + 1):
+        for inp in (LogicalAmplitudes.basis(n, upto % (1 << n)),
+                    LogicalAmplitudes.random(n, rng), prepared):
+            res = run(circuit, inp, upto=upto)
+            assert _bits(res.state, res.probability, res.branch_log) == _bits(
+                *_reference_run(circuit, inp, upto=upto)), (upto, inp)
 
 
 def test_every_post_selected_catalog_gate_folds():
@@ -463,9 +485,10 @@ def test_a_control_count_that_cancels_is_never_checked():
         assert _bits(res.state, 1.0, []) == _bits(reference, 1.0, [])
     (step,) = _steps(circuit)
     control = reg.beam_modes("c")
-    bad = [action for occ, action in step.table.outputs
-           if sum(occ[m] for m in control) != 1]
-    assert bad and all(action is None for action in bad)
+    occupations = step.table.numbering.occupations
+    outputs = {j for row in step.table.rows.values() for j, _ in row}
+    bad = [j for j in outputs if sum(occupations[j][m] for m in control) != 1]
+    assert bad and all(j not in step.table.actions for j in bad)
     assert res.probability == pytest.approx(1.0, abs=1e-15)
 
 
@@ -648,4 +671,4 @@ def test_unused_correction_rules_match_the_reference_to_the_bit(time_resolved, c
     for _ in range(2):  # a cold table, then a warm one
         assert _bits(*measure_and_feedforward(state, detector, table, None, occupations)) == (
             _bits(ref_state, ref_p, ref_log))
-        assert len(occupations.rows) == len(occupations.outputs) == len(state.amps)
+        assert len(occupations.rows) == len(occupations.numbering.occupations) == len(state.amps)

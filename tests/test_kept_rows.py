@@ -37,7 +37,7 @@ def _bits(entries):
 
 def _occupations(table, row):
     """`row` with each output number replaced by its occupation."""
-    return [(table.outputs[j][0], t) for j, t in row]
+    return [(table.numbering.occupations[j], t) for j, t in row]
 
 
 @st.composite

@@ -61,3 +61,30 @@ def test_tracer_counts_each_measurement_of_a_run():
     assert figures["circuits.run.calls"] == 1
     assert figures["engine.measure_and_feedforward.calls"] == 2
     assert figures["engine.measure_and_feedforward.branches"] == len(res.branch_log) > 0
+
+
+def test_tracer_counts_the_linear_step_of_a_run():
+    # the run hands its numbered terms to `apply_unitary` by the traced name,
+    # and the tracer counts them as it counted a state's terms
+    import numpy as np
+    from fredkinlab import circuits, engine
+    from fredkinlab.fock import LogicalAmplitudes
+
+    circuit = catalog.get_gate("cnot-ralph").build()
+    amps = LogicalAmplitudes.random(2, np.random.default_rng(5))
+    terms_in = len(circuit.prepare_input(amps).amps)
+    originals = (engine.apply_unitary, circuits.apply_unitary)
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.active, tracer.op = True, 0
+        res = circuits.run(circuit, amps)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert (engine.apply_unitary, circuits.apply_unitary) == originals
+    figures = tracer.layer_figures()
+    assert figures["circuits.run.calls"] == 1
+    assert figures["engine.apply_unitary.calls"] == 1
+    assert figures["engine.apply_unitary.terms_in"] == terms_in == 4
+    assert figures["engine.apply_unitary.terms_out"] == len(res.state.amps) > 0

@@ -10,7 +10,8 @@ For each catalog gate, and in total, it counts what one
 * ``kept_checks``: post-selection decisions, one per output occupation a
   post-selection decides (calls of the actions `engine.selection` makes);
 * ``put_out``: amplitudes put out by linear steps and measurements, one per
-  distinct output of a call;
+  distinct output number that a call's numbered terms reach through the
+  rows of its step table;
 * ``plans_built`` and ``plans_applied``: the `elements.ModePlan`s built, and
   how many of them a linear step or a measurement applied.
 
@@ -44,8 +45,10 @@ def products(cols, active_in) -> int:
     return count
 
 
-def _distinct_outputs(state, rows) -> int:
-    return len({out for occ in state.amps for out, _ in rows[occ]})
+def _distinct_outputs(state, table) -> int:
+    """The output numbers that the numbered terms of `state` reach through
+    the rows of `table`, which a run numbers alike."""
+    return len({j for i in state.amps for j, _ in table.rows[i]})
 
 
 @contextmanager
@@ -81,14 +84,14 @@ def counting(counts: dict):
         result = apply_unitary(state, u, table)
         if u is not None:
             applied[id(u.plan)] = u.plan
-        counts["put_out"] += _distinct_outputs(state, table.rows)
+        counts["put_out"] += _distinct_outputs(state, table)
         return result
 
     def counted_measure(state, detector, table, unitary, occupations):
         result = measure(state, detector, table, unitary, occupations)
         if unitary is not None:
             applied[id(unitary.plan)] = unitary.plan
-        counts["put_out"] += _distinct_outputs(state, occupations.rows)
+        counts["put_out"] += _distinct_outputs(state, occupations)
         return result
 
     engine._transfer_row = counted_transfer_row

@@ -48,6 +48,7 @@ from .fock import (
     Occupation,
     PhotonicState,
     amplitudes_norm_sq,
+    basis_bits,
 )
 
 #: the fewest seeded random superpositions a gate report checks against K·x
@@ -337,7 +338,7 @@ def _report(info: GateInfo, matrix: np.ndarray, fidelity: float,
 
 
 def _bits_label(n: int, index: int) -> str:
-    return "".join("V" if (index >> (n - 1 - q)) & 1 else "H" for q in range(n))
+    return "".join("V" if bit else "H" for bit in basis_bits(n, index))
 
 
 # -- optimization ------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .circuits import (
     build_sanaka_cnot,
     build_simplified_cnot,
 )
-from .fock import ModeRegistry, Occupation, Polarization, TimeBin
+from .fock import ModeRegistry, Occupation, Polarization, TimeBin, basis_bits
 
 #: Fixed modeling conventions; hashed into reports so goldens are traceable.
 CONVENTIONS = {
@@ -88,7 +88,7 @@ def qubit_output_kets(registry: ModeRegistry, beams: Sequence[str],
     n = len(beams)
     kets = []
     for j in range(1 << n):
-        bits = [(j >> (n - 1 - q)) & 1 for q in range(n)]
+        bits = basis_bits(n, j)
         occ = [0] * registry.size
         tb = None
         if registry.time_resolved:

@@ -68,6 +68,7 @@ from .fock import (
     PhotonicState,
     Polarization,
     TimeBin,
+    basis_bits,
     basis_occupation,
     register_modes,
     tensor,
@@ -205,16 +206,24 @@ AncillaPrep = Union[BellPair, SinglePhoton]
 # -- circuit -------------------------------------------------------------------
 
 
+class Injection(NamedTuple):
+    """Ancillae that enter a run together: their product, its numbered
+    occupation table (see `fock.tensor`) and the modes it occupies."""
+    state: PhotonicState
+    rows: dict[int, tuple[tuple[int, complex], ...]]
+    modes: frozenset[int]
+
+
 class Step(NamedTuple):
     """One step of a run: the stages it applies (a fused run of `Linear`
     stages as its last stage inside the cut, then the stages folded into
     it), its unitary (that run's product, times a folded +/- detector's
     plate; else a detector's plate, or None), its occupation table, and the
-    product of the ancillae tensored in just before it (or None)."""
+    ancillae tensored in just before it (or None)."""
     stages: tuple[Stage, ...]
     unitary: ModeUnitary | None
     table: StepTable
-    ancillae: PhotonicState | None
+    injection: Injection | None
 
 
 class Program(NamedTuple):
@@ -228,23 +237,12 @@ class Program(NamedTuple):
     that step ends in a linear stage or a flip, whose action it composes
     with; a +/- detector's plate needs the linear stage, to multiply into
     its product.  A run cut at a linear stage gets every row of its step.
-    `first` is the product of the ancillae that the first step of a full run
-    touches; `Circuit.prepare_input` tensors it in.  Each step tensors in the
-    ancillae it is the first to touch, and `rest`, the ancillae no step
-    touches, goes in before `run` returns.  `late` is the photon number and
-    the squared norm of all ancillae but `first`.  None means no ancilla.
-    `injections` holds the modes that each step's ancillae occupy and their
-    numbered occupation table (see `fock.tensor`), then those of `rest`.
-    `photons` is the photon number of every term of a logical input prepared
-    with every ancilla (a basis state holds a photon per qubit beam), or
-    None if the ancillae's terms differ in it.
+    The logical input already holds the circuit's `first` ancillae; each
+    step injects the other ancillae it is the first to touch, and `rest`,
+    those no step touches, goes in before `run` returns.
     """
     steps: tuple[Step, ...]
-    first: PhotonicState | None
-    rest: PhotonicState | None
-    late: tuple[int, float]
-    injections: tuple[tuple[frozenset[int], dict], ...]
-    photons: int | None
+    rest: Injection | None
 
 
 def _touched_modes(registry: ModeRegistry, step: Stage, u: ModeUnitary | None) -> set[int]:
@@ -308,6 +306,14 @@ class Circuit:
     #: each ancilla's state, built once, with the modes it occupies
     prepared_ancillae: tuple[tuple[PhotonicState, frozenset[int]], ...] = field(
         init=False, compare=False, repr=False)
+    #: the product of the ancillae that the first step of a full run
+    #: touches, which a logical input holds from the start (None: none)
+    first: PhotonicState | None = field(init=False, compare=False, repr=False)
+    #: every other ancilla, which a run tensors in later, and their product's squared norm
+    later: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    late_norm_sq: float = field(init=False, compare=False, repr=False)
+    #: the photon numbers of a logical input prepared with every ancilla
+    input_photons: frozenset[int] = field(init=False, compare=False, repr=False)
     #: the numbering of every occupation the circuit's tables meet
     numbering: Numbering = field(default_factory=Numbering, init=False, compare=False, repr=False)
     #: `program(n)` by cut n, each worked out on first use
@@ -317,8 +323,8 @@ class Circuit:
     #: stage, shared by every program that applies those stages
     _steps: dict[tuple[int, int], tuple[ModeUnitary | None, StepTable]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
-    #: the input table: basis index i to the number of |i>, or with the
-    #: first step's ancillae the numbered terms of their product
+    #: the input table: basis index i to the number of |i>, or with
+    #: `first` the numbered terms of |i> tensored with it
     _input_rows: dict[int, int | tuple[tuple[int, complex], ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
@@ -374,6 +380,18 @@ class Circuit:
             taken |= modes
             prepared.append((s, modes))
         object.__setattr__(self, "prepared_ancillae", tuple(prepared))
+        # the first step starts at the last stage of a leading run of `Linear` stages
+        linear = next((i for i, st in enumerate(self.stages) if not isinstance(st, Linear)),
+                      len(self.stages))
+        first = self._touching(max(linear - 1, 0), range(len(prepared)))
+        later = tuple(k for k in range(len(prepared)) if k not in first)
+        photons = {len(self.qubit_beams)}
+        for s, _ in prepared:
+            photons = {a + b for a in photons for b in s.photon_numbers()}
+        object.__setattr__(self, "first", self._product(first))
+        object.__setattr__(self, "later", later)
+        object.__setattr__(self, "late_norm_sq", self._product(later).norm_sq() if later else 1.0)
+        object.__setattr__(self, "input_photons", frozenset(photons))
 
     def stage_prefix(self, label: str) -> int:
         """Number of stages up to and including the first stage so labeled."""
@@ -383,9 +401,9 @@ class Circuit:
         raise CircuitError(f"no stage labeled {label!r} in {self.name}")
 
     def prepare_input(self, amplitudes: LogicalAmplitudes) -> PhotonicState:
-        """The logical input with the ancillae the first step of a run
-        touches; `run` tensors in every other ancilla later.  Each basis
-        state's terms come from the circuit's input table."""
+        """The logical input with the `first` ancillae, those the first step
+        of a full run touches; `run` tensors in every other ancilla later.
+        Each basis state's terms come from the circuit's input table."""
         state, _ = self.numbered_input(amplitudes)
         return state.state()
 
@@ -398,7 +416,7 @@ class Circuit:
         n = len(self.qubit_beams)
         if len(amplitudes.values) != 1 << n:
             raise FockError(f"{n} beams for {amplitudes.n_qubits} qubits")
-        first = self.program(len(self.stages)).first
+        first = self.first
         rows = self._input_rows
         amps: dict[int, complex] = {}
         squares: list[float] = []
@@ -422,8 +440,7 @@ class Circuit:
     def _input_row(self, i: int, first: PhotonicState | None):
         """The number of basis state |i>, or with `first` the terms
         ``((number, amplitude), ...)`` of |i> tensored with it."""
-        n = len(self.qubit_beams)
-        bits = [(i >> (n - 1 - q)) & 1 for q in range(n)]  # as `LogicalAmplitudes.bits`
+        bits = basis_bits(len(self.qubit_beams), i)
         number = self.numbering.number(basis_occupation(self.registry, self.qubit_beams, bits))
         if first is None:
             return number
@@ -439,9 +456,10 @@ class Circuit:
             prog = self._programs[n] = self._compile_program(n)
         return prog
 
-    def _untouched(self, ancillae: Sequence[int], touched: set[int]) -> list[int]:
-        """The ancillae (indices into `ancillae`) with no mode in `touched`."""
-        return [k for k in ancillae if touched.isdisjoint(self.prepared_ancillae[k][1])]
+    def _touching(self, i: int, ancillae: Sequence[int]) -> list[int]:
+        """The ancillae (indices into `ancillae`) with a mode that stage i acts on."""
+        touched = ancillae and _touched_modes(self.registry, self.stages[i], self.unitaries[i])
+        return [k for k in ancillae if not touched.isdisjoint(self.prepared_ancillae[k][1])]
 
     def _product(self, ancillae: Sequence[int]) -> PhotonicState | None:
         state = None
@@ -452,45 +470,29 @@ class Circuit:
 
     def _compile_program(self, n: int) -> Program:
         stages = self.stages[:n]
-        everything = range(len(self.ancillae))
-        full = len(stages) == len(self.stages)
-        if full:
-            pending = everything
-        else:  # `prepare_input` has tensored in the full run's `first`
-            full_program = self.program(len(self.stages))
-            first = full_program.first
-            pending = self._untouched(everything, set() if first is None else {
-                m for occ in first.amps for m, c in enumerate(occ) if c})
+        pending = self.later  # a logical input holds `first` from the start
         groups = []  # [first stage, last stage, ancillae entering] of each step
         for i, st in enumerate(stages):
             linear = isinstance(st, Linear)
             if linear and i + 1 < len(stages) and isinstance(stages[i + 1], Linear):
                 continue  # applied with its run's product at the run's last stage
-            left = pending and self._untouched(
-                pending, _touched_modes(self.registry, st, self.unitaries[i]))
-            entering = [k for k in pending if k not in left]
-            pending = left
+            entering = self._touching(i, pending)
+            pending = [k for k in pending if k not in entering]
             before = groups and stages[groups[-1][1]]
             if not (linear or entering) and (isinstance(before, Linear) or isinstance(
                     before, ControlledFlip) and self.unitaries[i] is None):
                 groups[-1][1] = i  # fold it into the step before
             else:
                 groups.append([i, i, entering])
-        if full:  # `prepare_input` tensors in what the first step touches
-            late = self._product([k for k in everything if k not in groups[0][2]])
-            first, groups[0][2] = self._product(groups[0][2]), []
-            late_info = (0, 1.0) if late is None else (late.photon_numbers().pop(), late.norm_sq())
-            counts = {0} if first is None else first.photon_numbers()
-            photons = len(self.qubit_beams) + counts.pop() + late_info[0] if len(counts) == 1 \
-                else None
-        else:
-            first, late_info, photons = full_program.first, full_program.late, full_program.photons
-        steps = tuple(Step(self.stages[i:last + 1], *self._step(i, last), self._product(group))
+        steps = tuple(Step(self.stages[i:last + 1], *self._step(i, last), self._injection(group))
                       for i, last, group in groups)
-        taken = [frozenset().union(*(self.prepared_ancillae[k][1] for k in group))
-                 for group in (*(group for _, _, group in groups), pending)]
-        return Program(steps, first, self._product(pending), late_info,
-                       tuple((modes, {}) for modes in taken), photons)
+        return Program(steps, self._injection(pending))
+
+    def _injection(self, ancillae: Sequence[int]) -> Injection | None:
+        if not ancillae:
+            return None
+        modes = frozenset().union(*(self.prepared_ancillae[k][1] for k in ancillae))
+        return Injection(self._product(ancillae), {}, modes)
 
     def _step(self, i: int, last: int) -> tuple[ModeUnitary | None, StepTable]:
         """The unitary and occupation table of the step that applies
@@ -538,17 +540,17 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
 
     The run carries numbered terms (`fock.NumberedState`) from start to
     finish and builds one `PhotonicState`, at the end.  A logical input is
-    the numbered form of `Circuit.prepare_input`, with the ancillae the first
-    step touches, from the circuit's input table.  Each other ancilla is
+    the numbered form of `Circuit.prepare_input`, with the circuit's `first`
+    ancillae, from the circuit's input table.  Each other ancilla is
     tensored in just before the first step that touches its modes, or, if
     no step of ``stages[:upto]`` does, just before the run returns, so the
     result equals that of an input prepared with every ancilla.  The
     photon-number check and the input norm refer to that fully prepared
-    input; the photon number of a logical input is `Program.photons`,
-    worked out once per program, and only a mismatch, or ancillae of mixed
-    photon number, counts the input's terms.  A `PhotonicState` input is
-    numbered on entry and gets no ancilla.  Each step runs through its occupation table (see
-    `engine` and `Program`) and hands its numbered output to the next:
+    input, whose photon numbers are `Circuit.input_photons`, worked out once
+    per circuit; a `PhotonicState` input is numbered on entry, its terms
+    give its photon numbers, and it gets no ancilla.  Either way every term
+    must carry the declared count.  Each step runs through its occupation
+    table (see `engine` and `Program`) and hands its numbered output to the next:
     `measure_and_feedforward` for a measurement, `post_select_any` for a
     post-selection with no unitary in its step, and `apply_unitary` for
     every other step.
@@ -559,26 +561,22 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
     logical = isinstance(inp, LogicalAmplitudes)
     if logical:
         state, norm_sq = circuit.numbered_input(inp)
-        photons, (late_photons, late_norm_sq) = prog.photons, prog.late
+        n0 = norm_sq * circuit.late_norm_sq
     else:
         if inp.registry != circuit.registry:
             raise CircuitError("input state lives on a different registry")
-        state, photons = NumberedState.of(inp, circuit.numbering), None
-        norm_sq, (late_photons, late_norm_sq) = state.norm_sq(), (0, 1.0)
-    n0 = norm_sq * late_norm_sq
+        state = NumberedState.of(inp, circuit.numbering)
+        n0 = state.norm_sq()
     if n0 <= 0:
         raise CircuitError("input state has zero norm")
-    if photons != declared:  # else every term of the input carries `declared`
-        photons = state.photon_numbers()
-        if photons != {declared - late_photons}:
-            raise CircuitError(
-                f"input carries photon numbers "
-                f"{sorted(n + late_photons for n in photons)}, declared {declared}")
+    photons = circuit.input_photons if logical else state.photon_numbers()
+    if photons != {declared}:
+        raise CircuitError(f"input carries photon numbers {sorted(photons)}, declared {declared}")
 
     log: list[BranchRecord] = []
-    for (stages, u, table, ancillae), (occupied, injected) in zip(prog.steps, prog.injections):
-        if ancillae is not None and logical:
-            state = tensor(state, ancillae, injected, occupied)
+    for stages, u, table, injection in prog.steps:
+        if injection is not None and logical:
+            state = tensor(state, *injection)
         st = stages[-1]
         if isinstance(st, Measure):
             state, _, records = measure_and_feedforward(state, st.detector, st.table, u, table)
@@ -588,8 +586,7 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
         else:
             state = apply_unitary(state, u, table)
     if prog.rest is not None and logical:
-        occupied, injected = prog.injections[-1]
-        state = tensor(state, prog.rest, injected, occupied)
+        state = tensor(state, *prog.rest)
     state, norm_sq = state.settled()
     return RunResult(state, norm_sq / n0, log)
 

@@ -434,7 +434,7 @@ def post_select_any(state: PhotonicState | NumberedState, rules: Sequence[PostSe
     by default a fresh one of `selection` (rules).  The surviving terms have
     the form of `state`.
     """
-    numbered, table = _table(state, table, selection(rules))
+    numbered, table = _table(state, table, selection(rules) if table is None else table.act)
     survived = _apply(numbered, None, table)
     n_in = numbered.norm_sq()
     p = survived.norm_sq() / n_in if n_in > 0 else 0.0
@@ -587,7 +587,8 @@ def measure_and_feedforward(state: PhotonicState | NumberedState, detector: Dete
     elif unitary.registry != reg:
         raise EngineError("unitary acts on a different registry")
 
-    numbered, occupations = _table(state, occupations, detection(reg, detector, table))
+    act = detection(reg, detector, table) if occupations is None else occupations.act
+    numbered, occupations = _table(state, occupations, act)
     result = _measure(numbered, unitary, occupations)
     return result if numbered is state else (result[0].state(), *result[1:])
 

@@ -402,10 +402,6 @@ class LogicalAmplitudes:
     def n_qubits(self) -> int:
         return len(self.values).bit_length() - 1
 
-    def bits(self, index: int) -> tuple[int, ...]:
-        n = self.n_qubits
-        return tuple((index >> (n - 1 - q)) & 1 for q in range(n))
-
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "LogicalAmplitudes":
         vals = [0.0] * (1 << n_qubits)
@@ -423,6 +419,11 @@ class LogicalAmplitudes:
         return np.array(self.values, dtype=complex)
 
 
+def basis_bits(n_qubits: int, index: int) -> tuple[int, ...]:
+    """The bits of basis state `index`, the first qubit's first (the most significant)."""
+    return tuple((index >> (n_qubits - 1 - q)) & 1 for q in range(n_qubits))
+
+
 def prepare_logical_input(registry: ModeRegistry, amplitudes: LogicalAmplitudes,
                           qubit_beams: Sequence[str]) -> PhotonicState:
     """State with one photon per qubit beam, polarization encoding each bit.
@@ -436,7 +437,7 @@ def prepare_logical_input(registry: ModeRegistry, amplitudes: LogicalAmplitudes,
     for i, a in enumerate(amplitudes.values):
         if a == 0:
             continue
-        amps[basis_occupation(registry, qubit_beams, amplitudes.bits(i))] = a
+        amps[basis_occupation(registry, qubit_beams, basis_bits(amplitudes.n_qubits, i))] = a
     return PhotonicState(registry, amps)
 
 

@@ -1,5 +1,8 @@
 import gc
+import io
 import math
+import os
+from contextlib import redirect_stdout
 from dataclasses import dataclass
 
 import numpy as np
@@ -772,7 +775,7 @@ def _photon_error(circuit, inp, **kw) -> str:
 
 
 def test_the_photon_number_check_raises_alike_on_every_run():
-    # a logical input's photon number is worked out once per program, not per
+    # a logical input's photon numbers are worked out once per circuit, not per
     # run: a mismatch raises the same error on a cold circuit and a warm one,
     # on the full program and on a cut
     for name, upto in (("cnot-ralph", None), ("cnot-pittman", None), ("cnot-pittman", 1)):
@@ -793,11 +796,11 @@ def test_the_photon_number_check_raises_alike_on_every_run():
             "input carries photon numbers [2], declared 1")
         assert run(simplified, with_target, expected_photons=2).probability > 0.0
         assert run(simplified, LogicalAmplitudes.basis(1, 1)).probability > 0.0
-    # an ancilla of mixed photon number leaves the count to the input's terms
+    # an ancilla of mixed photon number gives the input every count it can hold
     reg = register_modes(["c", "a"])
     mixed = Circuit("mixed", reg, 2, ("c",), ("c",),
                     (Linear((Hwp("c", 22.5), Hwp("a", 45.0))),), ancillae=(_MaybePhoton("a"),))
-    assert mixed.program(1).photons is None
+    assert mixed.input_photons == {1, 2}
     for _ in range(2):
         assert _photon_error(mixed, LogicalAmplitudes.basis(1, 0)) == (
             "input carries photon numbers [1, 2], declared 2")
@@ -807,3 +810,47 @@ def test_the_photon_number_check_raises_alike_on_every_run():
             assert _photon_error(circuit, PhotonicState(circuit.registry, {})) == (
                 "input state has zero norm")
 
+
+
+@pytest.mark.parametrize("touch", [False, True])
+@pytest.mark.parametrize("declared", [1, 2])
+def test_an_ancilla_of_mixed_photon_number_after_the_first_step_fits_no_count(declared, touch):
+    # the ancilla on `a` enters at the second step, or, untouched, after the
+    # last; with it the input holds 1 or 2 photons, so no declared count fits
+    reg = register_modes(["c", "a"])
+    second = Linear((Hwp("a", 45.0),), label="turn-a") if touch else PostSelect(
+        (PostSelectionRule.beam_counts(reg, {"c": 1}),), label="keep")
+    circuit = Circuit("late-mixed", reg, declared, ("c",), ("c",),
+                      (Measure(DetectorSpec("c"), FeedForwardTable.build({(1, 0): [], (0, 1): []}),
+                               label="count"), second),
+                      ancillae=(_MaybePhoton("a"),))
+    assert circuit.first is None and circuit.input_photons == {1, 2}
+    assert (circuit.program(2).steps[-1].injection is not None) == touch
+    want = f"input carries photon numbers [1, 2], declared {declared}"
+    for upto in (None, 1, None):
+        for kw in ({}, {"expected_photons": declared}):
+            assert _photon_error(circuit, LogicalAmplitudes.basis(1, 0), upto=upto, **kw) == want
+
+
+def test_a_cut_run_compiles_only_its_own_program():
+    # the ancillae a logical input holds come from the circuit, not from the
+    # full program, so a cut run on a fresh circuit compiles its program alone
+    circuit = get_gate("fredkin-heralded").build()
+    cut = circuit.stage_prefix("cnot-2-d1")
+    run(circuit, LogicalAmplitudes.basis(3, 0b101), upto=cut)
+    assert list(circuit._programs) == [cut]
+    assert len(circuit._steps) == len(circuit.program(cut).steps) == 3
+
+
+def test_the_readme_python_example_prints_what_it_says():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as f:
+        text = f.read()
+    start = text.index("```python\n", text.index("## Python API")) + len("```python\n")
+    code = text[start:text.index("```", start)]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(code, {})
+    p, *terms = out.getvalue().splitlines()
+    assert abs(float(p) - 1 / 64) <= 1e-12
+    assert terms == ["(+0+0.1j) |V^L_c H^L_t1 H^L_t2>", "(+0.075+0j) |H^S_c H^S_t1 H^S_t2>"]

@@ -12,8 +12,9 @@ import pytest
 from fredkinlab import cli
 from fredkinlab.cli import format_probability
 from fredkinlab.catalog import get_gate
-from fredkinlab.circuits import Linear
-from fredkinlab.elements import Phase
+from fredkinlab.circuits import Circuit, Linear
+from fredkinlab.elements import Hwp, Phase
+from fredkinlab.fock import register_modes
 from fredkinlab.serialize import circuit_to_dict, save_circuit
 
 
@@ -317,6 +318,36 @@ def test_boolean_input_amplitudes_exit_2(command, text, entry):
     code, out, err = run_cli([command, "cnot-ralph", "--input", text])
     assert (code, out) == (2, "")
     assert err == f"error: cannot parse input amplitudes: bad amplitude entry {entry}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_input_entries_may_be_re_im_pairs(command):
+    plain = run_cli([command, "cnot-ralph", "--input", "[0.6, 0, 0, 0.8]", "--format", "json"])
+    pairs = run_cli([command, "cnot-ralph", "--input", "[[0.6, 0], 0, 0, [0.8, 0]]",
+                     "--format", "json"])
+    assert plain[0] == 0 and pairs == plain
+
+
+def test_an_input_pair_gives_the_imaginary_part(tmp_path):
+    # through an identity, two plates at 0 degrees, the output is the input
+    reg = register_modes(["a", "b"])
+    circ = Circuit("identity", reg, 2, ("a", "b"), ("a", "b"),
+                   (Linear((Hwp("a", 0.0), Hwp("a", 0.0))),))
+    path = tmp_path / "identity.json"
+    save_circuit(circ, str(path))
+    code, out, err = run_cli(["simulate", str(path), "--input", "[[0, 0.6], 0, 0, [0.8, 0]]",
+                              "--format", "json"])
+    assert (code, err) == (0, "")
+    terms = {term["state"]: term["amplitude"] for term in json.loads(out)["terms"]}
+    assert terms == {"|H_a H_b>": [0.0, 0.6], "|V_a V_b>": [0.8, 0.0]}
+
+
+def test_verify_file_without_input_exit_2(tmp_path):
+    path = tmp_path / "ralph.json"
+    save_circuit(get_gate("cnot-ralph").build(), str(path))
+    code, out, err = run_cli(["verify", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: verifying a circuit file needs --input\n"
 
 
 def test_simulate_rejects_nan_input():

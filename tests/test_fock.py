@@ -19,6 +19,7 @@ from fredkinlab import (
 from fredkinlab.fock import (
     RegistryMismatchError,
     UnknownBeamError,
+    basis_bits,
     occupation_str,
     state_fidelity,
 )
@@ -153,7 +154,10 @@ def test_tensor_disjoint_beams():
 
 def test_logical_amplitudes_bit_order():
     a = LogicalAmplitudes.basis(3, 5)  # binary 101 -> V H V
-    assert a.bits(5) == (1, 0, 1)
+    assert basis_bits(a.n_qubits, 5) == (1, 0, 1)
+    reg = register_modes(["a", "b", "c"])
+    (occ,) = prepare_logical_input(reg, a, ("a", "b", "c")).amps
+    assert occupation_str(reg, occ) == "|V_a H_b V_c>"
 
 
 def test_tensor_overlap_in_a_later_left_term_raises():

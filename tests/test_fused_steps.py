@@ -22,6 +22,7 @@ import pytest
 from fredkinlab import LogicalAmplitudes, PhotonicState, Polarization, circuits
 from fredkinlab.catalog import CATALOG, get_gate
 from fredkinlab.circuits import (
+    BellPair,
     Circuit,
     ControlFlipError,
     ControlledFlip,
@@ -139,11 +140,11 @@ def _reference_run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState, upt
     prog = circuit.program(len(circuit.stages[:upto]))
     logical = isinstance(inp, LogicalAmplitudes)
     state = circuit.prepare_input(inp) if logical else inp
-    n0 = state.norm_sq() * (prog.late[1] if logical else 1.0)
+    n0 = state.norm_sq() * (circuit.late_norm_sq if logical else 1.0)
     log = []
     for step in prog.steps:
-        if step.ancillae is not None and logical:
-            state = tensor(state, step.ancillae)
+        if step.injection is not None and logical:
+            state = tensor(state, step.injection.state)
         for st in step.stages:
             i = _stage_index(circuit, st)
             if isinstance(st, Linear):
@@ -159,7 +160,7 @@ def _reference_run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState, upt
             else:
                 raise AssertionError(f"no reference for {st!r}")
     if prog.rest is not None and logical:
-        state = tensor(state, prog.rest)
+        state = tensor(state, prog.rest.state)
     return state, state.norm_sq() / n0, log
 
 
@@ -316,6 +317,39 @@ def test_a_cut_after_a_folded_first_step_injects_no_ancilla_twice():
         assert res.probability == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("target", ["t", "a"])
+def test_a_flip_before_an_ancilla_matches_the_reference_at_every_cut(target):
+    # the first step is an ideal flip of t, which touches no ancilla, so the
+    # Bell pair enters at the linear stage after it; or a flip of a, which
+    # touches the pair, so a logical input holds it from the start.  The
+    # post-selection folds into the linear stage's step.
+    reg = register_modes(("c", "t", "a", "b"))
+    circuit = Circuit(name="flip-first", registry=reg, photons=4, qubit_beams=("c", "t"),
+                      output_beams=("c", "t"),
+                      stages=(ControlledFlip("c", target, label="flip"),
+                              Linear((Bs(0.5, "t", "a"), Hwp("b", 22.5)), label="mix"),
+                              PostSelect((PostSelectionRule.beam_counts(reg, {"c": 1, "t": 1}),),
+                                         label="keep")),
+                      ancillae=(BellPair("a", "b"),))
+    late = target == "t"
+    assert (circuit.first is None) == late and circuit.later == ((0,) if late else ())
+    steps = _steps(circuit)
+    assert [step.stages for step in steps] == [circuit.stages[:1], circuit.stages[1:]]
+    assert steps[0].injection is None
+    assert (steps[1].injection is not None) == late
+    if late:
+        assert steps[1].injection.modes == frozenset(reg.beam_modes("a") + reg.beam_modes("b"))
+    prepared = prepare_logical_input(reg, _inputs(2, seed=48)[-1], circuit.qubit_beams)
+    prepared = tensor(prepared, circuit.prepared_ancillae[0][0])
+    for upto in range(1, len(circuit.stages) + 1):
+        for inp in _inputs(2, seed=48) + [prepared]:
+            res = run(circuit, inp, upto=upto)
+            assert _bits(res.state, res.probability, res.branch_log) == _bits(
+                *_reference_run(circuit, inp, upto=upto)), (upto, inp)
+            assert res.state.photon_numbers() == {4}
+        assert (circuit.program(upto).rest is not None) == (late and upto == 1)
+
+
 def _detector_circuit(basis: str, ancilla_at_measure: bool) -> Circuit:
     """Qubits c, t and an H photon on beam d that a detector counts: after a
     flip, or, with `ancilla_at_measure`, right after a linear step but with
@@ -348,7 +382,7 @@ def test_a_measurement_that_does_not_fold_matches_the_reference(basis, ancilla_a
         assert [step.stages[0] for step in steps] == [circuit.stages[0], circuit.stages[-1]]
         assert steps[-1].stages == circuit.stages[-1:]
         assert steps[-1].unitary is circuit.unitaries[-1]  # the plate alone, or None
-        assert (steps[-1].ancillae is not None) == ancilla_at_measure
+        assert (steps[-1].injection is not None) == ancilla_at_measure
     for amps in _inputs(2, seed=46):
         res = run(circuit, amps)
         assert _bits(res.state, res.probability, res.branch_log) == _bits(

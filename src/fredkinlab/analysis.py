@@ -28,7 +28,7 @@ import numpy as np
 
 from .catalog import (  # the KNOWN_TARGET_* names are re-exported
     KNOWN_TARGET_IDEAL, KNOWN_TARGET_INPUT_LABELS, KNOWN_TARGET_OUTPUT_LABELS,
-    GateInfo, conventions_hash, get_gate, ideal_cnot, qubit_output_kets,
+    GateInfo, conventions_hash, get_gate, ideal_cnot,
 )
 from .circuits import (
     Circuit,
@@ -44,11 +44,13 @@ from .circuits import (
 # unused here; perfbench/test_perfbench.py asserts this alias of the traced compose
 from .elements import compose as _compose  # noqa: F401
 from .fock import (
+    BIT_POLARIZATIONS,
     LogicalAmplitudes,
     Occupation,
     PhotonicState,
     amplitudes_norm_sq,
     basis_bits,
+    basis_occupation,
 )
 
 #: the fewest seeded random superpositions a gate report checks against K·x
@@ -185,17 +187,17 @@ def evaluate_known_target(circuit: Circuit) -> KnownTargetEvaluation:
     beam's count.
     """
     reg = circuit.registry
-    q = qubit_output_kets(reg, ("c", "t"), False)  # (control, target) HH, HV, VH, VV
-    kets_2 = [q[1], q[0], q[3], q[2]]  # in KNOWN_TARGET_OUTPUT_LABELS order
-    kets_1 = list(qubit_output_kets(reg, ("c",), False))  # control H, V; no target
+    # in KNOWN_TARGET_OUTPUT_LABELS order: the (control, target) bits, then the control's alone
+    kets = [basis_occupation(reg, ("c", "t"), bits) for bits in ((0, 1), (0, 0), (1, 1), (1, 0))]
+    kets += [basis_occupation(reg, ("c",), (bit,)) for bit in (0, 1)]
     k = np.zeros((6, 4), dtype=complex)
     p_by_input = {}
-    inputs = (q[1], kets_1[0], q[3], kets_1[1])  # in KNOWN_TARGET_INPUT_LABELS order
+    inputs = (kets[0], kets[4], kets[2], kets[5])  # in KNOWN_TARGET_INPUT_LABELS order
     for idx, (label, occ) in enumerate(zip(KNOWN_TARGET_INPUT_LABELS, inputs)):
         n = sum(occ)  # 2 with the target photon present, 1 without
         out = run(circuit, PhotonicState.from_occupation(reg, occ), expected_photons=n).state
-        k[:, idx] = [out.amps.get(kk, 0.0) for kk in kets_2 + kets_1]
-        legal = kets_2 if n == 2 else kets_1
+        k[:, idx] = [out.amps.get(kk, 0.0) for kk in kets]
+        legal = kets[:4] if n == 2 else kets[4:]
         p_by_input[label] = float(sum(abs(out.amps.get(kk, 0.0)) ** 2 for kk in legal))
     return KnownTargetEvaluation(
         p_by_input=p_by_input,
@@ -283,7 +285,7 @@ def gate_report(info: GateInfo, sweep: int = 0,
                        KNOWN_TARGET_INPUT_LABELS, KNOWN_TARGET_OUTPUT_LABELS,
                        [float(np.sum(np.abs(col) ** 2)) for col in ev.matrix.T],
                        probs, ev.p_min and (max(probs) - ev.p_min), 0.0, None,
-                       _known_target_deviation(ev.matrix), worst_case=True)
+                       _known_target_deviation(ev.matrix))
     kets = info.output_kets(circuit)
     pm = conditional_process_map(circuit, kets)
     inputs = random_inputs(info.n_qubits, max(sweep, LINEARITY_INPUTS), sweep_seed)
@@ -299,13 +301,14 @@ def gate_report(info: GateInfo, sweep: int = 0,
 def _report(info: GateInfo, matrix: np.ndarray, fidelity: float,
             in_labels: Sequence[str], out_labels: Sequence[str], p_in: Sequence[float],
             probabilities: list[float], spread: float, leakage: float,
-            linearity_residual: float | None, map_deviation: float,
-            **metadata) -> GateReport:
+            linearity_residual: float | None, map_deviation: float) -> GateReport:
     """A `GateReport` of the map `matrix` against `info.ideal`.
 
     Each input's truth-table row is its amplitude on the output the ideal
     map sends it to; the truth-table fidelity is the worst such |amp|^2 over
-    the input's accepted probability `p_in`.
+    the input's accepted probability `p_in`.  A known-target gate registers
+    its worst case only, so its metadata says ``uniform: false`` and
+    ``worst_case: true``; a qubit gate's says ``uniform: true``.
     """
     table = []
     tt_fid = 1.0
@@ -331,14 +334,14 @@ def _report(info: GateInfo, matrix: np.ndarray, fidelity: float,
         linearity_residual=linearity_residual,
         map_deviation=map_deviation,
         metadata={"description": info.description,
-                  "uniform": info.uniform,
-                  **metadata,
+                  **({"uniform": True} if info.kind == "qubit"
+                     else {"uniform": False, "worst_case": True}),
                   "conventions": conventions_hash()},
     )
 
 
 def _bits_label(n: int, index: int) -> str:
-    return "".join("V" if bit else "H" for bit in basis_bits(n, index))
+    return "".join(BIT_POLARIZATIONS[bit].value for bit in basis_bits(n, index))
 
 
 # -- optimization ------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Each entry knows how to build its circuit, which occupation states span its
 logical output space, the ideal conditional map on that space, and the
-success probability it must reproduce.
+success probability it must reproduce.  A qubit gate must reproduce it on
+every input; a known-target gate registers its worst case only.  The ideal
+maps and output kets take the basis convention (bits, their order and their
+polarizations) from `fock`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .circuits import (
     build_sanaka_cnot,
     build_simplified_cnot,
 )
-from .fock import ModeRegistry, Occupation, Polarization, TimeBin, basis_bits
+from .fock import ModeRegistry, Occupation, TimeBin, basis_bits, basis_index, basis_occupation
 
 #: Fixed modeling conventions; hashed into reports so goldens are traceable.
 CONVENTIONS = {
@@ -44,23 +47,23 @@ def conventions_hash() -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _bit_map(n_qubits: int, f: Callable[..., tuple[int, ...]]) -> np.ndarray:
+    """The permutation matrix that sends each basis state's bits to `f(*bits)`."""
+    d = 1 << n_qubits
+    k = np.zeros((d, d))
+    for i in range(d):
+        k[basis_index(f(*basis_bits(n_qubits, i))), i] = 1.0
+    return k
+
+
 def ideal_fredkin() -> np.ndarray:
     """8x8 controlled-swap: a V control exchanges the two target qubits."""
-    k = np.zeros((8, 8))
-    for i in range(8):
-        c, x, y = (i >> 2) & 1, (i >> 1) & 1, i & 1
-        j = (c << 2) | ((y << 1) | x if c else (x << 1) | y)
-        k[j, i] = 1.0
-    return k
+    return _bit_map(3, lambda c, x, y: (c, y, x) if c else (c, x, y))
 
 
 def ideal_cnot() -> np.ndarray:
     """4x4 controlled flip of the target bit."""
-    k = np.zeros((4, 4))
-    for i in range(4):
-        c, t = (i >> 1) & 1, i & 1
-        k[(c << 1) | (t ^ c), i] = 1.0
-    return k
+    return _bit_map(2, lambda c, t: (c, t ^ c))
 
 
 KNOWN_TARGET_INPUT_LABELS = ("H,V", "H,vac", "V,V", "V,vac")
@@ -73,13 +76,9 @@ KNOWN_TARGET_IDEAL[3, 2] = 1.0  # V,V -> V,H
 KNOWN_TARGET_IDEAL[5, 3] = 1.0  # V,vac -> V,vac
 
 
-def _pol(bit: int) -> Polarization:
-    return Polarization.V if bit else Polarization.H
-
-
-def qubit_output_kets(registry: ModeRegistry, beams: Sequence[str],
-                      bin_from_first: bool) -> tuple[Occupation, ...]:
-    """Computational-basis occupation states on the output beams.
+def qubit_output_kets(registry: ModeRegistry, beams: Sequence[str]) -> tuple[Occupation, ...]:
+    """Computational-basis occupation states on the output beams, by
+    `fock.basis_occupation`.
 
     In time-resolved circuits the accepted outputs share one bin fixed by the
     control polarization (H rides the short bin, V the long one), so the ket
@@ -89,13 +88,8 @@ def qubit_output_kets(registry: ModeRegistry, beams: Sequence[str],
     kets = []
     for j in range(1 << n):
         bits = basis_bits(n, j)
-        occ = [0] * registry.size
-        tb = None
-        if registry.time_resolved:
-            tb = TimeBin.L if (bin_from_first and bits[0]) else TimeBin.S
-        for beam, bit in zip(beams, bits):
-            occ[registry.index(beam, _pol(bit), tb)] += 1
-        kets.append(tuple(occ))
+        late = registry.time_resolved and bits[0]
+        kets.append(basis_occupation(registry, beams, bits, TimeBin.L if late else None))
     return tuple(kets)
 
 
@@ -108,13 +102,11 @@ class GateInfo:
     n_qubits: int
     ideal: np.ndarray
     expected_probability: Fraction
-    uniform: bool
     description: str
-    kind: str = "qubit"  # "qubit" or "known_target"
+    kind: str = "qubit"  # "qubit" (uniform), or "known_target" (worst case only)
 
     def output_kets(self, circuit: Circuit) -> tuple[Occupation, ...]:
-        return qubit_output_kets(circuit.registry, circuit.output_beams,
-                                 bin_from_first=True)
+        return qubit_output_kets(circuit.registry, circuit.output_beams)
 
 
 CATALOG: dict[str, GateInfo] = {}
@@ -130,7 +122,6 @@ _register(GateInfo(
     n_qubits=3,
     ideal=ideal_fredkin(),
     expected_probability=Fraction(1, 1024),
-    uniform=True,
     description="Heralded Fredkin from four Bell-assisted CNOT gadgets (success 4^-5).",
 ))
 
@@ -140,7 +131,6 @@ _register(GateInfo(
     n_qubits=3,
     ideal=ideal_fredkin(),
     expected_probability=Fraction(1, 8),
-    uniform=True,
     description="Post-selected Fredkin with ideal CNOT stages (success 1/8).",
 ))
 
@@ -150,7 +140,6 @@ _register(GateInfo(
     n_qubits=3,
     ideal=ideal_fredkin(),
     expected_probability=Fraction(1, 192),
-    uniform=True,
     description="Physical post-selected Fredkin: parity-check CNOT plus the "
                 "known-target mesh (success 1/192).",
 ))
@@ -161,7 +150,6 @@ _register(GateInfo(
     n_qubits=3,
     ideal=ideal_fredkin(),
     expected_probability=Fraction(1, 64),
-    uniform=True,
     description="Time-bin-assisted post-selected Fredkin (success 1/64).",
 ))
 
@@ -171,7 +159,6 @@ _register(GateInfo(
     n_qubits=2,
     ideal=ideal_cnot(),
     expected_probability=Fraction(1, 4),
-    uniform=True,
     description="Heralded CNOT from one Bell pair with feed-forward (success 1/4).",
 ))
 
@@ -181,7 +168,6 @@ _register(GateInfo(
     n_qubits=2,
     ideal=ideal_cnot(),
     expected_probability=Fraction(1, 9),
-    uniform=True,
     description="Post-selected CNOT in the coincidence basis (success 1/9).",
 ))
 
@@ -191,7 +177,6 @@ _register(GateInfo(
     n_qubits=2,
     ideal=ideal_cnot(),
     expected_probability=Fraction(1, 4),
-    uniform=True,
     description="Time-bin CNOT with equal-bin coincidence (success 1/4).",
 ))
 
@@ -201,7 +186,6 @@ _register(GateInfo(
     n_qubits=1,
     ideal=KNOWN_TARGET_IDEAL,
     expected_probability=Fraction(1, 6),
-    uniform=False,
     description="Known-target (V or vacuum) CNOT mesh; worst-case success 1/6 "
                 "(vacuum sector passes with 1/3 and is balanced externally).",
     kind="known_target",

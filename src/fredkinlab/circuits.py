@@ -190,6 +190,9 @@ class BellPair:
 
 @dataclass(frozen=True)
 class SinglePhoton:
+    """One ancilla photon on a beam, in the S bin when time-resolved.  No
+    catalog gate uses it; it stays for test circuits and circuit files,
+    which can hold it (kind ``photon``)."""
     beam: str
     pol: Polarization = Polarization.V
 

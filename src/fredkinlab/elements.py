@@ -17,6 +17,10 @@ A ``Rot`` element is the rotation form of a beam splitter (a signed BS
 followed by a pi phase on one port); it is what interferometer meshes are
 parametrized with.
 
+An element names a mode only by its ``(beam, pol[, bin])`` label, never by
+its dense index, so a circuit reads the same in Python and in its file;
+an integer mode reference is an `ElementError`.
+
 `compile_element` is the one compiler.  Six kinds are one 2x2 block on pairs
 of modes and the identity elsewhere: ``Hwp`` and ``HvSwap`` (a 45-degree
 plate) on each bin's H/V pair, ``Pbs`` a swap of the two V modes per bin,
@@ -49,7 +53,7 @@ class ElementError(ValueError):
     pass
 
 
-ModeRef = Union[int, tuple]  # dense index, or (beam, pol[, bin]) tuple
+ModeRef = tuple  # a (beam, pol[, bin]) label
 
 
 @dataclass(frozen=True)
@@ -227,13 +231,9 @@ def hwp_matrix(theta_deg: float) -> np.ndarray:
 
 
 def _resolve_mode(registry: ModeRegistry, ref: ModeRef) -> int:
-    if isinstance(ref, (int, np.integer)):
-        idx = int(ref)
-        if not 0 <= idx < registry.size:
-            raise ElementError(f"mode index {idx} out of range")
-        return idx
+    """The dense index of a mode named by its label."""
     if not (isinstance(ref, (tuple, list)) and 2 <= len(ref) <= 3):
-        raise ElementError(f"mode reference {ref!r} is not an index or a (beam, pol[, bin]) label")
+        raise ElementError(f"mode reference {ref!r} is not a (beam, pol[, bin]) label")
     return registry.index(*ref)
 
 

@@ -419,17 +419,28 @@ class LogicalAmplitudes:
         return np.array(self.values, dtype=complex)
 
 
+#: The polarization that encodes each bit value: 0 = H, 1 = V.
+BIT_POLARIZATIONS = (Polarization.H, Polarization.V)
+
+
 def basis_bits(n_qubits: int, index: int) -> tuple[int, ...]:
     """The bits of basis state `index`, the first qubit's first (the most significant)."""
     return tuple((index >> (n_qubits - 1 - q)) & 1 for q in range(n_qubits))
 
 
+def basis_index(bits: Sequence[int]) -> int:
+    """The basis state of `bits`, the first qubit's first: `basis_bits` inverted."""
+    index = 0
+    for bit in bits:
+        index = (index << 1) | bit
+    return index
+
+
 def prepare_logical_input(registry: ModeRegistry, amplitudes: LogicalAmplitudes,
                           qubit_beams: Sequence[str]) -> PhotonicState:
-    """State with one photon per qubit beam, polarization encoding each bit.
-
-    Bit 0 maps to H, bit 1 to V; photons start in the S bin when the registry
-    is time-resolved.
+    """State with one photon per qubit beam, polarization encoding each bit
+    (`BIT_POLARIZATIONS`); photons start in the S bin when the registry is
+    time-resolved.
     """
     if len(qubit_beams) != amplitudes.n_qubits:
         raise FockError(f"{len(qubit_beams)} beams for {amplitudes.n_qubits} qubits")
@@ -442,12 +453,15 @@ def prepare_logical_input(registry: ModeRegistry, amplitudes: LogicalAmplitudes,
 
 
 def basis_occupation(registry: ModeRegistry, qubit_beams: Sequence[str],
-                     bits: Sequence[int]) -> Occupation:
-    """The occupation of one basis state of `prepare_logical_input`."""
-    tbin = TimeBin.S if registry.time_resolved else None
+                     bits: Sequence[int], tbin: TimeBin | None = None) -> Occupation:
+    """One photon per beam in the polarization of its bit, all in bin
+    `tbin`: the occupation of one basis state of `prepare_logical_input`
+    when `tbin` is None (the S bin, in a time-resolved registry)."""
+    if tbin is None and registry.time_resolved:
+        tbin = TimeBin.S
     occ = [0] * registry.size
     for beam, bit in zip(qubit_beams, bits):
-        occ[registry.index(beam, Polarization.V if bit else Polarization.H, tbin)] += 1
+        occ[registry.index(beam, BIT_POLARIZATIONS[bit], tbin)] += 1
     return tuple(occ)
 
 

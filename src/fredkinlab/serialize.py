@@ -2,10 +2,11 @@
 
 Each kind of JSON object is described once, in the tables below; one reader
 and one writer walk them.  JSON types are exact, and a key no table names is
-an error.  ``parse(serialize(circuit))`` gives back an equal circuit, except
-that a mode given by its dense index comes back as its label: ``Bs(0.5, 0, 2)``
-returns as ``Bs(0.5, ('c', 'H'), ('t', 'H'))``, which compiles to the same
-unitary but does not compare equal.
+an error.  Elements name a mode only by its ``[beam, pol(, bin)]`` label, as
+they do in Python, so ``parse(serialize(circuit))`` gives back an equal
+circuit, its labels and route pairs given as tuples.  A post-selection rule holds dense mode indices, written as their
+labels.  A document without ``photons`` declares its logical input's photon
+number: one per qubit plus every ancilla's photons.
 """
 
 from __future__ import annotations
@@ -100,12 +101,10 @@ _pattern = _checked(lambda v: isinstance(v, list), "a list",
                     lambda v: tuple(_integer(x, "pattern count") for x in v))
 
 
-def _mode_json(ref, registry: ModeRegistry):
-    """A beam name or a label as it is; a dense index as its label."""
-    if isinstance(ref, int):
-        label = registry.labels[ref]
-        ref = (label.beam, label.pol.value) + ((label.bin.value,) if label.bin is not None else ())
-    return ref if isinstance(ref, str) else list(ref)
+def _label_json(index: int, registry: ModeRegistry) -> list[str]:
+    """The label of a dense mode index, as a list."""
+    label = registry.labels[index]
+    return [label.beam, label.pol.value] + ([label.bin.value] if label.bin is not None else [])
 
 
 # -- the walk ---------------------------------------------------------------------------
@@ -195,8 +194,6 @@ def _tagged(tag: str, table: dict[str, _Node], place: Callable | None = None):
 
 # -- the tables ---------------------------------------------------------------------------
 
-_MODE = (_label, _mode_json)
-_MODE_OR_BEAM = (_mode_ref, _mode_json)
 _BEAM = _Field("beam", _string)
 _BEAM_PAIR = (_Field("beam_a", _string), _Field("beam_b", _string))
 _LABEL = _Field("label", _string, default="")
@@ -204,14 +201,14 @@ _LABEL = _Field("label", _string, default="")
 _ELEMENTS = {
     "hwp": _Node(Hwp, (_BEAM, _Field("theta_deg", _number))),
     "pbs": _Node(Pbs, _BEAM_PAIR),
-    "bs": _Node(Bs, (_Field("eta", _number), _Field("a", *_MODE_OR_BEAM),
-                     _Field("b", *_MODE_OR_BEAM), _Field("signed", _string, default="b"))),
+    "bs": _Node(Bs, (_Field("eta", _number), _Field("a", _mode_ref),
+                     _Field("b", _mode_ref), _Field("signed", _string, default="b"))),
     "rpbs": _Node(Rpbs, _BEAM_PAIR),
     "hv_swap": _Node(HvSwap, (_BEAM,)),
     "route": _Node(Route, (_Field("mapping", _pairs, lambda m, registry: [list(p) for p in m]),)),
     "delay_to_l": _Node(DelayToL, (_BEAM,)),
-    "phase": _Node(Phase, (_Field("target", *_MODE_OR_BEAM), _Field("phi", _number))),
-    "rot": _Node(Rot, (_Field("theta", _number), _Field("a", *_MODE), _Field("b", *_MODE))),
+    "phase": _Node(Phase, (_Field("target", _mode_ref), _Field("phi", _number))),
+    "rot": _Node(Rot, (_Field("theta", _number), _Field("a", _label), _Field("b", _label))),
 }
 
 _CORRECTION = _Node(tuple, (_BEAM, _Field("kind", _string)), lambda *v: v, lambda v: v)
@@ -229,7 +226,7 @@ _CONSTRAINT = _Node(
     tuple,
     (_Field("modes", lambda value, key, at: tuple(
         at.registry.index(*_label(m, "mode")) for m in _list(value, key)),
-        lambda modes, registry: [_mode_json(m, registry) for m in modes]),
+        lambda modes, registry: [_label_json(m, registry) for m in modes]),
      _Field("count", _integer)),
     lambda *v: v, lambda v: v,
 )
@@ -318,10 +315,13 @@ def circuit_from_dict(obj: dict, path: str = "") -> Circuit:
             at = at._replace(registry=register_modes(beams, time_resolved))
         (_, _, _, name, photons, qubits, outputs, ancillae, stages,
          time_bin_config) = _values(_DOCUMENT, obj, at)
+        if photons is None:  # a logical input's: one per qubit, and every ancilla's
+            photons = len(qubits) + sum(min(anc.state(at.registry).photon_numbers())
+                                        for anc in ancillae)
         return Circuit(
             name=(path or "circuit") if name is None else name,
             registry=at.registry,
-            photons=len(qubits) if photons is None else photons,
+            photons=photons,
             qubit_beams=qubits,
             output_beams=qubits if outputs is None else outputs,
             stages=stages,

@@ -842,15 +842,20 @@ def test_a_cut_run_compiles_only_its_own_program():
     assert len(circuit._steps) == len(circuit.program(cut).steps) == 3
 
 
-def test_the_readme_python_example_prints_what_it_says():
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as f:
-        text = f.read()
-    start = text.index("```python\n", text.index("## Python API")) + len("```python\n")
-    code = text[start:text.index("```", start)]
-    out = io.StringIO()
-    with redirect_stdout(out):
-        exec(code, {})
-    p, *terms = out.getvalue().splitlines()
+def test_the_readme_python_example_prints_what_it_says(tmp_path, monkeypatch):
+    # every python block of the README runs as written: the circuit-file
+    # example, which writes its file in the working directory, and the Python API one
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        blocks = [block[:block.index("```")] for block in f.read().split("```python\n")[1:]]
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for k, code in enumerate(blocks):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            exec(compile(code, f"README.md python block {k + 1}", "exec"), {})
+        outputs.append(out.getvalue())
+    assert outputs[0] == "" and (tmp_path / "sanaka.json").is_file()
+    p, *terms = outputs[1].splitlines()
     assert abs(float(p) - 1 / 64) <= 1e-12
     assert terms == ["(+0+0.1j) |V^L_c H^L_t1 H^L_t2>", "(+0.075+0j) |H^S_c H^S_t1 H^S_t2>"]

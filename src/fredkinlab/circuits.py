@@ -53,7 +53,6 @@ from .engine import (
     apply_unitary,
     detection,
     measure_and_feedforward,
-    post_select_any,
     selection,
     swap_hv,
 )
@@ -240,8 +239,7 @@ class Program(NamedTuple):
     that step ends in a linear stage or a flip, whose action it composes
     with; a +/- detector's plate needs the linear stage, to multiply into
     its product.  A run cut at a linear stage gets every row of its step.
-    The logical input already holds the circuit's `first` ancillae; each
-    step injects the other ancillae it is the first to touch, and `rest`,
+    Each step injects the ancillae it is the first to touch, and `rest`,
     those no step touches, goes in before `run` returns.
     """
     steps: tuple[Step, ...]
@@ -277,6 +275,13 @@ def _in_turn(acts: Sequence[Callable]) -> Callable[[Occupation], object]:
     return act
 
 
+def _need_tuple(value, what: str) -> None:
+    """Refuse a list, or any other sequence, where a circuit file reads back
+    a tuple, so that every circuit reads back from its file as an equal one."""
+    if not isinstance(value, tuple):
+        raise CircuitError(f"{what} must be a tuple, not {type(value).__name__}")
+
+
 def _flip(registry: ModeRegistry, st: ControlledFlip) -> Callable[[Occupation], Occupation]:
     """The action of an ideal flip: a V control photon swaps the target's H
     and V occupations, an H one leaves them; any other count raises."""
@@ -309,12 +314,8 @@ class Circuit:
     #: each ancilla's state, built once, with the modes it occupies
     prepared_ancillae: tuple[tuple[PhotonicState, frozenset[int]], ...] = field(
         init=False, compare=False, repr=False)
-    #: the product of the ancillae that the first step of a full run
-    #: touches, which a logical input holds from the start (None: none)
-    first: PhotonicState | None = field(init=False, compare=False, repr=False)
-    #: every other ancilla, which a run tensors in later, and their product's squared norm
-    later: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    late_norm_sq: float = field(init=False, compare=False, repr=False)
+    #: the squared norm of the product of every ancilla (1.0 with none)
+    ancilla_norm_sq: float = field(init=False, compare=False, repr=False)
     #: the photon numbers of a logical input prepared with every ancilla
     input_photons: frozenset[int] = field(init=False, compare=False, repr=False)
     #: the numbering of every occupation the circuit's tables meet
@@ -326,12 +327,13 @@ class Circuit:
     #: stage, shared by every program that applies those stages
     _steps: dict[tuple[int, int], tuple[ModeUnitary | None, StepTable]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
-    #: the input table: basis index i to the number of |i>, or with
-    #: `first` the numbered terms of |i> tensored with it
-    _input_rows: dict[int, int | tuple[tuple[int, complex], ...]] = field(
+    #: the input table: basis index i to the number of |i>
+    _input_rows: dict[int, int] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        for what in ("qubit_beams", "output_beams", "stages", "ancillae"):
+            _need_tuple(getattr(self, what), what)
         if not self.stages:
             raise CircuitError("stage list is empty")
         for beam in (*self.qubit_beams, *self.output_beams):
@@ -342,11 +344,13 @@ class Circuit:
         prev = None  # product of the current run of Linear stages so far
         for st in self.stages:
             if isinstance(st, PostSelect):
+                _need_tuple(st.rules, "the rules of a post-selection")
                 seen_postselect = True
             elif seen_postselect:
                 raise CircuitError("post-selection must be the terminal stage chain")
             u = None
             if isinstance(st, Linear):
+                _need_tuple(st.elements, "the elements of a linear stage")
                 # the one compile of a linear stage; it also validates beams and unitarity
                 u = compose(self.registry, st.elements)
                 if prev is not None:
@@ -383,17 +387,11 @@ class Circuit:
             taken |= modes
             prepared.append((s, modes))
         object.__setattr__(self, "prepared_ancillae", tuple(prepared))
-        # the first step starts at the last stage of a leading run of `Linear` stages
-        linear = next((i for i, st in enumerate(self.stages) if not isinstance(st, Linear)),
-                      len(self.stages))
-        first = self._touching(max(linear - 1, 0), range(len(prepared)))
-        later = tuple(k for k in range(len(prepared)) if k not in first)
         photons = {len(self.qubit_beams)}
         for s, _ in prepared:
             photons = {a + b for a in photons for b in s.photon_numbers()}
-        object.__setattr__(self, "first", self._product(first))
-        object.__setattr__(self, "later", later)
-        object.__setattr__(self, "late_norm_sq", self._product(later).norm_sq() if later else 1.0)
+        product = self._product(range(len(prepared)))
+        object.__setattr__(self, "ancilla_norm_sq", 1.0 if product is None else product.norm_sq())
         object.__setattr__(self, "input_photons", frozenset(photons))
 
     def stage_prefix(self, label: str) -> int:
@@ -404,52 +402,31 @@ class Circuit:
         raise CircuitError(f"no stage labeled {label!r} in {self.name}")
 
     def prepare_input(self, amplitudes: LogicalAmplitudes) -> PhotonicState:
-        """The logical input with the `first` ancillae, those the first step
-        of a full run touches; `run` tensors in every other ancilla later.
-        Each basis state's terms come from the circuit's input table."""
+        """The logical input on the qubit beams, with no ancilla: the state
+        `fock.prepare_logical_input` builds, from the circuit's input table."""
         state, _ = self.numbered_input(amplitudes)
         return state.state()
 
     def numbered_input(self, amplitudes: LogicalAmplitudes) -> tuple[NumberedState, float]:
-        """The terms of `prepare_input` numbered in `numbering`, and their
-        squared norm, summed in their order as `PhotonicState.norm_sq` sums
-        it.  Basis states differ on the qubit beams, which no ancilla
-        occupies, so no two terms share an occupation, and each is pruned as
-        it is made."""
+        """The terms of `prepare_input` numbered in `numbering`, each basis
+        state's number from the input table, and their squared norm, summed
+        in their order as `PhotonicState.norm_sq` sums it."""
         n = len(self.qubit_beams)
         if len(amplitudes.values) != 1 << n:
             raise FockError(f"{n} beams for {amplitudes.n_qubits} qubits")
-        first = self.first
         rows = self._input_rows
         amps: dict[int, complex] = {}
         squares: list[float] = []
         for i, a in enumerate(amplitudes.values):
             if abs(a) < DEFAULT_PRUNE_EPS:  # as `prepare_logical_input` drops it
                 continue
-            terms = rows.get(i)
-            if terms is None:
-                terms = rows[i] = self._input_row(i, first)
-            if first is None:  # `a` itself, as `prepare_logical_input` stores it
-                amps[terms] = a
-                squares.append(a.real * a.real + a.imag * a.imag)
-                continue
-            for key, t in terms:
-                v = 0.0 + a * t  # a sum into an empty entry, as `fock.tensor` makes it
-                if not abs(v) < DEFAULT_PRUNE_EPS:
-                    amps[key] = v
-                    squares.append(v.real * v.real + v.imag * v.imag)
+            number = rows.get(i)
+            if number is None:
+                occ = basis_occupation(self.registry, self.qubit_beams, basis_bits(n, i))
+                number = rows[i] = self.numbering.number(occ)
+            amps[number] = a
+            squares.append(a.real * a.real + a.imag * a.imag)
         return NumberedState(self.registry, amps, self.numbering), float(sum(squares))
-
-    def _input_row(self, i: int, first: PhotonicState | None):
-        """The number of basis state |i>, or with `first` the terms
-        ``((number, amplitude), ...)`` of |i> tensored with it."""
-        bits = basis_bits(len(self.qubit_beams), i)
-        number = self.numbering.number(basis_occupation(self.registry, self.qubit_beams, bits))
-        if first is None:
-            return number
-        rows: dict[int, tuple[tuple[int, complex], ...]] = {}
-        tensor(NumberedState(self.registry, {number: 1.0}, self.numbering), first, rows)
-        return rows[number]
 
     def program(self, n: int) -> Program:
         """The `Program` of a run through ``stages[:n]``, worked out on first
@@ -473,7 +450,7 @@ class Circuit:
 
     def _compile_program(self, n: int) -> Program:
         stages = self.stages[:n]
-        pending = self.later  # a logical input holds `first` from the start
+        pending = list(range(len(self.prepared_ancillae)))
         groups = []  # [first stage, last stage, ancillae entering] of each step
         for i, st in enumerate(stages):
             linear = isinstance(st, Linear)
@@ -543,20 +520,21 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
 
     The run carries numbered terms (`fock.NumberedState`) from start to
     finish and builds one `PhotonicState`, at the end.  A logical input is
-    the numbered form of `Circuit.prepare_input`, with the circuit's `first`
-    ancillae, from the circuit's input table.  Each other ancilla is
-    tensored in just before the first step that touches its modes, or, if
-    no step of ``stages[:upto]`` does, just before the run returns, so the
-    result equals that of an input prepared with every ancilla.  The
-    photon-number check and the input norm refer to that fully prepared
-    input, whose photon numbers are `Circuit.input_photons`, worked out once
-    per circuit; a `PhotonicState` input is numbered on entry, its terms
-    give its photon numbers, and it gets no ancilla.  Either way every term
-    must carry the declared count.  Each step runs through its occupation
-    table (see `engine` and `Program`) and hands its numbered output to the next:
-    `measure_and_feedforward` for a measurement, `post_select_any` for a
-    post-selection with no unitary in its step, and `apply_unitary` for
-    every other step.
+    the numbered form of `Circuit.prepare_input`, from the circuit's input
+    table, and holds no ancilla.  Each ancilla is tensored in just before
+    the first step that touches its modes, or, if no step of
+    ``stages[:upto]`` does, just before the run returns, so the result
+    equals that of an input prepared with every ancilla.  The photon-number
+    check and the input norm refer to that fully prepared input: its photon
+    numbers are `Circuit.input_photons` and its squared norm the input's
+    times `Circuit.ancilla_norm_sq`, both worked out once per circuit.  A
+    `PhotonicState` input is numbered on entry, its terms give its photon
+    numbers, and it gets no ancilla.  Either way every term must carry the
+    declared count.  Each step runs through its occupation table (see
+    `engine` and `Program`) and hands its numbered output to the next:
+    `measure_and_feedforward` for a measurement and `apply_unitary` for
+    every other step, a post-selection with no unitary in its step
+    included (the identity's rows, then its rules).
     """
     n = len(circuit.stages)
     prog = circuit.program(n if upto is None else len(range(n)[:upto]))
@@ -564,7 +542,7 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
     logical = isinstance(inp, LogicalAmplitudes)
     if logical:
         state, norm_sq = circuit.numbered_input(inp)
-        n0 = norm_sq * circuit.late_norm_sq
+        n0 = norm_sq * circuit.ancilla_norm_sq
     else:
         if inp.registry != circuit.registry:
             raise CircuitError("input state lives on a different registry")
@@ -584,8 +562,6 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
         if isinstance(st, Measure):
             state, _, records = measure_and_feedforward(state, st.detector, st.table, u, table)
             log.extend(records)
-        elif isinstance(st, PostSelect) and u is None:
-            state, _ = post_select_any(state, st.rules, table)
         else:
             state = apply_unitary(state, u, table)
     if prog.rest is not None and logical:

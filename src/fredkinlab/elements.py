@@ -232,7 +232,7 @@ def hwp_matrix(theta_deg: float) -> np.ndarray:
 
 def _resolve_mode(registry: ModeRegistry, ref: ModeRef) -> int:
     """The dense index of a mode named by its label."""
-    if not (isinstance(ref, (tuple, list)) and 2 <= len(ref) <= 3):
+    if not (isinstance(ref, tuple) and 2 <= len(ref) <= 3):
         raise ElementError(f"mode reference {ref!r} is not a (beam, pol[, bin]) label")
     return registry.index(*ref)
 
@@ -337,6 +337,10 @@ def compile_element(registry: ModeRegistry, element: Element) -> ModeUnitary:
         return plates.then(pbs).then(plates)
     u = _identity(registry.size).copy()
     if isinstance(element, Route):
+        if not (isinstance(element.mapping, tuple) and all(
+                isinstance(p, tuple) and len(p) == 2 for p in element.mapping)):
+            raise ElementError(f"route mapping {element.mapping!r} is not a tuple of "
+                               "(old, new) beam tuples")
         sources = [old for old, _ in element.mapping]
         if len(set(sources)) != len(sources) or sorted(sources) != sorted(
                 new for _, new in element.mapping):

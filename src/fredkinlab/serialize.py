@@ -3,10 +3,12 @@
 Each kind of JSON object is described once, in the tables below; one reader
 and one writer walk them.  JSON types are exact, and a key no table names is
 an error.  Elements name a mode only by its ``[beam, pol(, bin)]`` label, as
-they do in Python, so ``parse(serialize(circuit))`` gives back an equal
-circuit, its labels and route pairs given as tuples.  A post-selection rule holds dense mode indices, written as their
-labels.  A document without ``photons`` declares its logical input's photon
-number: one per qubit plus every ancilla's photons.
+they do in Python, and the reader gives every JSON list back as the tuple a
+circuit holds (a circuit refuses lists), so ``parse(serialize(circuit))``
+gives back an equal circuit.  A post-selection rule holds dense mode
+indices, written as their labels.  A document without ``photons`` declares
+its logical input's photon number: one per qubit plus every ancilla's
+photons.
 """
 
 from __future__ import annotations

@@ -499,13 +499,21 @@ def test_pure_linear_gate_matches_permanent_route(name):
             assert abs(got.get(ket, 0.0) - want) <= 1e-12
 
 
-def stage_by_stage(circuit, amps):
-    """(state, branch log) after each stage of a run that composes and applies
-    every stage on its own: the reference for the fused runs of `run`."""
+def prepared_with_every_ancilla(circuit, amps):
+    """The logical input tensored with every ancilla, as the reference
+    prepares it."""
     reg = circuit.registry
     state = prepare_logical_input(reg, amps, circuit.qubit_beams)
     for anc in circuit.ancillae:
         state = tensor(state, anc.state(reg))
+    return state
+
+
+def stage_by_stage(circuit, amps):
+    """(state, branch log) after each stage of a run that composes and applies
+    every stage on its own: the reference for the fused runs of `run`."""
+    reg = circuit.registry
+    state = prepared_with_every_ancilla(circuit, amps)
     log = []
     trail = []
     for st in circuit.stages:
@@ -530,13 +538,28 @@ def test_run_prefix_matches_stage_by_stage(name):
     circuit = get_gate(name).build()
     amps = LogicalAmplitudes.random(len(circuit.qubit_beams), np.random.default_rng(11))
     trail = stage_by_stage(circuit, amps)
+    n0 = prepared_with_every_ancilla(circuit, amps).norm_sq()
     for upto, (want, want_log) in enumerate(trail, start=1):
         got = run(circuit, amps, upto=upto)
         for occ in got.state.amps.keys() | want.amps.keys():
             assert abs(got.state.amps.get(occ, 0.0) - want.amps.get(occ, 0.0)) <= 1e-12
+        assert abs(got.probability - want.norm_sq() / n0) <= 1e-14, upto
         assert ([(r.pattern, r.action) for r in got.branch_log]
                 == [(r.pattern, r.action) for r in want_log])
         assert all(type(a) is complex for a in got.state.amps.values())
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_prepare_input_is_the_logical_input_alone(name):
+    # no ancilla: each enters a run at the step that first touches it
+    circuit = get_gate(name).build()
+    n = len(circuit.qubit_beams)
+    rng = np.random.default_rng(17)
+    inputs = [LogicalAmplitudes.basis(n, i) for i in range(1 << n)]
+    for amps in inputs + [LogicalAmplitudes.random(n, rng) for _ in range(3)]:
+        got = circuit.prepare_input(amps)
+        want = prepare_logical_input(circuit.registry, amps, circuit.qubit_beams)
+        assert list(got.amps.items()) == list(want.amps.items())
 
 
 def test_run_applies_one_unitary_per_linear_run(monkeypatch):
@@ -824,7 +847,7 @@ def test_an_ancilla_of_mixed_photon_number_after_the_first_step_fits_no_count(de
                       (Measure(DetectorSpec("c"), FeedForwardTable.build({(1, 0): [], (0, 1): []}),
                                label="count"), second),
                       ancillae=(_MaybePhoton("a"),))
-    assert circuit.first is None and circuit.input_photons == {1, 2}
+    assert circuit.program(2).steps[0].injection is None and circuit.input_photons == {1, 2}
     assert (circuit.program(2).steps[-1].injection is not None) == touch
     want = f"input carries photon numbers [1, 2], declared {declared}"
     for upto in (None, 1, None):

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from fredkinlab import LogicalAmplitudes, PhotonicState, Polarization, circuits
+from fredkinlab import LogicalAmplitudes, PhotonicState, Polarization
 from fredkinlab.catalog import CATALOG, get_gate
 from fredkinlab.circuits import (
     BellPair,
@@ -46,7 +46,6 @@ from fredkinlab.engine import (
     apply_unitary,
     detection,
     measure_and_feedforward,
-    post_select_any,
     swap_hv,
 )
 from fredkinlab.fock import prepare_logical_input, register_modes, tensor
@@ -140,7 +139,7 @@ def _reference_run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState, upt
     prog = circuit.program(len(circuit.stages[:upto]))
     logical = isinstance(inp, LogicalAmplitudes)
     state = circuit.prepare_input(inp) if logical else inp
-    n0 = state.norm_sq() * (circuit.late_norm_sq if logical else 1.0)
+    n0 = state.norm_sq() * (circuit.ancilla_norm_sq if logical else 1.0)
     log = []
     for step in prog.steps:
         if step.injection is not None and logical:
@@ -297,7 +296,7 @@ def test_cut_at_the_linear_stage_before_a_measurement_gets_every_term(label):
 
 def test_a_cut_after_a_folded_first_step_injects_no_ancilla_twice():
     # the folded first step touches e through its linear run only; a cut run
-    # must count e among the ancillae `prepare_input` has already tensored in
+    # must count e among the ancillae that step has already injected
     reg = register_modes(("c", "d", "e"))
     stages = (Linear((Hwp("d", 22.5), Hwp("e", 45.0)), label="plates"),
               Measure(DetectorSpec("d"), FeedForwardTable.build({(1, 0): [], (0, 1): []}),
@@ -321,8 +320,8 @@ def test_a_cut_after_a_folded_first_step_injects_no_ancilla_twice():
 def test_a_flip_before_an_ancilla_matches_the_reference_at_every_cut(target):
     # the first step is an ideal flip of t, which touches no ancilla, so the
     # Bell pair enters at the linear stage after it; or a flip of a, which
-    # touches the pair, so a logical input holds it from the start.  The
-    # post-selection folds into the linear stage's step.
+    # touches the pair, so it enters at the first step.  The post-selection
+    # folds into the linear stage's step.
     reg = register_modes(("c", "t", "a", "b"))
     circuit = Circuit(name="flip-first", registry=reg, photons=4, qubit_beams=("c", "t"),
                       output_beams=("c", "t"),
@@ -332,13 +331,11 @@ def test_a_flip_before_an_ancilla_matches_the_reference_at_every_cut(target):
                                          label="keep")),
                       ancillae=(BellPair("a", "b"),))
     late = target == "t"
-    assert (circuit.first is None) == late and circuit.later == ((0,) if late else ())
     steps = _steps(circuit)
     assert [step.stages for step in steps] == [circuit.stages[:1], circuit.stages[1:]]
-    assert steps[0].injection is None
-    assert (steps[1].injection is not None) == late
-    if late:
-        assert steps[1].injection.modes == frozenset(reg.beam_modes("a") + reg.beam_modes("b"))
+    entering = steps[late].injection
+    assert steps[not late].injection is None and entering is not None
+    assert entering.modes == frozenset(reg.beam_modes("a") + reg.beam_modes("b"))
     prepared = prepare_logical_input(reg, _inputs(2, seed=48)[-1], circuit.qubit_beams)
     prepared = tensor(prepared, circuit.prepared_ancillae[0][0])
     for upto in range(1, len(circuit.stages) + 1):
@@ -569,24 +566,21 @@ def test_overlapping_rules_after_a_measurement_raise_on_every_run():
             run(circuit, amps)
 
 
-def test_only_a_post_selection_that_does_not_fold_calls_post_select_any(monkeypatch):
-    calls = []
-
-    def counting(state, rules, occupations=None):
-        calls.append(rules)
-        return post_select_any(state, rules, occupations)
-
-    monkeypatch.setattr(circuits, "post_select_any", counting)
+def test_a_post_selection_that_does_not_fold_is_a_step_of_its_own():
+    # every catalog post-selection folds into a unitary; one after a
+    # measurement is a step alone, with no unitary: the identity's rows,
+    # then its rules, in the same `apply_unitary` as every other step
     for name in sorted(CATALOG):
-        circuit = get_gate(name).build()
-        for amps in _inputs(len(circuit.qubit_beams), seed=5):
-            run(circuit, amps)
-    assert calls == []
+        assert all(step.unitary is not None for step in _steps(get_gate(name).build())
+                   if isinstance(step.stages[-1], PostSelect)), name
     circuit = _pittman_post_selected(_control_h_or_v_with_target_h)
-    inputs = _inputs(2, seed=6)
-    for amps in inputs:
-        run(circuit, amps)
-    assert len(calls) == len(inputs)
+    last = _steps(circuit)[-1]
+    assert last.stages == circuit.stages[-1:]
+    assert last.unitary is None and last.injection is None
+    for amps in _inputs(2, seed=6):
+        res = run(circuit, amps)
+        assert _bits(res.state, res.probability, res.branch_log) == _bits(
+            *_reference_run(circuit, amps))
 
 
 # -- checks and errors ---------------------------------------------------------------

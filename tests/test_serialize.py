@@ -10,6 +10,7 @@ from fredkinlab.catalog import CATALOG, get_gate
 from fredkinlab.circuits import (
     BellPair,
     Circuit,
+    CircuitError,
     ControlledFlip,
     Linear,
     Measure,
@@ -18,7 +19,9 @@ from fredkinlab.circuits import (
     TimeBinConfig,
     run,
 )
-from fredkinlab.elements import Bs, DelayToL, Hwp, HvSwap, Pbs, Phase, Rot, Route, Rpbs
+from fredkinlab.elements import (
+    Bs, DelayToL, ElementError, Hwp, HvSwap, Pbs, Phase, Rot, Route, Rpbs,
+)
 from fredkinlab.engine import REJECT, DetectorSpec, FeedForwardTable, PostSelectionRule
 from fredkinlab.fock import LogicalAmplitudes, Polarization, register_modes
 from fredkinlab.serialize import (
@@ -59,6 +62,53 @@ def test_a_document_without_photons_declares_its_logical_input():
     circuit = circuit_from_dict(obj)
     assert circuit.photons == 4
     assert abs(run(circuit, LogicalAmplitudes.basis(2, 3)).probability - 1 / 4) <= 1e-12
+
+
+def _sequenced(seq, where: str) -> Circuit:
+    """A small circuit with `seq` (``list`` or ``tuple``) making the
+    sequence named by `where`, and tuples everywhere else."""
+    def at(name, value):
+        return seq(value) if where == name else tuple(value)
+    reg = register_modes(("c", "t", "a", "b"))
+    elements = (Bs(0.5, at("Bs label", ("c", "H")), ("t", "H")),
+                Phase(at("Phase label", ("t", "V")), 0.3),
+                Rot(0.2, ("c", "V"), at("Rot label", ("t", "V"))),
+                Route(at("Route mapping", (at("Route pair", ("a", "b")), ("b", "a")))))
+    rules = (PostSelectionRule.beam_counts(reg, {"c": 1, "t": 1}),)
+    return Circuit(name="sequenced", registry=reg, photons=4,
+                   qubit_beams=at("qubit_beams", ("c", "t")),
+                   output_beams=at("output_beams", ("c", "t")),
+                   stages=at("stages", (Linear(at("Linear.elements", elements)),
+                                        PostSelect(at("PostSelect.rules", rules)))),
+                   ancillae=at("ancillae", (BellPair("a", "b"),)))
+
+
+@pytest.mark.parametrize("where, error, message", [
+    ("Bs label", ElementError,
+     "mode reference ['c', 'H'] is not a (beam, pol[, bin]) label"),
+    ("Phase label", ElementError,
+     "mode reference ['t', 'V'] is not a (beam, pol[, bin]) label"),
+    ("Rot label", ElementError,
+     "mode reference ['t', 'V'] is not a (beam, pol[, bin]) label"),
+    ("Route mapping", ElementError,
+     "route mapping [('a', 'b'), ('b', 'a')] is not a tuple of (old, new) beam tuples"),
+    ("Route pair", ElementError,
+     "route mapping (['a', 'b'], ('b', 'a')) is not a tuple of (old, new) beam tuples"),
+    ("Linear.elements", CircuitError, "the elements of a linear stage must be a tuple, not list"),
+    ("PostSelect.rules", CircuitError, "the rules of a post-selection must be a tuple, not list"),
+    ("qubit_beams", CircuitError, "qubit_beams must be a tuple, not list"),
+    ("output_beams", CircuitError, "output_beams must be a tuple, not list"),
+    ("stages", CircuitError, "stages must be a tuple, not list"),
+    ("ancillae", CircuitError, "ancillae must be a tuple, not list"),
+])
+def test_a_list_where_a_file_reads_back_a_tuple_is_refused(where, error, message):
+    # the reader gives tuples, so a circuit holding a list would not read
+    # back equal; the tuple form does
+    with pytest.raises(error) as info:
+        _sequenced(list, where)
+    assert str(info.value) == message
+    circuit = _sequenced(tuple, where)
+    assert loads_circuit(dumps_circuit(circuit)) == circuit
 
 
 def test_round_trip_via_file(tmp_path):

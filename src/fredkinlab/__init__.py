@@ -23,7 +23,6 @@ from .elements import (
     Element,
     ElementError,
     Hwp,
-    HvSwap,
     ModeUnitary,
     Pbs,
     Phase,

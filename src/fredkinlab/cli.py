@@ -91,7 +91,8 @@ def _report_lines(report: analysis.GateReport, tol: float) -> list[str]:
     lines.append(f"  expected probability: {format_probability(float(expected))}")
     kind = "worst-case" if not report.metadata.get("uniform", True) else "uniform"
     lines.append(f"  success probability ({kind}): {format_probability(report.probability())}")
-    lines.append(f"  per-input spread:     {report.spread:.3e}")
+    # fixed-point at the probabilities' precision, so rounding residue reads 0
+    lines.append(f"  per-input spread:     {report.spread:.12f}")
     lines.append(f"  leakage:              {report.leakage:.3e}")
     verdict = "PASS" if report.matches_expectations(tol) else "FAIL"
     lines.append(f"  verdict: {verdict} (tolerance {tol:g})")

@@ -21,12 +21,11 @@ An element names a mode only by its ``(beam, pol[, bin])`` label, never by
 its dense index, so a circuit reads the same in Python and in its file;
 an integer mode reference is an `ElementError`.
 
-`compile_element` is the one compiler.  Six kinds are one 2x2 block on pairs
-of modes and the identity elsewhere: ``Hwp`` and ``HvSwap`` (a 45-degree
-plate) on each bin's H/V pair, ``Pbs`` a swap of the two V modes per bin,
-``Bs`` and ``Rot`` on the named modes, ``DelayToL`` a swap of each
-polarization's S/L pair.  ``Rpbs`` is plates * PBS * plates, ``Route`` a
-permutation and ``Phase`` a diagonal.  `compose` multiplies a stage's
+`compile_element` is the one compiler.  Five kinds are one 2x2 block on pairs
+of modes and the identity elsewhere: ``Hwp`` on each bin's H/V pair, ``Pbs``
+a swap of the two V modes per bin, ``Bs`` and ``Rot`` on the named modes,
+``DelayToL`` a swap of each polarization's S/L pair.  ``Rpbs`` is plates *
+PBS * plates, ``Route`` a permutation and ``Phase`` a diagonal.  `compose` multiplies a stage's
 elements in application order and checks that the product is unitary.
 """
 
@@ -95,12 +94,6 @@ class Rpbs:
 
 
 @dataclass(frozen=True)
-class HvSwap:
-    """Exchange H and V on one beam (a half-wave plate at 45 degrees)."""
-    beam: str
-
-
-@dataclass(frozen=True)
 class Route:
     """Relabel beams by a permutation {old_beam: new_beam}."""
     mapping: tuple[tuple[str, str], ...]
@@ -128,7 +121,7 @@ class Rot:
     b: ModeRef
 
 
-Element = Union[Hwp, Pbs, Bs, Rpbs, HvSwap, Route, DelayToL, Phase, Rot]
+Element = Union[Hwp, Pbs, Bs, Rpbs, Route, DelayToL, Phase, Rot]
 
 
 class ModePlan(NamedTuple):
@@ -300,10 +293,9 @@ def _pairwise(registry: ModeRegistry,
               element: Element) -> tuple[list[tuple[int, int]], np.ndarray] | None:
     """The mode pairs and the 2x2 block of a pairwise element; None for the
     other kinds (`Rpbs`, `Route`, `Phase`)."""
-    if isinstance(element, (Hwp, HvSwap)):
-        block = hwp_matrix(element.theta_deg if isinstance(element, Hwp) else 45.0)
+    if isinstance(element, Hwp):
         return _bin_pairs(registry, (element.beam, Polarization.H),
-                          (element.beam, Polarization.V)), block
+                          (element.beam, Polarization.V)), hwp_matrix(element.theta_deg)
     if isinstance(element, Pbs):  # H transmits; V swaps beams with amplitude +1
         if element.beam_a == element.beam_b:
             raise ElementError("PBS needs two distinct beams")

@@ -30,7 +30,8 @@ linear product once, which can round differently from applying it after;
 for the plate-times-PBS products of the catalog every entry is a single
 term, so its results are bit-identical.  All accepted branches of the gates
 in scope carry the same conditional state, which is checked amplitude by
-amplitude before they are pooled.
+amplitude; a measurement hands on the first of them (the lowest accepted
+pattern), scaled to the total acceptance probability.
 
 An action that can raise (an outcome missing from a feed-forward table, a
 flip whose control beam holds other than one photon) is worked out only
@@ -60,8 +61,8 @@ step finds each term's row, and each output's action, by number, and an
 occupation is hashed only when it is first numbered.  A `Circuit` gives all
 its tables one numbering, so a number means one occupation in every step
 and every cut program, and a run hands each step's numbered output to the
-next as it is (a measurement's pooled state and an ancilla injection
-included) and builds one `PhotonicState`, at the end.  Given a
+next as it is (a measurement's first accepted branch and an ancilla
+injection included) and builds one `PhotonicState`, at the end.  Given a
 `PhotonicState`, `apply_unitary`, `measure_and_feedforward` and
 `post_select_any` number it on entry and return a `PhotonicState`, around
 the same core; a numbered state must share its table's numbering.
@@ -561,7 +562,7 @@ def measure_and_feedforward(state: PhotonicState | NumberedState, detector: Dete
                             occupations: StepTable | None = None,
                             ) -> tuple[PhotonicState | NumberedState, float, list[BranchRecord]]:
     """Apply `unitary`, measure one beam, apply outcome-conditioned
-    corrections, pool branches.
+    corrections, hand on the first accepted branch.
 
     `unitary` is what acts before the counting, compiled once by the caller:
     for a measurement right after a linear step, that step's product (with,
@@ -575,10 +576,10 @@ def measure_and_feedforward(state: PhotonicState | NumberedState, detector: Dete
     Every branch keeps its squares, summed into its probability, and a
     rejected one nothing else.  Detected photons are consumed.  Corrected
     accepted branches, normalized, must agree amplitude by amplitude (to
-    within `FEEDFORWARD_CONSISTENCY_TOL`); they are pooled with their
-    outcome probabilities into one sub-normalized conditional state whose
-    squared norm is the total acceptance probability times the incoming
-    weight, and has the form of `state`.
+    within `FEEDFORWARD_CONSISTENCY_TOL`).  The result is the first of them,
+    that of the lowest accepted pattern, scaled so that its squared norm is
+    the total acceptance probability times the incoming weight, and pruned;
+    it has the form of `state`.
     """
     reg = state.registry
     if unitary is None:
@@ -639,17 +640,17 @@ def _measure(state: NumberedState, unitary: ModeUnitary | None, occupations: Ste
     if not accepted:
         return NumberedState(reg, {}, numbering), 0.0, records
 
-    # linear in any disagreement, unlike comparing the pooled norm with p_total;
-    # each amplitude is normalized and pruned as `PhotonicState.normalized` does
-    # (every branch holds a stored amplitude, so no norm is zero)
-    (_, norm, ref), *others = accepted
-    ref_scale = 1.0 / norm
+    # amplitude by amplitude, so linear in any disagreement; each amplitude is
+    # normalized and pruned as `PhotonicState.normalized` does (every branch
+    # holds a stored amplitude, so no norm is zero)
+    (_, first_norm, first), *others = accepted
+    first_scale = 1.0 / first_norm
     deviation = 0.0
     for _, norm, amps in others:
         scale = 1.0 / norm
-        for k in ref if amps.keys() == ref.keys() else amps.keys() | ref.keys():
+        for k in first if amps.keys() == first.keys() else amps.keys() | first.keys():
             a = amps.get(k, 0.0) * scale
-            b = ref.get(k, 0.0) * ref_scale
+            b = first.get(k, 0.0) * first_scale
             d = abs((0.0 if abs(a) < DEFAULT_PRUNE_EPS else a)
                     - (0.0 if abs(b) < DEFAULT_PRUNE_EPS else b))
             if d > deviation:
@@ -660,17 +661,6 @@ def _measure(state: NumberedState, unitary: ModeUnitary | None, occupations: Ste
             f"gate deterministic (amplitudes differ by {deviation:.3g})")
 
     p_total = sum([p for p, _, _ in accepted])
-    pooled: dict[int, complex] = {}
-    get = pooled.get
-    for p_branch, norm, amps in accepted:
-        w = p_branch / norm
-        for k, a in amps.items():
-            pooled[k] = get(k, 0.0) + w * a
-    kept, squares = {}, []  # pruned as `PhotonicState` prunes, and the squares of the rest
-    for k, a in pooled.items():
-        if not abs(a) < DEFAULT_PRUNE_EPS:
-            kept[k] = a
-            squares.append(a.real * a.real + a.imag * a.imag)
-    scale = math.sqrt(p_total * n_in) / math.sqrt(float(sum(squares)))
-    return NumberedState(reg, pruned({k: a * scale for k, a in kept.items()}), numbering), \
+    scale = math.sqrt(p_total * n_in) / first_norm
+    return NumberedState(reg, pruned({k: a * scale for k, a in first.items()}), numbering), \
         p_total, records

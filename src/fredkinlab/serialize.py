@@ -30,7 +30,6 @@ from .elements import (
     Bs,
     DelayToL,
     Hwp,
-    HvSwap,
     Pbs,
     Phase,
     Rot,
@@ -206,7 +205,6 @@ _ELEMENTS = {
     "bs": _Node(Bs, (_Field("eta", _number), _Field("a", _mode_ref),
                      _Field("b", _mode_ref), _Field("signed", _string, default="b"))),
     "rpbs": _Node(Rpbs, _BEAM_PAIR),
-    "hv_swap": _Node(HvSwap, (_BEAM,)),
     "route": _Node(Route, (_Field("mapping", _pairs, lambda m, registry: [list(p) for p in m]),)),
     "delay_to_l": _Node(DelayToL, (_BEAM,)),
     "phase": _Node(Phase, (_Field("target", _mode_ref), _Field("phi", _number))),

@@ -229,6 +229,19 @@ def test_verify_single_input():
     assert "PASS" in out
 
 
+def test_verify_table_prints_a_residue_spread_as_zero():
+    from fredkinlab import analysis
+
+    report = dataclasses.replace(analysis.gate_report(get_gate("cnot-sanaka")), spread=5e-17)
+    with mock.patch.object(analysis, "gate_report", return_value=report):
+        code, out, err = run_cli(["verify", "cnot-sanaka", "--sweep", "3"])
+        json_code, json_out, _ = run_cli(["verify", "cnot-sanaka", "--sweep", "3",
+                                          "--format", "json"])
+    assert (code, json_code) == (0, 0)
+    assert "  per-input spread:     0.000000000000\n" in out
+    assert json.loads(json_out)["report"]["spread"] == 5e-17
+
+
 def test_verify_single_input_fails_a_small_output_phase():
     # a 1e-5 rad phase on the target's V output: the output fidelity,
     # quadratic in it, read 0.999999999975 and passed
@@ -427,6 +440,24 @@ def test_simulate_misspelt_key_exit_2(tmp_path, monkeypatch, capsys):
     assert main(["simulate", str(path), "--input", "[1,0,0,0]"]) == 2
     assert capsys.readouterr().err == (
         f"error: {path}: stages[{index}]: unknown key 'default_rejct'\n")
+
+
+def test_simulate_hv_swap_element_exit_2(tmp_path, monkeypatch, capsys):
+    from fredkinlab.cli import main
+    from fredkinlab.serialize import circuit_to_dict
+
+    obj = circuit_to_dict(get_gate("cnot-sanaka").build())
+    index, elements, k = next((i, st["elements"], k) for i, st in enumerate(obj["stages"])
+                              if st["type"] == "linear"
+                              for k, e in enumerate(st["elements"]) if e["kind"] == "hwp")
+    elements[k] = {"kind": "hv_swap", "beam": elements[k]["beam"]}
+    path = tmp_path / "hv_swap.json"
+    path.write_text(json.dumps(obj))
+    monkeypatch.delenv("PHOTONIC_LAB_CONFIG", raising=False)
+    # a 45-degree plate is written as `hwp`; the old `hv_swap` alias is gone
+    assert main(["simulate", str(path), "--input", "[1,0,0,0]"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:stages[{index}]: bad 'hv_swap' element: unknown kind 'hv_swap'\n")
 
 
 def test_simulate_ancilla_on_qubit_beam_exit_2(tmp_path, monkeypatch, capsys):

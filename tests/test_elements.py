@@ -8,7 +8,6 @@ from fredkinlab import (
     DelayToL,
     ElementError,
     Hwp,
-    HvSwap,
     ModeUnitary,
     Pbs,
     Phase,
@@ -201,12 +200,6 @@ def test_rpbs_permutation_like_in_its_eigenbasis():
 
 # -- other elements -------------------------------------------------------------
 
-def test_hv_swap_equals_hwp45():
-    reg = register_modes(["a"])
-    assert np.allclose(compile_element(reg, HvSwap("a")).matrix,
-                       compile_element(reg, Hwp("a", 45.0)).matrix)
-
-
 def test_route_permutes_beams():
     reg = register_modes(["a", "b"])
     u = compile_element(reg, Route((("a", "b"), ("b", "a"))))
@@ -296,8 +289,8 @@ def _swaps(*pairs):
     (PLAIN, Hwp("b", 67.5), {(2, 2): -S2, (2, 3): S2, (3, 2): S2, (3, 3): S2}),
     (BINS, Hwp("b", 67.5), {(4, 4): -S2, (4, 6): S2, (6, 4): S2, (6, 6): S2,
                             (5, 5): -S2, (5, 7): S2, (7, 5): S2, (7, 7): S2}),
-    (PLAIN, HvSwap("a"), _swaps((0, 1))),
-    (BINS, HvSwap("a"), _swaps((0, 2), (1, 3))),
+    (PLAIN, Hwp("a", 45.0), _swaps((0, 1))),
+    (BINS, Hwp("a", 45.0), _swaps((0, 2), (1, 3))),
     (PLAIN, Pbs("a", "b"), _swaps((1, 3))),
     (BINS, Pbs("a", "b"), _swaps((2, 6), (3, 7))),
     (PLAIN, Bs(1 / 3, "a", "b"), {(0, 0): T3, (0, 2): R3, (2, 0): R3, (2, 2): -T3,

@@ -401,7 +401,8 @@ def test_measure_consumes_detected_photons():
 
 def test_measure_branches_a_small_rotation_apart_raise():
     # after correction the branches differ by a 1e-6 rotation of beam b; the
-    # pooled norm differs from the sum of branch weights only by ~1e-13
+    # norm of their probability-weighted sum differs from the sum of branch
+    # weights only by ~1e-13
     reg = register_modes(["a", "b"])
     d = 1e-6
     s = PhotonicState(reg, {(1, 0, 1, 0): S2 * math.cos(d), (1, 0, 0, 1): S2 * math.sin(d),
@@ -410,6 +411,29 @@ def test_measure_branches_a_small_rotation_apart_raise():
     table = FeedForwardTable.build({(1, 0): [], (0, 1): [("b", "flip")]})
     with pytest.raises(FeedForwardError, match="differ by 1e-06"):
         measure_and_feedforward(s, det, table, det.rotation(reg))
+
+
+def test_measure_hands_on_the_lowest_accepted_branch():
+    # the corrected branches agree only to ~1e-11, inside the consistency
+    # tolerance: the output is the lowest accepted pattern's branch, scaled,
+    # and no mixture of the two
+    from fredkinlab.engine import BranchRecord
+
+    reg = register_modes(["a", "b"])
+    d = 1e-11
+    a1, a2, a3 = 0.6 * math.cos(d), 0.6 * math.sin(d), 0.8
+    s = PhotonicState(reg, {(0, 1, 0, 1): a1, (0, 1, 1, 0): a2, (1, 0, 1, 0): a3})
+    det = DetectorSpec("a", DetectorBasis.HV)
+    table = FeedForwardTable.build({(0, 1): [], (1, 0): [("b", "flip")]})
+    out, p, log = measure_and_feedforward(s, det, table, det.rotation(reg))
+    n_in = a1 * a1 + a2 * a2 + a3 * a3
+    first_sq = a1 * a1 + a2 * a2
+    p_first, p_second = first_sq / n_in, a3 * a3 / n_in
+    assert log == [BranchRecord((0, 1), p_first, "accept"),
+                   BranchRecord((1, 0), p_second, "accept")]
+    assert p == p_first + p_second
+    scale = math.sqrt(p * n_in) / math.sqrt(first_sq)
+    assert list(out.amps.items()) == [((0, 0, 0, 1), a1 * scale), ((0, 0, 1, 0), a2 * scale)]
 
 
 def test_a_numbered_state_keeps_its_form_and_its_numbering():

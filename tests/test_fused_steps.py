@@ -81,7 +81,8 @@ def _reference_post_select(state: PhotonicState, rules) -> PhotonicState:
 
 
 def _reference_measure(state, detector, table, rotation):
-    """Measurement with a state per branch and normalized copies."""
+    """Measurement with a state per branch and normalized copies, handing on
+    the first accepted branch scaled to the total acceptance probability."""
     reg = state.registry
     working = state if rotation is None else apply_unitary(state, rotation)
     det_modes = reg.beam_modes(detector.beam)
@@ -116,14 +117,9 @@ def _reference_measure(state, detector, table, rotation):
             "corrected branches disagree; feed-forward table does not make the "
             f"gate deterministic (amplitudes differ by {deviation:.3g})")
     p_total = sum(p for p, _ in accepted)
-    pooled = {}
-    for p_branch, sub in accepted:
-        w = p_branch / math.sqrt(sub.norm_sq())
-        for occ, a in sub.amps.items():
-            pooled[occ] = pooled.get(occ, 0.0) + w * a
-    pooled = PhotonicState(reg, pooled, validate=False)
-    scale = math.sqrt(p_total * n_in) / math.sqrt(pooled.norm_sq())
-    return PhotonicState(reg, {k: v * scale for k, v in pooled.amps.items()},
+    first = accepted[0][1]  # the lowest accepted pattern's
+    scale = math.sqrt(p_total * n_in) / math.sqrt(first.norm_sq())
+    return PhotonicState(reg, {k: v * scale for k, v in first.amps.items()},
                          validate=False), records
 
 

@@ -20,7 +20,7 @@ from fredkinlab.circuits import (
     run,
 )
 from fredkinlab.elements import (
-    Bs, DelayToL, ElementError, Hwp, HvSwap, Pbs, Phase, Rot, Route, Rpbs,
+    Bs, DelayToL, ElementError, Hwp, Pbs, Phase, Rot, Route, Rpbs,
 )
 from fredkinlab.engine import REJECT, DetectorSpec, FeedForwardTable, PostSelectionRule
 from fredkinlab.fock import LogicalAmplitudes, Polarization, register_modes
@@ -162,7 +162,7 @@ def _every_kind_circuit():
     elements = (
         Hwp("a", 22.5), Pbs("c", "t"),
         Bs(0.5, ("c", "H", "S"), ("c", "V", "S")),
-        Bs(0.25, "t", "b", signed="a"), Rpbs("t", "d"), HvSwap("b"),
+        Bs(0.25, "t", "b", signed="a"), Rpbs("t", "d"), Hwp("b", 45.0),
         Route((("d", "b"), ("b", "d"))), DelayToL("c"), Phase(("t", "V", "L"), 0.25),
         Rot(0.3, ("d", "H", "S"), ("b", "H", "S")),
     )

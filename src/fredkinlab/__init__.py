@@ -34,8 +34,6 @@ from .elements import (
     hwp_matrix,
 )
 from .engine import (
-    DetectorBasis,
-    DetectorSpec,
     EngineError,
     FeedForwardError,
     FeedForwardTable,

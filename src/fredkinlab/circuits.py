@@ -2,7 +2,9 @@
 
 A circuit is an ordered program of linear stages, ideal conditional flips,
 measurements with feed-forward, and terminal post-selection, over a fixed mode
-registry.  Builders return the five gate families verified by this package:
+registry.  A measurement counts the H and V photons of one beam; the +/-
+counting of the parity-check CNOT is a 22.5-degree plate stage before it.
+Builders return the five gate families verified by this package:
 
 * a heralded Fredkin made of four CNOTs (ideal or physical parity-check
   gadgets consuming one Bell pair each),
@@ -44,8 +46,6 @@ from .elements import (
 )
 from .engine import (
     BranchRecord,
-    DetectorBasis,
-    DetectorSpec,
     FeedForwardTable,
     PostSelectionRule,
     REJECT,
@@ -53,6 +53,7 @@ from .engine import (
     apply_unitary,
     detection,
     measure_and_feedforward,
+    need_tuple,
     selection,
     swap_hv,
 )
@@ -140,7 +141,10 @@ class ControlledFlip:
 
 @dataclass(frozen=True)
 class Measure:
-    detector: DetectorSpec
+    """Photon-number-resolving H/V counting of one beam, then the
+    corrections `table` gives its pattern.  Counting in another basis is a
+    wave plate in a `Linear` stage before it."""
+    beam: str
     table: FeedForwardTable
     label: str = ""
 
@@ -219,9 +223,8 @@ class Injection(NamedTuple):
 class Step(NamedTuple):
     """One step of a run: the stages it applies (a fused run of `Linear`
     stages as its last stage inside the cut, then the stages folded into
-    it), its unitary (that run's product, times a folded +/- detector's
-    plate; else a detector's plate, or None), its occupation table, and the
-    ancillae tensored in just before it (or None)."""
+    it), its unitary (that run's product, or None), its occupation table,
+    and the ancillae tensored in just before it (or None)."""
     stages: tuple[Stage, ...]
     unitary: ModeUnitary | None
     table: StepTable
@@ -235,10 +238,10 @@ class Program(NamedTuple):
     per output (`engine.StepTable`); every table of a circuit numbers
     occupations in the circuit's one `numbering`, so a number means the same
     occupation in every step and every program.  One rule folds them: a
-    stage with an action folds into the step before it when no ancilla enters there and
-    that step ends in a linear stage or a flip, whose action it composes
-    with; a +/- detector's plate needs the linear stage, to multiply into
-    its product.  A run cut at a linear stage gets every row of its step.
+    stage with an action folds into the step before it when no ancilla
+    enters there and that step ends in a linear stage or a flip, whose
+    action it composes with.  A run cut at a linear stage gets every row of
+    its step.
     Each step injects the ancillae it is the first to touch, and `rest`,
     those no step touches, goes in before `run` returns.
     """
@@ -248,14 +251,14 @@ class Program(NamedTuple):
 
 def _touched_modes(registry: ModeRegistry, step: Stage, u: ModeUnitary | None) -> set[int]:
     """The modes a stage acts on: the active modes of a linear stage's `u`,
-    the beams of a flip, a detector's beam (all its plate moves) and those
-    its table corrects, or the modes of a post-selection's rules."""
+    the beams of a flip, a detector's beam and those its table corrects, or
+    the modes of a post-selection's rules."""
     if isinstance(step, Linear):
         return set(u.modes)
     if isinstance(step, ControlledFlip):
         beams = [step.control, step.target]
     elif isinstance(step, Measure):
-        beams = [step.detector.beam]
+        beams = [step.beam]
         for _, action in step.table.entries:
             if action != REJECT:
                 beams.extend(beam for beam, _ in action)
@@ -273,13 +276,6 @@ def _in_turn(acts: Sequence[Callable]) -> Callable[[Occupation], object]:
             occ = f(occ)
         return occ
     return act
-
-
-def _need_tuple(value, what: str) -> None:
-    """Refuse a list, or any other sequence, where a circuit file reads back
-    a tuple, so that every circuit reads back from its file as an equal one."""
-    if not isinstance(value, tuple):
-        raise CircuitError(f"{what} must be a tuple, not {type(value).__name__}")
 
 
 def _flip(registry: ModeRegistry, st: ControlledFlip) -> Callable[[Occupation], Occupation]:
@@ -308,8 +304,8 @@ class Circuit:
     ancillae: tuple[AncillaPrep, ...] = ()
     time_bin_config: TimeBinConfig | None = None
     #: for a `Linear` stage, the product of its run of consecutive `Linear`
-    #: stages from the run's first stage through this one; for a +/- basis
-    #: `Measure` stage, its detector rotation; None for every other stage
+    #: stages from the run's first stage through this one; None for every
+    #: other stage
     unitaries: tuple[ModeUnitary | None, ...] = field(init=False, compare=False, repr=False)
     #: each ancilla's state, built once, with the modes it occupies
     prepared_ancillae: tuple[tuple[PhotonicState, frozenset[int]], ...] = field(
@@ -333,7 +329,7 @@ class Circuit:
 
     def __post_init__(self):
         for what in ("qubit_beams", "output_beams", "stages", "ancillae"):
-            _need_tuple(getattr(self, what), what)
+            need_tuple(getattr(self, what), what, CircuitError)
         if not self.stages:
             raise CircuitError("stage list is empty")
         for beam in (*self.qubit_beams, *self.output_beams):
@@ -344,13 +340,13 @@ class Circuit:
         prev = None  # product of the current run of Linear stages so far
         for st in self.stages:
             if isinstance(st, PostSelect):
-                _need_tuple(st.rules, "the rules of a post-selection")
+                need_tuple(st.rules, "the rules of a post-selection", CircuitError)
                 seen_postselect = True
             elif seen_postselect:
                 raise CircuitError("post-selection must be the terminal stage chain")
             u = None
             if isinstance(st, Linear):
-                _need_tuple(st.elements, "the elements of a linear stage")
+                need_tuple(st.elements, "the elements of a linear stage", CircuitError)
                 # the one compile of a linear stage; it also validates beams and unitarity
                 u = compose(self.registry, st.elements)
                 if prev is not None:
@@ -359,16 +355,15 @@ class Circuit:
                 self.registry.beam_modes(st.control)
                 self.registry.beam_modes(st.target)
             elif isinstance(st, Measure):
-                n_modes = len(self.registry.beam_modes(st.detector.beam))
+                n_modes = len(self.registry.beam_modes(st.beam))
                 for pattern, action in st.table.entries:
                     if len(pattern) != n_modes or any(n < 0 for n in pattern):
                         raise CircuitError(
-                            f"outcome {pattern} of the detector on beam {st.detector.beam!r} "
+                            f"outcome {pattern} of the detector on beam {st.beam!r} "
                             f"needs {n_modes} non-negative counts")
                     for beam, _ in (() if action == REJECT else action):
                         self.registry.beam_modes(beam)
-                u = st.detector.rotation(self.registry)
-            prev = u if isinstance(st, Linear) else None
+            prev = u
             unitaries.append(u)
         object.__setattr__(self, "unitaries", tuple(unitaries))
         labels = self.registry.labels
@@ -459,8 +454,7 @@ class Circuit:
             entering = self._touching(i, pending)
             pending = [k for k in pending if k not in entering]
             before = groups and stages[groups[-1][1]]
-            if not (linear or entering) and (isinstance(before, Linear) or isinstance(
-                    before, ControlledFlip) and self.unitaries[i] is None):
+            if not (linear or entering) and isinstance(before, (Linear, ControlledFlip)):
                 groups[-1][1] = i  # fold it into the step before
             else:
                 groups.append([i, i, entering])
@@ -484,11 +478,9 @@ class Circuit:
             reg, u = self.registry, self.unitaries[i]
             linear = isinstance(self.stages[i], Linear)
             actions = self.stages[i + linear:last + 1]
-            if linear and actions and self.unitaries[i + 1] is not None:
-                u = u.then(self.unitaries[i + 1])  # the plate of a +/- detector
             acts = [_flip(reg, st) if isinstance(st, ControlledFlip)
                     else selection(st.rules) if isinstance(st, PostSelect)
-                    else detection(reg, st.detector, st.table) for st in actions]
+                    else detection(reg, st.beam, st.table) for st in actions]
             # a post-selection right after the unitary cuts the rows it drops
             cut = linear and len(actions) == 1 and isinstance(actions[0], PostSelect)
             step = self._steps[i, last] = (u, StepTable.fresh(
@@ -512,11 +504,10 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
     relative to the input is the acceptance probability; it is also returned
     explicitly.  `expected_photons` overrides the circuit's declared count
     for inputs that legitimately differ (the known-target gate accepts a
-    present or absent target photon).  Linear stages and +/- detectors apply
-    the unitaries the circuit compiled: each run of
-    consecutive `Linear` stages is applied once, as the product stored at its
-    last stage inside ``stages[:upto]``, so a cut inside a run applies that
-    stage's prefix product.
+    present or absent target photon).  Linear stages apply the unitaries
+    the circuit compiled: each run of consecutive `Linear` stages is applied
+    once, as the product stored at its last stage inside ``stages[:upto]``,
+    so a cut inside a run applies that stage's prefix product.
 
     The run carries numbered terms (`fock.NumberedState`) from start to
     finish and builds one `PhotonicState`, at the end.  A logical input is
@@ -560,7 +551,7 @@ def run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState,
             state = tensor(state, *injection)
         st = stages[-1]
         if isinstance(st, Measure):
-            state, _, records = measure_and_feedforward(state, st.detector, st.table, u, table)
+            state, _, records = measure_and_feedforward(state, st.beam, st.table, u, table)
             log.extend(records)
         else:
             state = apply_unitary(state, u, table)
@@ -578,11 +569,12 @@ def _parity_check_cnot_stages(control: str, target: str, anc1: str, anc2: str,
     """Heralded CNOT gadget: Bell-pair parity check plus destructive CNOT.
 
     The control and one ancilla interfere at a PBS whose ancilla output is
-    counted in the +/- basis; the second ancilla (pre-rotated by a 45-degree
-    plate from the (HV+VH) pair source) and the target interfere at a rotated
-    PBS counted in H/V.  A "-" click applies a sign flip to the control
-    output, a "V" click a polarization flip to the target output.  Acceptance
-    probability is 1/4 for every input, vacuum targets included.
+    counted in the +/- basis (a 22.5-degree plate, then H/V counting); the
+    second ancilla (pre-rotated by a 45-degree plate from the (HV+VH) pair
+    source) and the target interfere at a rotated PBS counted in H/V.  A
+    "-" click applies a sign flip to the control output, a "V" click a
+    polarization flip to the target output.  Acceptance probability is 1/4
+    for every input, vacuum targets included.
     """
     d1_table = FeedForwardTable.build({
         (1, 0): [],                  # "+"
@@ -595,9 +587,10 @@ def _parity_check_cnot_stages(control: str, target: str, anc1: str, anc2: str,
     return [
         Linear((Hwp(anc2, 45.0),), label=f"{tag}bell-rotate"),
         Linear((Pbs(control, anc1),), label=f"{tag}parity-pbs"),
-        Measure(DetectorSpec(anc1, DetectorBasis.PLUS_MINUS), d1_table, label=f"{tag}d1"),
+        Linear((Hwp(anc1, 22.5),), label=f"{tag}d1-plate"),
+        Measure(anc1, d1_table, label=f"{tag}d1"),
         Linear((Rpbs(anc2, target),), label=f"{tag}target-rpbs"),
-        Measure(DetectorSpec(anc2, DetectorBasis.HV), d2_table, label=f"{tag}d2"),
+        Measure(anc2, d2_table, label=f"{tag}d2"),
     ]
 
 

@@ -25,13 +25,12 @@ corrected output and a sign (`StepTable`).  A term is its amplitude times
 its row, summed per output in first-reached order; an output that the
 pruning (1e-14) drops takes no action.  A `Circuit` folds a step with an
 action into the linear step before it, and composes actions after a flip
-(see `circuits.Program`).  A +/- detector's plate is multiplied into the
-linear product once, which can round differently from applying it after;
-for the plate-times-PBS products of the catalog every entry is a single
-term, so its results are bit-identical.  All accepted branches of the gates
-in scope carry the same conditional state, which is checked amplitude by
-amplitude; a measurement hands on the first of them (the lowest accepted
-pattern), scaled to the total acceptance probability.
+(see `circuits.Program`).  Every detector counts the H and V photons of
+its beam; counting in another basis is a wave plate in a linear stage
+before it (for a +/- detector, a 22.5-degree plate).  All accepted branches
+of the gates in scope carry the same conditional state, which is checked
+amplitude by amplitude; a measurement hands on the first of them (the
+lowest accepted pattern), scaled to the total acceptance probability.
 
 An action that can raise (an outcome missing from a feed-forward table, a
 flip whose control beam holds other than one photon) is worked out only
@@ -81,7 +80,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .elements import Hwp, ModePlan, ModeUnitary, compile_element
+from .elements import ModePlan, ModeUnitary
 from .fock import (
     DEFAULT_PRUNE_EPS,
     ModeRegistry,
@@ -105,6 +104,13 @@ class PhotonNumberMismatch(EngineError):
 
 class FeedForwardError(EngineError):
     pass
+
+
+def need_tuple(value, what: str, error: type[ValueError] = EngineError) -> None:
+    """Refuse a list, or any other sequence, where a circuit file reads back
+    a tuple, so that every circuit reads back from its file as an equal one."""
+    if not isinstance(value, tuple):
+        raise error(f"{what} must be a tuple, not {type(value).__name__}")
 
 
 def _keep(occ: Occupation) -> Occupation:
@@ -365,8 +371,12 @@ class PostSelectionRule:
     constraints: tuple[tuple[tuple[int, ...], int], ...]
 
     def __post_init__(self):
+        need_tuple(self.constraints, "the constraints of a post-selection rule")
         seen: set[int] = set()
-        for modes, count in self.constraints:
+        for constraint in self.constraints:
+            need_tuple(constraint, "a constraint of a post-selection rule")
+            modes, count = constraint
+            need_tuple(modes, "the modes of a constraint")
             if count < 0:
                 raise EngineError("negative photon count in rule")
             for m in modes:
@@ -445,38 +455,11 @@ def post_select_any(state: PhotonicState | NumberedState, rules: Sequence[PostSe
 # -- measurement with feed-forward -------------------------------------------
 
 
-class DetectorBasis:
-    HV = "HV"
-    PLUS_MINUS = "PM"
-
-
-@dataclass(frozen=True)
-class DetectorSpec:
-    """Photon-number-resolving detection of one beam.
-
-    The +/- basis is realized as a 22.5-degree half-wave plate on the beam
-    followed by H/V-resolved counting, so outcome patterns are always count
-    tuples over the beam's modes in canonical order (a "+" count appears in
-    the H slot, "-" in the V slot).
-    """
-    beam: str
-    basis: str = DetectorBasis.HV
-
-    def __post_init__(self):
-        if self.basis not in (DetectorBasis.HV, DetectorBasis.PLUS_MINUS):
-            raise EngineError(f"unknown detector basis {self.basis!r}")
-
-    def rotation(self, registry: ModeRegistry) -> ModeUnitary | None:
-        """The plate that turns +/- counting into H/V counting (None for H/V)."""
-        if self.basis == DetectorBasis.PLUS_MINUS:
-            return compile_element(registry, Hwp(self.beam, 22.5))
-        return None
-
-
 REJECT = "reject"
 
 #: correction kinds applicable to a beam: "flip" swaps H and V occupations,
-#: "sign" multiplies by (-1)^(V photons), "flip_sign" applies sign then flip.
+#: "sign" multiplies by (-1)^(V photons); a pattern's corrections apply in
+#: their listed order.
 Correction = tuple[str, str]
 
 
@@ -484,16 +467,27 @@ Correction = tuple[str, str]
 class FeedForwardTable:
     """Map detector outcome pattern -> accepted corrections or rejection.
 
-    Unlisted patterns are rejected when `default_reject` is set; otherwise a
-    nonzero-probability unlisted outcome is an error.
+    A pattern counts the detector beam's photons mode by mode in canonical
+    order (H before V).  Unlisted patterns are rejected when
+    `default_reject` is set; otherwise a nonzero-probability unlisted
+    outcome is an error.
     """
     entries: tuple[tuple[tuple[int, ...], tuple[Correction, ...] | str], ...]
     default_reject: bool = True
 
     def __post_init__(self):
-        for _, action in self.entries:
-            for _, kind in (() if action == REJECT else action):
-                if kind not in ("flip", "sign", "flip_sign"):
+        need_tuple(self.entries, "the entries of a feed-forward table")
+        for entry in self.entries:
+            need_tuple(entry, "an entry of a feed-forward table")
+            pattern, action = entry
+            need_tuple(pattern, "an outcome pattern")
+            if action == REJECT:
+                continue
+            need_tuple(action, "the corrections of an outcome")
+            for correction in action:
+                need_tuple(correction, "a correction")
+                _, kind = correction
+                if kind not in ("flip", "sign"):
                     raise FeedForwardError(f"unknown correction kind {kind!r}")
 
     def lookup(self, pattern: tuple[int, ...]):
@@ -507,7 +501,7 @@ class FeedForwardTable:
     @classmethod
     def build(cls, accept: Mapping[tuple[int, ...], Sequence[Correction]],
               default_reject: bool = True) -> "FeedForwardTable":
-        entries = tuple((tuple(p), tuple(c)) for p, c in accept.items())
+        entries = tuple((tuple(p), tuple(map(tuple, c))) for p, c in accept.items())
         return cls(entries, default_reject=default_reject)
 
 
@@ -526,13 +520,13 @@ def swap_hv(occ: Occupation, h_modes: Sequence[int], v_modes: Sequence[int]) -> 
     return tuple(lst)
 
 
-def detection(registry: ModeRegistry, detector: DetectorSpec, table: FeedForwardTable,
+def detection(registry: ModeRegistry, beam: str, table: FeedForwardTable,
               ) -> Callable[[Occupation], tuple[tuple[int, ...], Occupation | None, bool]]:
-    """The action of a measurement on an output: its pattern on the
-    detector's modes, the occupation with those modes cleared and the
+    """The action of H/V counting of `beam` on an output: its pattern on
+    the beam's modes, the occupation with those modes cleared and the
     pattern's corrections applied (None if `table` rejects the pattern),
     and whether the sign flips.  An outcome `table` cannot look up raises."""
-    modes = registry.beam_modes(detector.beam)
+    modes = registry.beam_modes(beam)
 
     def detect(occ: Occupation) -> tuple[tuple[int, ...], Occupation | None, bool]:
         pattern = tuple([occ[m] for m in modes])
@@ -544,12 +538,12 @@ def detection(registry: ModeRegistry, detector: DetectorSpec, table: FeedForward
             cleared[m] = 0
         out = tuple(cleared)
         negate = False
-        for beam, kind in action:
-            h_modes, v_modes = registry.hv_modes(beam)
-            if kind in ("sign", "flip_sign") and sum(out[m] for m in v_modes) % 2 == 1:
-                negate = not negate
-            if kind in ("flip", "flip_sign"):
+        for corrected, kind in action:
+            h_modes, v_modes = registry.hv_modes(corrected)
+            if kind == "flip":
                 out = swap_hv(out, h_modes, v_modes)
+            elif sum(out[m] for m in v_modes) % 2 == 1:
+                negate = not negate
         return pattern, out, negate
     return detect
 
@@ -557,22 +551,20 @@ def detection(registry: ModeRegistry, detector: DetectorSpec, table: FeedForward
 FEEDFORWARD_CONSISTENCY_TOL = 1e-9
 
 
-def measure_and_feedforward(state: PhotonicState | NumberedState, detector: DetectorSpec,
+def measure_and_feedforward(state: PhotonicState | NumberedState, beam: str,
                             table: FeedForwardTable, unitary: ModeUnitary | None,
                             occupations: StepTable | None = None,
                             ) -> tuple[PhotonicState | NumberedState, float, list[BranchRecord]]:
-    """Apply `unitary`, measure one beam, apply outcome-conditioned
-    corrections, hand on the first accepted branch.
+    """Apply `unitary`, count the H and V photons of `beam`, apply
+    outcome-conditioned corrections, hand on the first accepted branch.
 
     `unitary` is what acts before the counting, compiled once by the caller:
-    for a measurement right after a linear step, that step's product (with,
-    for a +/- detector, the detector's plate after it; a `Circuit` folds
-    them when it compiles a program), else the detector's
-    `DetectorSpec.rotation`, or None for an H/V detector.  `occupations` is
-    the step's `StepTable`, whose `act` ends in this measurement's
-    `detection`; by default a fresh one.  Each term expands through its row
+    for a measurement right after a linear step, that step's product (a
+    `Circuit` folds them when it compiles a program), else None.
+    `occupations` is the step's `StepTable`, whose `act` ends in this
+    measurement's `detection`; by default a fresh one.  Each term expands through its row
     into one amplitude per output; each output, once pruned, goes straight
-    into its branch, so no rotated, uncorrected `PhotonicState` is built.
+    into its branch, so no evolved, uncorrected `PhotonicState` is built.
     Every branch keeps its squares, summed into its probability, and a
     rejected one nothing else.  Detected photons are consumed.  Corrected
     accepted branches, normalized, must agree amplitude by amplitude (to
@@ -582,13 +574,10 @@ def measure_and_feedforward(state: PhotonicState | NumberedState, detector: Dete
     it has the form of `state`.
     """
     reg = state.registry
-    if unitary is None:
-        if detector.basis != DetectorBasis.HV:
-            raise EngineError(f"a detector in basis {detector.basis!r} needs its plate")
-    elif unitary.registry != reg:
+    if unitary is not None and unitary.registry != reg:
         raise EngineError("unitary acts on a different registry")
 
-    act = detection(reg, detector, table) if occupations is None else occupations.act
+    act = detection(reg, beam, table) if occupations is None else occupations.act
     numbered, occupations = _table(state, occupations, act)
     result = _measure(numbered, unitary, occupations)
     return result if numbered is state else (result[0].state(), *result[1:])

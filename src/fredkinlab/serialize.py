@@ -37,7 +37,6 @@ from .elements import (
     Rpbs,
 )
 from .engine import (
-    DetectorSpec,
     FeedForwardTable,
     PostSelectionRule,
     REJECT,
@@ -251,19 +250,17 @@ _STAGES = {
     "linear": _Node(Linear, (
         # an element's error names its stage and its kind
         _Field("elements", *_tagged("kind", _ELEMENTS, lambda at, kind: _At(
-            f"{at.path}:{at.loc}", f"bad {kind!r} element", at.registry)), default=()),
+            at.path, f"{at.loc}: bad {kind!r} element", at.registry)), default=()),
         _LABEL)),
     "controlled_flip": _Node(ControlledFlip, (
         _Field("control", _string), _Field("target", _string), _LABEL)),
     "measure": _Node(
         Measure,
-        (_BEAM, _Field("basis", _string, default="HV"),
-         _Field("accept", *_many(_ACCEPT), default=()),
+        (_BEAM, _Field("accept", *_many(_ACCEPT), default=()),
          _Field("default_reject", _boolean, default=True), _LABEL),
-        lambda beam, basis, accept, default_reject, label: Measure(
-            DetectorSpec(beam, basis), FeedForwardTable(accept, default_reject), label),
-        lambda st: (st.detector.beam, st.detector.basis, st.table.entries,
-                    st.table.default_reject, st.label),
+        lambda beam, accept, default_reject, label: Measure(
+            beam, FeedForwardTable(accept, default_reject), label),
+        lambda st: (st.beam, st.table.entries, st.table.default_reject, st.label),
     ),
     "post_select": _Node(PostSelect, (_Field("rules", *_many(_RULE), default=()), _LABEL)),
 }

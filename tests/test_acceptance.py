@@ -12,8 +12,6 @@ import numpy as np
 import pytest
 
 from fredkinlab import (
-    DetectorBasis,
-    DetectorSpec,
     FeedForwardTable,
     LogicalAmplitudes,
     ModeUnitary,
@@ -288,8 +286,7 @@ def test_criterion_09_oracle_equivalence():
         for occ in [(1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0), (2, 0, 0, 0)]:
             amps[occ] = rng.normal() + 1j * rng.normal()
         state = PhotonicState(reg, amps).normalized()
-        _, _, log = measure_and_feedforward(
-            state, DetectorSpec("a", DetectorBasis.HV), FeedForwardTable.build({}), None)
+        _, _, log = measure_and_feedforward(state, "a", FeedForwardTable.build({}), None)
         if abs(sum(r.probability for r in log) - 1.0) >= 1e-12:
             ok = False
     report(9, "engine amplitudes match the permanent oracle; norms and branch "

@@ -48,8 +48,8 @@ def test_no_step_computes_an_amplitude_that_it_prunes(name, monkeypatch):
         put_out.append(_outputs(state, table))
         return result
 
-    def measure_and_feedforward(state, detector, table, unitary, occupations):
-        result = engine_measure(state, detector, table, unitary, occupations)
+    def measure_and_feedforward(state, beam, table, unitary, occupations):
+        result = engine_measure(state, beam, table, unitary, occupations)
         put_out.append(_outputs(state, occupations))
         return result
 
@@ -124,25 +124,34 @@ def test_the_tool_prints_every_gate_and_their_total(capsys):
 
 
 def test_a_catalog_pass_scans_no_detector_plate(monkeypatch):
-    # a +/- detector's plate moves only the detector's beam, which placing the
-    # ancillae counts anyway, so no pass compares the registry-sized plate
-    # with the identity to find its active modes
-    plates, scanned = [], []
-    rotation, modes = engine.DetectorSpec.rotation, elements.ModeUnitary.modes
+    # a +/- detector's 22.5-degree plate is a linear stage, multiplied into
+    # its run's product when the circuit is built, so a pass compares only
+    # step products with the identity to find their active modes, never the
+    # registry-sized plate on its own
+    plates, products, scanned = [], [], []
+    compose, step, modes = circuits.compose, circuits.Circuit._step, elements.ModeUnitary.modes
 
-    def recorded_rotation(detector, registry):
-        plate = rotation(detector, registry)
-        plates.append(plate)
-        return plate
+    def recorded_compose(registry, stage_elements):
+        u = compose(registry, stage_elements)
+        first, *others = stage_elements
+        if not others and isinstance(first, elements.Hwp) and first.theta_deg == 22.5:
+            plates.append(u)
+        return u
+
+    def recorded_step(circuit, i, last):
+        u, table = step(circuit, i, last)
+        products.append(u)
+        return u, table
 
     def counted_modes(u):
         if u._modes is None:
             scanned.append(u)
         return modes.fget(u)
 
-    monkeypatch.setattr(engine.DetectorSpec, "rotation", recorded_rotation)
+    monkeypatch.setattr(circuits, "compose", recorded_compose)
+    monkeypatch.setattr(circuits.Circuit, "_step", recorded_step)
     monkeypatch.setattr(elements.ModeUnitary, "modes", property(counted_modes))
     for name in gate_names():
         gate_report(get_gate(name))
-    assert any(plate is not None for plate in plates) and scanned
-    assert [u for u in scanned if any(u is plate for plate in plates)] == []
+    assert plates and scanned
+    assert [u for u in scanned if not any(u is p for p in products)] == []

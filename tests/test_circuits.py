@@ -35,8 +35,6 @@ from fredkinlab.circuits import (
 )
 from fredkinlab.elements import Hwp, compose
 from fredkinlab.engine import (
-    DetectorBasis,
-    DetectorSpec,
     EngineError,
     FeedForwardError,
     FeedForwardTable,
@@ -453,7 +451,7 @@ def test_bell_pair_states():
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_run_composes_nothing(name, monkeypatch):
-    from fredkinlab import circuits, elements, engine
+    from fredkinlab import circuits, elements
 
     circuit = get_gate(name).build()
     n = len(circuit.qubit_beams)
@@ -467,8 +465,6 @@ def test_run_composes_nothing(name, monkeypatch):
     monkeypatch.setattr(circuits, "compose", refuse)
     monkeypatch.setattr(elements, "compose", refuse)
     monkeypatch.setattr(elements, "compile_element", refuse)
-    # the +/- detector rotation too is compiled once, with the circuit
-    monkeypatch.setattr(engine, "compile_element", refuse)
     for amps, want in zip(inputs, expected):
         got = run(circuit, amps)
         assert got.state.amps == want.state.amps
@@ -522,8 +518,7 @@ def stage_by_stage(circuit, amps):
         elif isinstance(st, ControlledFlip):
             state = controlled_flip(state, st.control, st.target)
         elif isinstance(st, Measure):
-            det = st.detector
-            state, _, records = measure_and_feedforward(state, det, st.table, det.rotation(reg))
+            state, _, records = measure_and_feedforward(state, st.beam, st.table, None)
             log = log + records
         else:
             state, _ = post_select_any(state, st.rules)
@@ -564,7 +559,7 @@ def test_prepare_input_is_the_logical_input_alone(name):
 
 def test_run_applies_one_unitary_per_linear_run(monkeypatch):
     # each run of linear stages is applied once, as its product; a measurement
-    # right after one applies that product with the detector's plate after it
+    # right after one applies that product
     from fredkinlab import circuits
 
     applied = []
@@ -573,9 +568,9 @@ def test_run_applies_one_unitary_per_linear_run(monkeypatch):
         applied.append(u)
         return apply_unitary(state, u, kept)
 
-    def measuring(state, detector, table, u, occupations=None):
+    def measuring(state, beam, table, u, occupations=None):
         applied.append(u)
-        return measure_and_feedforward(state, detector, table, u, occupations)
+        return measure_and_feedforward(state, beam, table, u, occupations)
 
     def matrices(us):
         return [None if u is None else u.matrix.tolist() for u in us]
@@ -589,11 +584,8 @@ def test_run_applies_one_unitary_per_linear_run(monkeypatch):
         ends = [i for i, k in enumerate(linear) if k and (i + 1 == len(linear) or not linear[i + 1])]
         want = []  # (stage index, unitary) of each step
         for i, st in enumerate(stages):
-            if isinstance(st, Measure) and i > 0 and linear[i - 1]:
-                own = unitaries[i]
-                want.append((i, unitaries[i - 1] if own is None else unitaries[i - 1].then(own)))
-            elif isinstance(st, Measure):
-                want.append((i, unitaries[i]))
+            if isinstance(st, Measure):
+                want.append((i, unitaries[i - 1] if i > 0 and linear[i - 1] else None))
             elif i in ends and not (i + 1 < len(stages) and isinstance(stages[i + 1], Measure)):
                 want.append((i, unitaries[i]))
         amps = LogicalAmplitudes.basis(len(circuit.qubit_beams), 0)
@@ -620,9 +612,9 @@ def test_run_injects_each_ancilla_at_first_use(monkeypatch):
         entering.append(state.photon_numbers())
         return apply_unitary(state, u, kept)
 
-    def measuring(state, detector, table, u, occupations=None):
+    def measuring(state, beam, table, u, occupations=None):
         entering.append(state.photon_numbers())
-        return measure_and_feedforward(state, detector, table, u, occupations)
+        return measure_and_feedforward(state, beam, table, u, occupations)
 
     monkeypatch.setattr(circuits, "apply_unitary", counting)
     monkeypatch.setattr(circuits, "measure_and_feedforward", measuring)
@@ -758,13 +750,12 @@ def test_errors_survive_warm_tables():
     raises_twice(EngineError, keep, LogicalAmplitudes((0.6, 0.8)), LogicalAmplitudes.basis(1, 0))
 
     reg = register_modes(["a", "b"])
-    det = DetectorSpec("a", DetectorBasis.HV)
     no_flip = FeedForwardTable.build({(1, 0): [], (0, 1): []})
-    measure = Circuit("measure", reg, 2, ("a", "b"), ("b",), (Measure(det, no_flip),))
+    measure = Circuit("measure", reg, 2, ("a", "b"), ("b",), (Measure("a", no_flip),))
     raises_twice(FeedForwardError, measure, LogicalAmplitudes((0, S2, S2, 0)),
                  LogicalAmplitudes((0, S2, 0, S2)))
     only_h = FeedForwardTable(entries=(((1, 0), ()),), default_reject=False)
-    measure = Circuit("measure", reg, 2, ("a", "b"), ("b",), (Measure(det, only_h),))
+    measure = Circuit("measure", reg, 2, ("a", "b"), ("b",), (Measure("a", only_h),))
     raises_twice(FeedForwardError, measure, LogicalAmplitudes.basis(2, 0b10),
                  LogicalAmplitudes.basis(2, 0b01))
 
@@ -844,7 +835,7 @@ def test_an_ancilla_of_mixed_photon_number_after_the_first_step_fits_no_count(de
     second = Linear((Hwp("a", 45.0),), label="turn-a") if touch else PostSelect(
         (PostSelectionRule.beam_counts(reg, {"c": 1}),), label="keep")
     circuit = Circuit("late-mixed", reg, declared, ("c",), ("c",),
-                      (Measure(DetectorSpec("c"), FeedForwardTable.build({(1, 0): [], (0, 1): []}),
+                      (Measure("c", FeedForwardTable.build({(1, 0): [], (0, 1): []}),
                                label="count"), second),
                       ancillae=(_MaybePhoton("a"),))
     assert circuit.program(2).steps[0].injection is None and circuit.input_photons == {1, 2}

@@ -406,23 +406,41 @@ def test_simulate_parse_error_exit_2(tmp_path):
     assert "line" in err
 
 
-def test_simulate_unknown_detector_basis_exit_2(tmp_path, monkeypatch, capsys):
+def test_simulate_measure_basis_key_exit_2(tmp_path, monkeypatch, capsys):
     from fredkinlab.cli import main
     from fredkinlab.serialize import circuit_to_dict
 
     obj = circuit_to_dict(get_gate("cnot-pittman").build())
-    for stage in obj["stages"]:
-        if stage["type"] == "measure":
-            stage["basis"] = "XY"
-    path = tmp_path / "xy.json"
+    index, measure = next((i, st) for i, st in enumerate(obj["stages"])
+                          if st["type"] == "measure")
+    measure["basis"] = "PM"
+    path = tmp_path / "pm.json"
     path.write_text(json.dumps(obj))
     monkeypatch.delenv("PHOTONIC_LAB_CONFIG", raising=False)
-    # the run would stop before the measurement; the file is refused at load
+    # every detector counts H and V: a +/- detector is a 22.5-degree plate
+    # stage before it.  The run would stop before the measurement; the file
+    # is refused at load
     assert main(["simulate", str(path), "--input", "[1,0,0,0]",
                  "--through-label", "parity-pbs"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown detector basis 'XY'" in err
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {path}: stages[{index}]: unknown key 'basis'\n"
+
+
+def test_simulate_flip_sign_correction_exit_2(tmp_path, monkeypatch, capsys):
+    from fredkinlab.cli import main
+    from fredkinlab.serialize import circuit_to_dict
+
+    obj = circuit_to_dict(get_gate("cnot-pittman").build())
+    index, correction = next((i, c) for i, st in enumerate(obj["stages"])
+                             if st["type"] == "measure"
+                             for entry in st["accept"] for c in entry.get("corrections", ()))
+    correction["kind"] = "flip_sign"
+    path = tmp_path / "flip_sign.json"
+    path.write_text(json.dumps(obj))
+    monkeypatch.delenv("PHOTONIC_LAB_CONFIG", raising=False)
+    # a sign then a flip of the same beam is written as two corrections
+    assert main(["simulate", str(path), "--input", "[1,0,0,0]"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: stages[{index}]: unknown correction kind 'flip_sign'\n")
 
 
 def test_simulate_misspelt_key_exit_2(tmp_path, monkeypatch, capsys):
@@ -457,7 +475,7 @@ def test_simulate_hv_swap_element_exit_2(tmp_path, monkeypatch, capsys):
     # a 45-degree plate is written as `hwp`; the old `hv_swap` alias is gone
     assert main(["simulate", str(path), "--input", "[1,0,0,0]"]) == 2
     assert capsys.readouterr().err == (
-        f"error: {path}:stages[{index}]: bad 'hv_swap' element: unknown kind 'hv_swap'\n")
+        f"error: {path}: stages[{index}]: bad 'hv_swap' element: unknown kind 'hv_swap'\n")
 
 
 def test_simulate_ancilla_on_qubit_beam_exit_2(tmp_path, monkeypatch, capsys):

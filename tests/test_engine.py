@@ -7,16 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from fredkinlab import (
     DEFAULT_PRUNE_EPS,
-    DetectorBasis,
-    DetectorSpec,
     EngineError,
     FeedForwardError,
     FeedForwardTable,
+    Hwp,
     ModeUnitary,
     PhotonNumberMismatch,
     PhotonicState,
     PostSelectionRule,
     apply_unitary,
+    compose,
     measure_and_feedforward,
     post_select_any,
     register_modes,
@@ -315,9 +315,8 @@ def test_pruning_soundness():
 def test_measure_bell_pair_hv():
     reg = register_modes(["a", "b"])
     bell = PhotonicState(reg, {(1, 0, 1, 0): S2, (0, 1, 0, 1): S2})
-    det = DetectorSpec("a", DetectorBasis.HV)
     table = FeedForwardTable.build({(1, 0): [], (0, 1): [("b", "flip")]})
-    out, p, log = measure_and_feedforward(bell, det, table, det.rotation(reg))
+    out, p, log = measure_and_feedforward(bell, "a", table, None)
     assert p == pytest.approx(1.0)
     # H outcome leaves H_b, V outcome flips V_b to H_b: branches agree
     assert out.amps.keys() == {(0, 0, 1, 0)}
@@ -331,71 +330,52 @@ def test_measure_branch_probabilities_sum_to_one(rng):
     for occ in [(1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0)]:
         amps[occ] = rng.normal() + 1j * rng.normal()
     s = PhotonicState(reg, amps).normalized()
-    det = DetectorSpec("a", DetectorBasis.HV)
     table = FeedForwardTable.build({})  # reject everything
-    out, p, log = measure_and_feedforward(s, det, table, det.rotation(reg))
+    out, p, log = measure_and_feedforward(s, "a", table, None)
     assert p == 0.0
     assert sum(r.probability for r in log) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_plus_minus_basis():
-    # |+>_a measured in the +/- basis clicks "+" (H slot) with certainty
+    # |+>_a counted in the +/- basis, a 22.5-degree plate then H/V counting,
+    # clicks "+" (H slot) with certainty
     reg = register_modes(["a"])
     plus = PhotonicState(reg, {(1, 0): S2, (0, 1): S2})
-    det = DetectorSpec("a", DetectorBasis.PLUS_MINUS)
     table = FeedForwardTable.build({(1, 0): []})
-    out, p, _ = measure_and_feedforward(plus, det, table, det.rotation(reg))
+    out, p, _ = measure_and_feedforward(plus, "a", table, compose(reg, (Hwp("a", 22.5),)))
     assert p == pytest.approx(1.0)
-
-
-def test_detector_basis_checked_at_construction():
-    with pytest.raises(EngineError, match="unknown detector basis 'XY'"):
-        DetectorSpec("a", "XY")
-
-
-def test_measure_needs_the_rotation_of_its_basis():
-    reg = register_modes(["a"])
-    plus = PhotonicState(reg, {(1, 0): S2, (0, 1): S2})
-    det = DetectorSpec("a", DetectorBasis.PLUS_MINUS)
-    table = FeedForwardTable.build({(1, 0): []})
-    with pytest.raises(EngineError):
-        measure_and_feedforward(plus, det, table, None)
 
 
 def test_measure_rejected_outcomes_excluded():
     reg = register_modes(["a", "b"])
     s = PhotonicState(reg, {(1, 0, 1, 0): S2, (0, 0, 1, 1): S2})  # second: nothing at a
-    det = DetectorSpec("a", DetectorBasis.HV)
     table = FeedForwardTable.build({(1, 0): []})  # the (0,0) branch rejected by default
-    out, p, _ = measure_and_feedforward(s, det, table, det.rotation(reg))
+    out, p, _ = measure_and_feedforward(s, "a", table, None)
     assert p == pytest.approx(0.5)
 
 
 def test_measure_missing_outcome_without_default_raises():
     reg = register_modes(["a"])
     s = PhotonicState.from_occupation(reg, (1, 0))
-    det = DetectorSpec("a", DetectorBasis.HV)
     table = FeedForwardTable(entries=(), default_reject=False)
     with pytest.raises(FeedForwardError):
-        measure_and_feedforward(s, det, table, det.rotation(reg))
+        measure_and_feedforward(s, "a", table, None)
 
 
 def test_measure_inconsistent_corrections_raise():
     # branches that remain different states after "correction" must be refused
     reg = register_modes(["a", "b"])
     bell = PhotonicState(reg, {(1, 0, 1, 0): S2, (0, 1, 0, 1): S2})
-    det = DetectorSpec("a", DetectorBasis.HV)
     table = FeedForwardTable.build({(1, 0): [], (0, 1): []})  # no flip: H_b vs V_b
     with pytest.raises(FeedForwardError):
-        measure_and_feedforward(bell, det, table, det.rotation(reg))
+        measure_and_feedforward(bell, "a", table, None)
 
 
 def test_measure_consumes_detected_photons():
     reg = register_modes(["a", "b"])
     s = PhotonicState.from_occupation(reg, (1, 0, 1, 0))
-    det = DetectorSpec("a", DetectorBasis.HV)
     table = FeedForwardTable.build({(1, 0): []})
-    out, p, _ = measure_and_feedforward(s, det, table, det.rotation(reg))
+    out, p, _ = measure_and_feedforward(s, "a", table, None)
     assert out.photon_numbers() == {1}
 
 
@@ -407,10 +387,9 @@ def test_measure_branches_a_small_rotation_apart_raise():
     d = 1e-6
     s = PhotonicState(reg, {(1, 0, 1, 0): S2 * math.cos(d), (1, 0, 0, 1): S2 * math.sin(d),
                             (0, 1, 0, 1): S2})
-    det = DetectorSpec("a", DetectorBasis.HV)
     table = FeedForwardTable.build({(1, 0): [], (0, 1): [("b", "flip")]})
     with pytest.raises(FeedForwardError, match="differ by 1e-06"):
-        measure_and_feedforward(s, det, table, det.rotation(reg))
+        measure_and_feedforward(s, "a", table, None)
 
 
 def test_measure_hands_on_the_lowest_accepted_branch():
@@ -423,9 +402,8 @@ def test_measure_hands_on_the_lowest_accepted_branch():
     d = 1e-11
     a1, a2, a3 = 0.6 * math.cos(d), 0.6 * math.sin(d), 0.8
     s = PhotonicState(reg, {(0, 1, 0, 1): a1, (0, 1, 1, 0): a2, (1, 0, 1, 0): a3})
-    det = DetectorSpec("a", DetectorBasis.HV)
     table = FeedForwardTable.build({(0, 1): [], (1, 0): [("b", "flip")]})
-    out, p, log = measure_and_feedforward(s, det, table, det.rotation(reg))
+    out, p, log = measure_and_feedforward(s, "a", table, None)
     n_in = a1 * a1 + a2 * a2 + a3 * a3
     first_sq = a1 * a1 + a2 * a2
     p_first, p_second = first_sq / n_in, a3 * a3 / n_in

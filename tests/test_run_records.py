@@ -5,9 +5,9 @@ import json
 import math
 import os
 
-from fredkinlab import LogicalAmplitudes
+from fredkinlab import Hwp, LogicalAmplitudes, register_modes
 from fredkinlab.catalog import get_gate
-from fredkinlab.circuits import run
+from fredkinlab.circuits import Circuit, Linear, run
 
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "run_records.py")
 _spec = importlib.util.spec_from_file_location("run_records", _PATH)
@@ -28,12 +28,22 @@ def test_records_hold_every_run_at_every_cut_to_the_bit():
     assert keys[-2:] == ["known-target matrix", "report cnot-ralph"]
     records = dict(line.split("\t", 1) for line in lines)
     res = run(get_gate("cnot-ralph").build(), LogicalAmplitudes.basis(2, 2))
-    key = f"run cnot-ralph basis=10 cut={cuts}"
+    key = "run cnot-ralph basis=10 cut=coincidence"
     assert float.fromhex(json.loads(records[f"{key} probability"])) == res.probability
     amps = json.loads(records[f"{key} amplitudes"])
     assert [(tuple(occ), complex(float.fromhex(re), float.fromhex(im)))
             for occ, (re, im) in amps] == list(res.state.amps.items())
     assert json.loads(records[f"{key} branches"]) == []
+
+
+def test_a_cut_is_keyed_by_its_stage_label_or_else_its_stage_count():
+    # an empty or repeated label gives no key of its own
+    reg = register_modes(("c",))
+    stages = tuple(Linear((Hwp("c", 22.5),), label) for label in ("a", "", "a", "b"))
+    circuit = Circuit("labels", reg, 1, ("c",), ("c",), stages)
+    assert run_records._cut_keys(circuit) == ["1", "2", "3", "b"]
+    assert run_records._cut_keys(get_gate("cnot-pittman").build()) == [
+        "bell-rotate", "parity-pbs", "d1-plate", "d1", "target-rpbs", "d2"]
 
 
 def test_comparison_counts_each_differing_record_with_its_deviation():

@@ -22,7 +22,9 @@ from fredkinlab.circuits import (
 from fredkinlab.elements import (
     Bs, DelayToL, ElementError, Hwp, Pbs, Phase, Rot, Route, Rpbs,
 )
-from fredkinlab.engine import REJECT, DetectorSpec, FeedForwardTable, PostSelectionRule
+from fredkinlab.engine import (
+    REJECT, EngineError, FeedForwardTable, PostSelectionRule,
+)
 from fredkinlab.fock import LogicalAmplitudes, Polarization, register_modes
 from fredkinlab.serialize import (
     CircuitFileError,
@@ -74,11 +76,18 @@ def _sequenced(seq, where: str) -> Circuit:
                 Phase(at("Phase label", ("t", "V")), 0.3),
                 Rot(0.2, ("c", "V"), at("Rot label", ("t", "V"))),
                 Route(at("Route mapping", (at("Route pair", ("a", "b")), ("b", "a")))))
-    rules = (PostSelectionRule.beam_counts(reg, {"c": 1, "t": 1}),)
+    table = FeedForwardTable(at("table entries", (
+        at("table entry", (at("pattern", (1, 0)),
+                           at("corrections", (at("correction", ("c", "flip")),)))),
+        ((0, 1), REJECT))))
+    rules = (PostSelectionRule(at("rule constraints", (
+        at("rule constraint", (at("constraint modes", reg.beam_modes("c")), 1)),
+        (reg.beam_modes("t"), 1)))),)
     return Circuit(name="sequenced", registry=reg, photons=4,
                    qubit_beams=at("qubit_beams", ("c", "t")),
                    output_beams=at("output_beams", ("c", "t")),
                    stages=at("stages", (Linear(at("Linear.elements", elements)),
+                                        Measure("b", table),
                                         PostSelect(at("PostSelect.rules", rules)))),
                    ancillae=at("ancillae", (BellPair("a", "b"),)))
 
@@ -100,6 +109,16 @@ def _sequenced(seq, where: str) -> Circuit:
     ("output_beams", CircuitError, "output_beams must be a tuple, not list"),
     ("stages", CircuitError, "stages must be a tuple, not list"),
     ("ancillae", CircuitError, "ancillae must be a tuple, not list"),
+    ("table entries", EngineError, "the entries of a feed-forward table must be a tuple, not list"),
+    ("table entry", EngineError, "an entry of a feed-forward table must be a tuple, not list"),
+    ("pattern", EngineError, "an outcome pattern must be a tuple, not list"),
+    ("corrections", EngineError, "the corrections of an outcome must be a tuple, not list"),
+    ("correction", EngineError, "a correction must be a tuple, not list"),
+    ("rule constraints", EngineError,
+     "the constraints of a post-selection rule must be a tuple, not list"),
+    ("rule constraint", EngineError,
+     "a constraint of a post-selection rule must be a tuple, not list"),
+    ("constraint modes", EngineError, "the modes of a constraint must be a tuple, not list"),
 ])
 def test_a_list_where_a_file_reads_back_a_tuple_is_refused(where, error, message):
     # the reader gives tuples, so a circuit holding a list would not read
@@ -108,6 +127,21 @@ def test_a_list_where_a_file_reads_back_a_tuple_is_refused(where, error, message
         _sequenced(list, where)
     assert str(info.value) == message
     circuit = _sequenced(tuple, where)
+    assert loads_circuit(dumps_circuit(circuit)) == circuit
+
+
+def test_rules_and_tables_from_their_builders_read_back_equal():
+    # the builders take lists and give the tuples a file reads back
+    reg = register_modes(("c", "t", "a"))
+    table = FeedForwardTable.build({(1, 0): [], (0, 1): [["c", "sign"], ["c", "flip"]]})
+    rules = (PostSelectionRule.beam_counts(reg, {"c": 1, "t": 1, "a": 0}),
+             PostSelectionRule.mode_counts(reg, [[list(reg.beam_modes("c")), 0],
+                                                 [list(reg.beam_modes("t")), 2]]))
+    circuit = Circuit(name="built", registry=reg, photons=3, qubit_beams=("c", "t"),
+                      output_beams=("c", "t"),
+                      stages=(Linear((Bs(0.5, "t", "a"),)), Measure("a", table),
+                              PostSelect(rules)),
+                      ancillae=(SinglePhoton("a"),))
     assert loads_circuit(dumps_circuit(circuit)) == circuit
 
 
@@ -156,8 +190,9 @@ def test_rules_are_written_without_renormalize_and_read_with_it_false():
 def _every_kind_circuit():
     """A circuit that holds every element kind and every optional part of a
     document, and runs: the flip comes first, while the control holds its one
-    photon, and the +/- detector sees the ancilla photon that the 22.5-degree
-    plate turned to |+>, so only its first pattern occurs."""
+    photon, and the detector counts the ancilla photon that the 22.5-degree
+    plate turned to |+> in the +/- basis (a second such plate, then H/V
+    counting), so only its first pattern occurs."""
     reg = register_modes(["c", "t", "a", "b", "d", "e"], time_resolved=True)
     elements = (
         Hwp("a", 22.5), Pbs("c", "t"),
@@ -170,7 +205,8 @@ def _every_kind_circuit():
                               ((0, 1, 0, 0), REJECT)), default_reject=False)
     rule = PostSelectionRule((((reg.index("b", "H", "S"), reg.index("b", "V", "L")), 0),))
     stages = (ControlledFlip("c", "t", "flip"), Linear(elements, "optics"),
-              Measure(DetectorSpec("a", "PM"), table, "herald"), PostSelect((rule,), "post"))
+              Linear((Hwp("a", 22.5),), "herald-plate"), Measure("a", table, "herald"),
+              PostSelect((rule,), "post"))
     return Circuit("every-kind", reg, 5, ("c", "t"), ("c", "t"), stages,
                    (SinglePhoton("a", Polarization.H), BellPair("d", "e", "phi_plus")),
                    TimeBinConfig())
@@ -183,7 +219,7 @@ def test_round_trip_of_every_kind():
     assert dumps_circuit(restored) == text
     assert restored == circuit
     assert _runs_to_the_bit(restored) == _runs_to_the_bit(circuit)
-    assert restored.stages[2].table.default_reject is False
+    assert restored.stages[3].table.default_reject is False
     assert len(restored.unitaries) == len(circuit.unitaries)
     for got, want in zip(restored.unitaries, circuit.unitaries):
         assert (got is None) == (want is None)
@@ -399,6 +435,16 @@ def _misspelt_default_reject(obj):
     measure["default_rejct"] = measure.pop("default_reject")
 
 
+def _measure_basis(obj):
+    # a +/- detector is written as a 22.5-degree plate stage, then the measure
+    next(st for st in obj["stages"] if st["type"] == "measure")["basis"] = "PM"
+
+
+def _flip_sign_correction(obj):
+    # written as a sign, then a flip, of the same beam
+    _last_correction(obj)["kind"] = "flip_sign"
+
+
 def _time_bin_field(key, value):
     def mutate(obj):
         obj["time_bin_config"][key] = value
@@ -419,6 +465,8 @@ def _time_bin_field(key, value):
     ("fredkin-heralded", _ancillae_share_a_beam,
      "ancilla on beams 'a1' and 'a4' overlaps another ancilla"),
     ("cnot-pittman", _unknown_correction_kind, "unknown correction kind 'flop'"),
+    ("cnot-pittman", _flip_sign_correction, "unknown correction kind 'flip_sign'"),
+    ("cnot-pittman", _measure_basis, "unknown key 'basis'"),
     ("cnot-pittman", _correction_on_unregistered_beam, "beam 'zz' not registered"),
     ("cnot-pittman", _patterns_one_count_too_long,
      "outcome (1, 0, 0) of the detector on beam 'a1' needs 2 non-negative counts"),
@@ -449,7 +497,7 @@ def _time_bin_field(key, value):
     ("cnot-ralph", _constraint_modes(["c"]),
      "mode must be a [beam, pol(, bin)] label, got 'c'"),
     ("cnot-ralph", _set("time_resolvd", False), "unknown key 'time_resolvd'"),
-    ("cnot-pittman", _misspelt_default_reject, "stages[2]: unknown key 'default_rejct'"),
+    ("cnot-pittman", _misspelt_default_reject, "stages[3]: unknown key 'default_rejct'"),
 ])
 def test_malformed_document_is_one_line_circuit_file_error(gate, mutate, message):
     obj = circuit_to_dict(get_gate(gate).build())
@@ -499,7 +547,7 @@ def test_malformed_element_is_one_line_circuit_file_error_at_its_stage(gate, mut
     index = mutate(obj)
     with pytest.raises(CircuitFileError) as err:
         circuit_from_dict(obj, "bad.json")
-    assert str(err.value) == f"bad.json:stages[{index}]: {message}"
+    assert str(err.value) == f"bad.json: stages[{index}]: {message}"
 
 
 # -- fuzzing -----------------------------------------------------------------------

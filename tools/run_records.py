@@ -6,12 +6,14 @@
 It writes one record per line, ``key<TAB>value``, the value JSON with every
 float given as its `float.hex` image:
 
-* ``run GATE INPUT cut=K probability``, ``... amplitudes`` and ``...
+* ``run GATE INPUT cut=CUT probability``, ``... amplitudes`` and ``...
   branches``, for each catalog gate, each basis input (``basis=BITS``) and
-  10 seeded superpositions (``random=J``), at every cut K from the first
+  10 seeded superpositions (``random=J``), at every cut from the first
   stage through the full run: the run's probability, its amplitudes as
   ``[occupation, [re, im]]`` in stored order, and its branch log as
-  ``[pattern, probability, action]``;
+  ``[pattern, probability, action]``.  CUT is the label of the cut's last
+  stage, or its stage count where that label is empty or repeats, so a
+  stage inserted into a circuit adds only its own cut's records;
 * ``known-target matrix``: the 6x4 matrix of `analysis.evaluate_known_target`;
 * ``report GATE``: ``gate_report(info, sweep=3).to_dict()``.
 
@@ -71,6 +73,14 @@ def _inputs(n_qubits: int) -> list[tuple[str, LogicalAmplitudes]]:
                     for j in range(SUPERPOSITIONS)]
 
 
+def _cut_keys(circuit) -> list[str]:
+    """The key of each cut of `circuit`, by stage count from 1: the label
+    of its last stage, or the count where the label is empty or repeats."""
+    labels = [st.label for st in circuit.stages]
+    return [label if label and labels.count(label) == 1 else str(cut)
+            for cut, label in enumerate(labels, start=1)]
+
+
 def records(gates=None) -> Iterator[str]:
     """The record lines of `gates` (by default every catalog gate), then the
     known-target matrix and each gate's report."""
@@ -78,9 +88,9 @@ def records(gates=None) -> Iterator[str]:
     for name in names:
         circuit = catalog.get_gate(name).build()
         for label, amps in _inputs(len(circuit.qubit_beams)):
-            for cut in range(1, len(circuit.stages) + 1):
+            for cut, cut_key in enumerate(_cut_keys(circuit), start=1):
                 res = run(circuit, amps, upto=cut)
-                key = f"run {name} {label} cut={cut}"
+                key = f"run {name} {label} cut={cut_key}"
                 yield _line(f"{key} probability", res.probability)
                 yield _line(f"{key} amplitudes",
                             [[occ, complex(a)] for occ, a in res.state.amps.items()])

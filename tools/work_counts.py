@@ -87,8 +87,8 @@ def counting(counts: dict):
         counts["put_out"] += _distinct_outputs(state, table)
         return result
 
-    def counted_measure(state, detector, table, unitary, occupations):
-        result = measure(state, detector, table, unitary, occupations)
+    def counted_measure(state, beam, table, unitary, occupations):
+        result = measure(state, beam, table, unitary, occupations)
         if unitary is not None:
             applied[id(unitary.plan)] = unitary.plan
         counts["put_out"] += _distinct_outputs(state, occupations)

@@ -54,6 +54,7 @@ from .engine import (
     detection,
     measure_and_feedforward,
     need_tuple,
+    rejection,
     selection,
     swap_hv,
 )
@@ -481,16 +482,22 @@ class Circuit:
             acts = [_flip(reg, st) if isinstance(st, ControlledFlip)
                     else selection(st.rules) if isinstance(st, PostSelect)
                     else detection(reg, st.beam, st.table) for st in actions]
-            # a post-selection right after the unitary cuts the rows it drops
-            cut = linear and len(actions) == 1 and isinstance(actions[0], PostSelect)
+            # a post-selection right after the unitary cuts the rows it drops,
+            # and a measurement alone in its step the outputs it surely rejects
+            alone = len(actions) == 1 and actions[0]
+            cut = linear and isinstance(alone, PostSelect)
             step = self._steps[i, last] = (u, StepTable.fresh(
-                acts[0] if len(acts) == 1 else _in_turn(acts), actions[0].rules if cut else (),
-                self.numbering))
+                acts[0] if alone else _in_turn(acts), alone.rules if cut else (), self.numbering,
+                rejection(reg, alone.beam, alone.table) if isinstance(alone, Measure) else None))
         return step
 
 
 @dataclass
 class RunResult:
+    """What `run` returns: the output state, unnormalized; its acceptance
+    probability, its squared norm relative to the input's; and the branch
+    log, each measurement's records of its accepted patterns in the order
+    the run met them (`engine.BranchRecord`)."""
     state: PhotonicState
     probability: float
     branch_log: list[BranchRecord] = field(default_factory=list)

@@ -37,7 +37,12 @@ flip whose control beam holds other than one photon) is worked out only
 for an output that survives the pruning, and is never stored when it
 raises, so it raises on every run and never for an amplitude that cancels.
 A post-selection right after a unitary instead decides each output when a
-row reaches it, so no row holds an output it drops.
+row reaches it, so no row holds an output it drops.  A measurement alone in
+its step leaves out of each row, before numbering them, the outputs whose
+pattern its table surely rejects (`rejection`); an unlisted pattern without
+a default stays, so it raises only for an amplitude that survives the
+pruning.  A measurement records accepted patterns only, and takes the
+incoming weight from the state it is given, which its unitary keeps.
 
 Those rows expand only the photons the post-selection can keep.  For an
 occupation of N photons, mode m is forbidden when every rule of the union
@@ -127,19 +132,25 @@ class StepTable(NamedTuple):
     sign flip)``.  `act` works it out from the occupation (returning
     occupations, not numbers; by default it keeps each output).  `cut`
     holds the rules of a post-selection right after the unitary, `cuts`
-    their columns and transfer rows by photon number (see `_cut_columns`)."""
+    their columns and transfer rows by photon number (see `_cut_columns`).
+    `rejects`, for a measurement that is its step's only action, tells an
+    output whose pattern the measurement's table surely rejects (see
+    `rejection`); no row holds such an output."""
     numbering: Numbering
     rows: dict[int, tuple[tuple[int, complex], ...]]
     actions: dict[int, object]
     act: Callable[[Occupation], object]
     cut: tuple[PostSelectionRule, ...]
     cuts: dict[int, tuple[tuple, dict]]
+    rejects: Callable[[Occupation], bool] | None
 
     @classmethod
     def fresh(cls, act: Callable[[Occupation], object] = _keep,
               cut: Sequence[PostSelectionRule] = (),
-              numbering: Numbering | None = None) -> "StepTable":
-        return cls(Numbering() if numbering is None else numbering, {}, {}, act, tuple(cut), {})
+              numbering: Numbering | None = None,
+              rejects: Callable[[Occupation], bool] | None = None) -> "StepTable":
+        return cls(Numbering() if numbering is None else numbering, {}, {}, act, tuple(cut), {},
+                   rejects)
 
 
 #: the action of an output a post-selection drops
@@ -148,15 +159,16 @@ DROP = -1
 
 def _table(state: PhotonicState | NumberedState, table: StepTable | None,
            act: Callable[[Occupation], object] = _keep,
+           rejects: Callable[[Occupation], bool] | None = None,
            ) -> tuple[NumberedState, StepTable]:
     """`state` numbered in the numbering of `table`, and `table`, by default
-    a fresh one of `act`: a `PhotonicState` is numbered at the boundary, a
-    numbered state must already share the numbering."""
+    a fresh one of `act` and `rejects`: a `PhotonicState` is numbered at the
+    boundary, a numbered state must already share the numbering."""
     if isinstance(state, PhotonicState):
-        table = StepTable.fresh(act) if table is None else table
+        table = StepTable.fresh(act, rejects=rejects) if table is None else table
         return NumberedState.of(state, table.numbering), table
     if table is None:
-        return state, StepTable.fresh(act, numbering=state.numbering)
+        return state, StepTable.fresh(act, numbering=state.numbering, rejects=rejects)
     if state.numbering is not table.numbering:
         raise EngineError("state and step table number occupations differently")
     return state, table
@@ -216,22 +228,26 @@ def _row(u: ModeUnitary | None, occ: Occupation, table: StepTable,
     """The row of `occ` through `u`, ``((output number, amplitude), ...)``,
     from the transfer row of its active-mode occupation; with `table.cut`,
     from the columns cut for its photon number and without the outputs the
-    post-selection drops, each decided here."""
-    number = table.numbering.number
+    post-selection drops, each decided here; with `table.rejects`, without
+    the outputs the measurement surely rejects, each left out before it is
+    numbered."""
+    number, rejects = table.numbering.number, table.rejects
     if u is None:
-        return ((number(occ), 1.0),)
-    _, cols, rows, take, splice = u.plan
-    active_in = take(occ)
-    if table.cut:
-        n = sum(occ)
-        cut = table.cuts.get(n)
-        if cut is None:
-            cut = table.cuts[n] = (_cut_columns(u.plan, table.cut, n), {})
-        cols, rows = cut
-    active_row = rows.get(active_in)
-    if active_row is None:
-        active_row = rows[active_in] = _transfer_row(cols, active_in)
-    row = [(number(splice(occ + key)), t) for key, t in active_row]
+        outs = ((occ, 1.0),)
+    else:
+        _, cols, rows, take, splice = u.plan
+        active_in = take(occ)
+        if table.cut:
+            n = sum(occ)
+            cut = table.cuts.get(n)
+            if cut is None:
+                cut = table.cuts[n] = (_cut_columns(u.plan, table.cut, n), {})
+            cols, rows = cut
+        active_row = rows.get(active_in)
+        if active_row is None:
+            active_row = rows[active_in] = _transfer_row(cols, active_in)
+        outs = [(splice(occ + key), t) for key, t in active_row]
+    row = [(number(out), t) for out, t in outs if rejects is None or not rejects(out)]
     if table.cut:
         return tuple([e for e in row if _moved(table, e[0]) != DROP])
     return tuple(row)
@@ -477,10 +493,14 @@ class FeedForwardTable:
 
     def __post_init__(self):
         need_tuple(self.entries, "the entries of a feed-forward table")
+        seen: set[tuple[int, ...]] = set()
         for entry in self.entries:
             need_tuple(entry, "an entry of a feed-forward table")
             pattern, action = entry
             need_tuple(pattern, "an outcome pattern")
+            if pattern in seen:
+                raise EngineError(f"outcome {pattern} is listed twice in a feed-forward table")
+            seen.add(pattern)
             if action == REJECT:
                 continue
             need_tuple(action, "the corrections of an outcome")
@@ -498,6 +518,14 @@ class FeedForwardTable:
             return REJECT
         raise FeedForwardError(f"outcome {pattern} missing from feed-forward table")
 
+    def rejects(self, pattern: tuple[int, ...]) -> bool:
+        """Whether `lookup` surely rejects `pattern`: it is listed as
+        rejected, or unlisted under `default_reject`.  It never raises."""
+        for pat, action in self.entries:
+            if pat == pattern:
+                return action == REJECT
+        return self.default_reject
+
     @classmethod
     def build(cls, accept: Mapping[tuple[int, ...], Sequence[Correction]],
               default_reject: bool = True) -> "FeedForwardTable":
@@ -507,9 +535,12 @@ class FeedForwardTable:
 
 @dataclass(slots=True)
 class BranchRecord:
+    """An accepted detector pattern of one measurement and its probability,
+    relative to the weight that entered the measurement.  A rejected
+    pattern is not recorded, so `action` is always "accept"."""
     pattern: tuple[int, ...]
     probability: float
-    action: str  # "accept" or "reject"
+    action: str
 
 
 def swap_hv(occ: Occupation, h_modes: Sequence[int], v_modes: Sequence[int]) -> Occupation:
@@ -548,6 +579,15 @@ def detection(registry: ModeRegistry, beam: str, table: FeedForwardTable,
     return detect
 
 
+def rejection(registry: ModeRegistry, beam: str, table: FeedForwardTable,
+              ) -> Callable[[Occupation], bool]:
+    """Whether `table` surely rejects the pattern of H/V counting of `beam`
+    in an output (`FeedForwardTable.rejects`): the measurement's drop when
+    it is its step's only action, so that its rows hold no such output."""
+    modes, rejects = registry.beam_modes(beam), table.rejects
+    return lambda occ: rejects(tuple([occ[m] for m in modes]))
+
+
 FEEDFORWARD_CONSISTENCY_TOL = 1e-9
 
 
@@ -562,23 +602,30 @@ def measure_and_feedforward(state: PhotonicState | NumberedState, beam: str,
     for a measurement right after a linear step, that step's product (a
     `Circuit` folds them when it compiles a program), else None.
     `occupations` is the step's `StepTable`, whose `act` ends in this
-    measurement's `detection`; by default a fresh one.  Each term expands through its row
-    into one amplitude per output; each output, once pruned, goes straight
-    into its branch, so no evolved, uncorrected `PhotonicState` is built.
-    Every branch keeps its squares, summed into its probability, and a
-    rejected one nothing else.  Detected photons are consumed.  Corrected
-    accepted branches, normalized, must agree amplitude by amplitude (to
-    within `FEEDFORWARD_CONSISTENCY_TOL`).  The result is the first of them,
-    that of the lowest accepted pattern, scaled so that its squared norm is
-    the total acceptance probability times the incoming weight, and pruned;
-    it has the form of `state`.
+    measurement's `detection`; by default a fresh one, whose rows leave out
+    every output whose pattern `table` surely rejects (`rejection`).  Each
+    term expands through its row into one amplitude per output; each
+    output, once pruned, goes straight into its branch, so no evolved,
+    uncorrected `PhotonicState` is built.  A rejected output that a row
+    still holds (its table has no `rejects`) is passed over.  Each accepted
+    branch keeps its squares, summed into its probability relative to the
+    squared norm of `state`, which `unitary` keeps; the records list the
+    accepted patterns only, in pattern order.  Detected photons are
+    consumed.  Corrected accepted branches, normalized, must agree
+    amplitude by amplitude (to within `FEEDFORWARD_CONSISTENCY_TOL`).  The
+    result is the first of them, that of the lowest accepted pattern, scaled
+    so that its squared norm is the total acceptance probability times the
+    incoming weight, and pruned; it has the form of `state`.
     """
     reg = state.registry
     if unitary is not None and unitary.registry != reg:
         raise EngineError("unitary acts on a different registry")
 
-    act = detection(reg, beam, table) if occupations is None else occupations.act
-    numbered, occupations = _table(state, occupations, act)
+    if occupations is None:
+        numbered, occupations = _table(
+            state, None, detection(reg, beam, table), rejection(reg, beam, table))
+    else:
+        numbered, occupations = _table(state, occupations)
     result = _measure(numbered, unitary, occupations)
     return result if numbered is state else (result[0].state(), *result[1:])
 
@@ -587,47 +634,39 @@ def _measure(state: NumberedState, unitary: ModeUnitary | None, occupations: Ste
              ) -> tuple[NumberedState, float, list[BranchRecord]]:
     reg, numbering = state.registry, occupations.numbering
     values, actions = _outputs(state, unitary, occupations), occupations.actions
-    # each pattern's squares, and an accepted one's corrected amplitudes by place
-    branches: dict[tuple[int, ...], tuple[list[float], dict[int, complex] | None]] = {}
-    squares: list[float] = []
-    branch_of, add_square = branches.get, squares.append
+    # each accepted pattern's squares and corrected amplitudes by place
+    branches: dict[tuple[int, ...], tuple[list[float], dict[int, complex]]] = {}
+    branch_of = branches.get
     for j, a in values.items():
         if abs(a) < DEFAULT_PRUNE_EPS:  # as the state `apply_unitary` returns drops it
             continue
-        square = a.real * a.real + a.imag * a.imag
-        add_square(square)
         action = actions.get(j)
         if action is None:
             pattern, corrected, negate = occupations.act(numbering.occupations[j])
             action = actions[j] = (
                 pattern, None if corrected is None else numbering.number(corrected), negate)
         pattern, corrected, negate = action
+        if corrected is None:  # rejected, where the rows do not leave it out
+            continue
+        square = a.real * a.real + a.imag * a.imag
         branch = branch_of(pattern)
         if branch is None:
-            branches[pattern] = ([square], None if corrected is None else {
-                corrected: -a if negate else a})
+            branches[pattern] = ([square], {corrected: -a if negate else a})
             continue
         sq, amps = branch
         sq.append(square)
-        if amps is not None:
-            amps[corrected] = -a if negate else a
-    n_in = float(sum(squares))  # `amplitudes_norm_sq` of the pruned output, in order
-    if n_in <= 0.0:
+        amps[corrected] = -a if negate else a
+    if not branches:
         return NumberedState(reg, {}, numbering), 0.0, []
+    n_in = state.norm_sq()  # the incoming weight, which `unitary` keeps
 
     records: list[BranchRecord] = []
     accepted: list[tuple[float, float, dict[int, complex]]] = []
     for pattern, (sq, amps) in sorted(branches.items()):  # the patterns differ
         norm_sq = float(sum(sq))  # `amplitudes_norm_sq` of the branch
         p_branch = norm_sq / n_in
-        if amps is None:
-            records.append(BranchRecord(pattern, p_branch, "reject"))
-            continue
         records.append(BranchRecord(pattern, p_branch, "accept"))
         accepted.append((p_branch, math.sqrt(norm_sq), amps))
-
-    if not accepted:
-        return NumberedState(reg, {}, numbering), 0.0, records
 
     # amplitude by amplitude, so linear in any disagreement; each amplitude is
     # normalized and pruned as `PhotonicState.normalized` does (every branch

@@ -279,15 +279,23 @@ def test_criterion_09_oracle_equivalence():
             if abs(amp - oracle) >= 1e-10:
                 ok = False
             checked += 1
-    # measurement branch probabilities are complete
+    # measurement branch probabilities are complete: accepting one pattern
+    # at a time, over every pattern of up to two photons, adds up to one
     reg = register_modes(["a", "b"])
+    patterns = [(h, v) for h in range(3) for v in range(3 - h)]
     for _ in range(20):
         amps = {}
         for occ in [(1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0), (2, 0, 0, 0)]:
             amps[occ] = rng.normal() + 1j * rng.normal()
         state = PhotonicState(reg, amps).normalized()
-        _, _, log = measure_and_feedforward(state, "a", FeedForwardTable.build({}), None)
-        if abs(sum(r.probability for r in log) - 1.0) >= 1e-12:
+        total = 0.0
+        for pattern in patterns:
+            _, p, log = measure_and_feedforward(
+                state, "a", FeedForwardTable.build({pattern: []}), None)
+            if sum(r.probability for r in log) != p:
+                ok = False
+            total += p
+        if abs(total - 1.0) >= 1e-12:
             ok = False
     report(9, "engine amplitudes match the permanent oracle; norms and branch "
               "probabilities are conserved", ok)

@@ -77,14 +77,44 @@ def test_no_step_computes_an_amplitude_that_it_prunes(name, monkeypatch):
     assert min(abs(t) for row in rows for _, t in row) >= SMALLEST_ENTRY
 
 
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_no_measurement_row_holds_an_output_its_table_rejects(name, monkeypatch):
+    # every catalog measurement is its step's only action, so its rows leave
+    # out each output whose pattern its table lists as rejected, or leaves
+    # unlisted under `default_reject`
+    measured = []
+
+    def measure_and_feedforward(state, beam, table, unitary, occupations):
+        measured.append((state.registry.beam_modes(beam), table, occupations))
+        return engine_measure(state, beam, table, unitary, occupations)
+
+    engine_measure = circuits.measure_and_feedforward
+    monkeypatch.setattr(circuits, "measure_and_feedforward", measure_and_feedforward)
+    gate_report(get_gate(name))
+    rejected = []
+    for modes, table, occupations in measured:
+        actions = dict(table.entries)
+        unlisted = engine.REJECT if table.default_reject else None
+        occupations_of = occupations.numbering.occupations
+        outputs = {j for row in occupations.rows.values() for j, _ in row}
+        assert outputs
+        rejected += [j for j in outputs
+                     if actions.get(tuple(occupations_of[j][m] for m in modes), unlisted)
+                     == engine.REJECT]
+    assert rejected == []
+    assert bool(measured) == any(isinstance(st, circuits.Measure)
+                                 for st in get_gate(name).build().stages)
+
+
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "work_counts.py")
 _spec = importlib.util.spec_from_file_location("work_counts", _PATH)
 work_counts = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(work_counts)
 
 #: the work of one `gate_report` per catalog gate, summed (`tools/work_counts.py`):
-#: a folded post-selection expands only the photons it can keep
-BUDGET = {"products": 1036, "entries": 337, "kept_checks": 112}
+#: a folded post-selection expands only the photons it can keep, and a
+#: measurement alone in its step puts out only the outputs it can accept
+BUDGET = {"products": 1036, "entries": 337, "kept_checks": 112, "put_out": 909}
 
 
 @pytest.fixture(scope="module")

@@ -443,6 +443,24 @@ def test_simulate_flip_sign_correction_exit_2(tmp_path, monkeypatch, capsys):
         f"error: {path}: stages[{index}]: unknown correction kind 'flip_sign'\n")
 
 
+def test_simulate_pattern_listed_twice_exit_2(tmp_path, monkeypatch, capsys):
+    from fredkinlab.cli import main
+    from fredkinlab.serialize import circuit_to_dict
+
+    obj = circuit_to_dict(get_gate("cnot-pittman").build())
+    index, measure = next((i, st) for i, st in enumerate(obj["stages"])
+                          if st["type"] == "measure")
+    measure["accept"].append({"pattern": [1, 0], "reject": True})
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(obj))
+    monkeypatch.delenv("PHOTONIC_LAB_CONFIG", raising=False)
+    # the second entry for a pattern would otherwise be dead without a word
+    assert main(["simulate", str(path), "--input", "[1,0,0,0]"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: stages[{index}]: outcome (1, 0) is listed twice in a "
+        "feed-forward table\n")
+
+
 def test_simulate_misspelt_key_exit_2(tmp_path, monkeypatch, capsys):
     from fredkinlab.cli import main
     from fredkinlab.serialize import circuit_to_dict

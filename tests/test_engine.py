@@ -24,6 +24,7 @@ from fredkinlab import (
     transition_amplitude_oracle,
 )
 from fredkinlab.catalog import CATALOG, get_gate
+from fredkinlab.engine import REJECT
 from conftest import haar_unitary
 
 S2 = 1 / math.sqrt(2)
@@ -330,10 +331,16 @@ def test_measure_branch_probabilities_sum_to_one(rng):
     for occ in [(1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0)]:
         amps[occ] = rng.normal() + 1j * rng.normal()
     s = PhotonicState(reg, amps).normalized()
-    table = FeedForwardTable.build({})  # reject everything
-    out, p, log = measure_and_feedforward(s, "a", table, None)
-    assert p == 0.0
-    assert sum(r.probability for r in log) == pytest.approx(1.0, abs=1e-12)
+    out, p, log = measure_and_feedforward(s, "a", FeedForwardTable.build({}), None)
+    assert (out.amps, p, log) == ({}, 0.0, [])  # every pattern rejected, none recorded
+    # accepting one pattern at a time, each branch's probability is recorded,
+    # and over the two patterns (every term holds one photon in a) they add up to one
+    total = 0.0
+    for pattern in ((1, 0), (0, 1)):
+        out, p, log = measure_and_feedforward(s, "a", FeedForwardTable.build({pattern: []}), None)
+        assert [(r.pattern, r.probability, r.action) for r in log] == [(pattern, p, "accept")]
+        total += p
+    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_plus_minus_basis():
@@ -352,6 +359,15 @@ def test_measure_rejected_outcomes_excluded():
     table = FeedForwardTable.build({(1, 0): []})  # the (0,0) branch rejected by default
     out, p, _ = measure_and_feedforward(s, "a", table, None)
     assert p == pytest.approx(0.5)
+
+
+def test_a_pattern_listed_twice_is_refused():
+    # a second entry for one pattern would be dead: `lookup` takes the first
+    for second in (REJECT, (("a", "flip"),), ()):
+        with pytest.raises(EngineError, match=r"^outcome \(1, 0\) is listed twice in a "
+                                              r"feed-forward table$"):
+            FeedForwardTable(entries=(((1, 0), ()), ((0, 1), ()), ((1, 0), second)))
+    FeedForwardTable(entries=(((1, 0), ()), ((0, 1), REJECT)))  # distinct patterns
 
 
 def test_measure_missing_outcome_without_default_raises():

@@ -79,13 +79,14 @@ def _reference_post_select(state: PhotonicState, rules) -> PhotonicState:
     return PhotonicState(state.registry, kept, validate=False)
 
 
-def _reference_measure(state, beam, table):
+def _reference_measure(state, beam, table, n_in):
     """H/V counting of `beam` with a state per branch and normalized copies,
     handing on the first accepted branch scaled to the total acceptance
-    probability."""
+    probability, with a record per accepted pattern.  `n_in` is the squared
+    norm of the state that entered the measurement's step, which the step's
+    unitary and flips keep."""
     reg = state.registry
     det_modes = reg.beam_modes(beam)
-    n_in = state.norm_sq()
     if n_in <= 0.0:
         return PhotonicState(reg, {}, validate=False), []
     branches = {}
@@ -100,7 +101,6 @@ def _reference_measure(state, beam, table):
         p_branch = sub.norm_sq() / n_in
         action = table.lookup(pattern)
         if action == REJECT:
-            records.append(BranchRecord(pattern, p_branch, "reject"))
             continue
         for beam, kind in action:
             sub = _reference_correction(sub, beam, kind)
@@ -138,6 +138,7 @@ def _reference_run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState, upt
     for step in prog.steps:
         if step.injection is not None and logical:
             state = tensor(state, step.injection.state)
+        n_step = state.norm_sq()
         for st in step.stages:
             i = _stage_index(circuit, st)
             if isinstance(st, Linear):
@@ -145,7 +146,7 @@ def _reference_run(circuit: Circuit, inp: LogicalAmplitudes | PhotonicState, upt
             elif isinstance(st, ControlledFlip):
                 state = controlled_flip(state, st.control, st.target)
             elif isinstance(st, Measure):
-                state, records = _reference_measure(state, st.beam, st.table)
+                state, records = _reference_measure(state, st.beam, st.table, n_step)
                 log.extend(records)
             elif isinstance(st, PostSelect):
                 state = _reference_post_select(state, st.rules)
@@ -406,7 +407,7 @@ def test_a_pattern_that_cancels_exactly_leaves_no_record(basis):
 def test_an_unlisted_outcome_that_cancels_is_never_looked_up():
     # the HOM pair of the test above: one photon in a can only arise from
     # amplitudes that cancel, so a table without (1, 0) and with no default
-    # runs, and every run records the same two patterns
+    # runs, and every run records the same accepted pattern
     reg = register_modes(("a", "b"))
     table = FeedForwardTable(entries=(((2, 0), ()), ((0, 0), REJECT)), default_reject=False)
     circuit = Circuit(name="hom", registry=reg, photons=2, qubit_beams=("a", "b"),
@@ -415,9 +416,61 @@ def test_an_unlisted_outcome_that_cancels_is_never_looked_up():
     amps = LogicalAmplitudes.basis(2, 0)
     for _ in range(2):
         res = run(circuit, amps)
-        assert [(r.pattern, r.action) for r in res.branch_log] == [
-            ((0, 0), "reject"), ((2, 0), "accept")]
+        assert [(r.pattern, r.action) for r in res.branch_log] == [((2, 0), "accept")]
         assert res.probability == pytest.approx(0.5, abs=1e-15)
+
+
+def _mixing_circuit(flip_first: bool) -> Circuit:
+    """Qubits c, t and an H photon on beam d, which a splitter mixes with t
+    before d is counted.  The table accepts one photon in H, lists no photon
+    as rejected and rejects every other pattern by default.  With
+    `flip_first`, a flip of t controlled by c comes between the splitter
+    and the count, all one step; the inputs keep c in H, so it flips
+    nothing."""
+    reg = register_modes(("c", "t", "d"))
+    table = FeedForwardTable(entries=(((1, 0), ()), ((0, 0), REJECT)))
+    stages = (Linear((Bs(0.5, "t", "d"),), label="mix"),
+              *([ControlledFlip("c", "t", label="flip")] if flip_first else []),
+              Measure("d", table, label="detect"))
+    return Circuit(name="mixing", registry=reg, photons=3, qubit_beams=("c", "t"),
+                   output_beams=("c", "t"), stages=stages,
+                   ancillae=(SinglePhoton("d", Polarization.H),))
+
+
+def test_a_measurement_gives_the_same_bits_with_its_rows_cut_or_not():
+    # alone in its step, the count's rows leave out every output it rejects;
+    # after a flip in the same step they hold them all, and the count passes
+    # them over.  Either way each accepted output gets the same terms in the
+    # same order, and the incoming weight is the step's input's.
+    alone, after_flip = _mixing_circuit(False), _mixing_circuit(True)
+    (step,), (flipped,) = _steps(alone), _steps(after_flip)
+    assert step.stages == alone.stages and flipped.stages == after_flip.stages
+    table = alone.stages[-1].table
+    modes = alone.registry.beam_modes("d")
+
+    def patterns(table_of_step):
+        occupations = table_of_step.numbering.occupations
+        return {tuple(occupations[j][m] for m in modes)
+                for row in table_of_step.rows.values() for j, _ in row}
+
+    rng = np.random.default_rng(49)
+    inputs = [LogicalAmplitudes.basis(2, 0), LogicalAmplitudes.basis(2, 1)]
+    for _ in range(3):  # c in H: the flip leaves every term as it is
+        t = rng.normal(size=2) + 1j * rng.normal(size=2)
+        inputs.append(LogicalAmplitudes(tuple(t / np.linalg.norm(t)) + (0.0, 0.0)))
+    for amps in inputs:
+        res, ref = run(alone, amps), run(after_flip, amps)
+        assert _bits(res.state, res.probability, res.branch_log) == _bits(
+            ref.state, ref.probability, ref.branch_log)
+        assert _bits(res.state, res.probability, res.branch_log) == _bits(
+            *_reference_run(alone, amps))
+        # two H photons meeting at the splitter never leave one in d
+        assert [(r.pattern, r.action) for r in res.branch_log] == (
+            [] if amps is inputs[0] else [((1, 0), "accept")])
+        assert (res.probability > 0.0) == (amps is not inputs[0])
+    assert patterns(step.table) == {(1, 0)}
+    assert {(0, 0), (1, 0), (2, 0)} <= patterns(flipped.table)
+    assert all(table.lookup(p) == REJECT for p in patterns(flipped.table) - {(1, 0)})
 
 
 # -- flips folded into the linear step before them ------------------------------------
@@ -677,9 +730,9 @@ def test_unused_correction_rules_match_the_reference_to_the_bit(time_resolved, c
     reg = register_modes(("c", "t", "d"), time_resolved=time_resolved)
     state, (plain, corrected) = _measured_state(reg, corrections, seed=len(corrections))
     table = FeedForwardTable.build({plain: [], corrected: corrections})
-    ref_state, ref_log = _reference_measure(state, "d", table)
-    ref_p = sum(r.probability for r in ref_log if r.action == "accept")
-    assert [r.action for r in ref_log] == ["reject", "accept", "accept"]
+    ref_state, ref_log = _reference_measure(state, "d", table, state.norm_sq())
+    ref_p = sum(r.probability for r in ref_log)
+    assert [r.action for r in ref_log] == ["accept", "accept"]
     occupations = StepTable.fresh(detection(reg, "d", table))
     for _ in range(2):  # a cold table, then a warm one
         assert _bits(*measure_and_feedforward(state, "d", table, None, occupations)) == (

@@ -10,8 +10,9 @@ float given as its `float.hex` image:
   branches``, for each catalog gate, each basis input (``basis=BITS``) and
   10 seeded superpositions (``random=J``), at every cut from the first
   stage through the full run: the run's probability, its amplitudes as
-  ``[occupation, [re, im]]`` in stored order, and its branch log as
-  ``[pattern, probability, action]``.  CUT is the label of the cut's last
+  ``[occupation, [re, im]]`` in stored order, and its branch log, one
+  ``[pattern, probability, action]`` per accepted pattern (a rejected
+  pattern leaves no record).  CUT is the label of the cut's last
   stage, or its stage count where that label is empty or repeats, so a
   stage inserted into a circuit adds only its own cut's records;
 * ``known-target matrix``: the 6x4 matrix of `analysis.evaluate_known_target`;
